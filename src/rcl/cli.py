@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -158,19 +156,12 @@ def _load_bundle(config: RunConfig) -> PresetBundle:
 
 
 def _solve_options(config: RunConfig, record_trace: bool) -> SolveOptions:
-    kwargs = {"seed": config.seed, "record_trace": record_trace}
+    kwargs = {"record_trace": record_trace}
     if config.max_iters is not None:
         kwargs["max_iters"] = config.max_iters
     if config.tol is not None:
         kwargs["tol"] = config.tol
     return SolveOptions(**kwargs)
-
-
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("RCL_THREADS", "").strip()
-    if cap:
-        return max(1, min(int(cap), n_jobs))
-    return max(1, min(4, n_jobs))
 
 
 def _node_vector(value, m: int, name: str) -> np.ndarray:
@@ -302,14 +293,10 @@ def run(config: RunConfig) -> int:
                 alpha = config.alpha or bundle.extras["alpha"]
                 betas = config.beta or (bundle.extras["beta"],)
                 v = bundle.instance.v
-            indices = range(len(model.drift_types))
-            with ThreadPoolExecutor(_max_workers(len(model.drift_types))) as pool:
-                reports = list(
-                    pool.map(
-                        lambda i: _market_type_report(model, i, e_a, e_p, alpha, betas, v),
-                        indices,
-                    )
-                )
+            reports = [
+                _market_type_report(model, i, e_a, e_p, alpha, betas, v)
+                for i in range(len(model.drift_types))
+            ]
             doc = {
                 "config": config.echo(),
                 "horizon": model.horizon,
@@ -340,7 +327,8 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("--preset", choices=PRESET_NAMES)
     parser.add_argument("--instance", help="path to an instance JSON document")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=42,
+                        help="recorded in result.json; nothing is random")
     parser.add_argument("--max-iters", type=int, dest="max_iters")
     parser.add_argument("--tol", type=float)
     parser.add_argument("--levels", type=int, help="grid levels per atom")

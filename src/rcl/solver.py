@@ -4,8 +4,9 @@ The principal's objective over mechanisms is concave (her utility is concave
 and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
 set is an exact minimum. The solver runs projected subgradient ascent with a
-diminishing step; feasibility after each step is restored by clipping to the
-box followed by Dykstra's alternating projections onto the constraint rows.
+diminishing step; feasibility after each step is restored by the exact
+nearest-point projection onto the box and the constraint rows, computed by a
+primal active-set method warm-started from the previous step's working set.
 The oracle enumerates grid-level assignments exhaustively and is kept free
 of any solver machinery so the two can check each other.
 """
@@ -19,7 +20,6 @@ import numpy as np
 from .constraints import (
     DEFAULT_TOL,
     FeasibilityReport,
-    LinearConstraintSystem,
     Mechanism,
     build_system,
     check_mechanism,
@@ -36,8 +36,6 @@ class SolveOptions:
     max_iters: int = 50_000
     step_scale: float | None = None  # default 0.1 * largest bound range
     tol: float = 1e-8
-    projection_max_sweeps: int = 1000
-    seed: int = 42
     record_trace: bool = False
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class SolveOptions:
             violations.append("step_scale must be positive")
         if self.tol <= 0:
             violations.append("tol must be positive")
-        if self.projection_max_sweeps <= 0:
-            violations.append("projection_max_sweeps must be positive")
         if violations:
             raise ValidationError(violations)
 
@@ -81,15 +77,24 @@ def _rows_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array([row @ weights for row in matrix])
 
 
+def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray):
+    """Agent wealth, principal wealth and principal value of each row of c.
+
+    The one evaluator behind the objective, its supergradient and the
+    oracle's per-contract values.
+    """
+    inst = uu.base
+    agent_wealth = inst.u.inverse(np.clip(c, uu.c_lo, uu.c_hi))
+    principal_wealth = inst.e_p + inst.e_a - agent_wealth
+    values = _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
+    return agent_wealth, principal_wealth, values
+
+
 def principal_type_values(uu: UtilityUnitsInstance, mech: Mechanism) -> np.ndarray:
     """Principal's expected utility per reported type, under her own belief."""
     if not mech.within_bounds(uu, tol=1e-6):
         raise RangeError("mechanism leaves the transformed contract bounds")
-    c = np.clip(mech.assignment, uu.c_lo, uu.c_hi)
-    inst = uu.base
-    agent_wealth = inst.u.inverse(c)
-    principal_wealth = inst.e_p + inst.e_a - agent_wealth
-    return _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
+    return _evaluate(uu, mech.assignment)[2]
 
 
 def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, int]:
@@ -105,10 +110,7 @@ def _subgradient(uu: UtilityUnitsInstance, c: np.ndarray) -> tuple[float, int, n
     prior's gradient is used, the standard choice for subgradient methods.
     """
     inst = uu.base
-    c = np.clip(c, uu.c_lo, uu.c_hi)
-    agent_wealth = inst.u.inverse(c)
-    principal_wealth = inst.e_p + inst.e_a - agent_wealth
-    type_values = _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
+    agent_wealth, principal_wealth, type_values = _evaluate(uu, c)
     value, worst = inst.beliefs.robust_value(type_values)
     kappa = inst.beliefs.priors[worst]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -118,205 +120,106 @@ def _subgradient(uu: UtilityUnitsInstance, c: np.ndarray) -> tuple[float, int, n
     return value, worst, kappa[:, None] * marginal
 
 
-def _project_halfspace_pair(x, a1, b1, a2, b2):
-    """Exact projection onto the intersection of two half-spaces a.x >= b.
+def _active_set_projection(y, x, lo, hi, a, b, working, factors=None):
+    """Exact nearest point to y in {a x >= b, lo <= x <= hi}.
 
-    Opposite truth-telling rows of one type pair are close to antiparallel,
-    which makes one-row-at-a-time sweeps crawl; projecting the pair jointly
-    removes that pathology. When both rows bind, the projection solves the
-    2x2 Gram system of the active boundaries.
+    Standard primal active-set method for the least-distance problem
+    (Nocedal & Wright, Numerical Optimization, ch. 16), started from a
+    feasible x that lies on every constraint of `working`, a mask over the
+    rows, then the lower box faces, then the upper ones. A working box face
+    fixes its coordinate, so each pivot projects onto the working rows over
+    the free coordinates only, through a QR factorization of those rows.
+    The step toward that equality projection is cut at the first blocking
+    constraint whose normal is independent of the working set, and the
+    blocker joins it; once the step is taken in full, the constraint with
+    the most negative multiplier leaves it. The pivot cap bounds degenerate
+    cycling; the caller checks feasibility.
+
+    Returns the point, the final working set and its `factors` (the QR
+    factors and index arrays, which depend only on the working set, lo, hi
+    and a). Passing both to the next projection over the same box and rows
+    warm-starts it.
     """
-    v1 = b1 - a1 @ x
-    v2 = b2 - a2 @ x
-    if v1 <= 0.0 and v2 <= 0.0:
-        return x
-    g11 = a1 @ a1
-    g22 = a2 @ a2
-    if v1 > 0.0:
-        p = x + (v1 / g11) * a1
-        if b2 - a2 @ p <= 1e-14 * max(1.0, abs(b2)):
-            return p
-    if v2 > 0.0:
-        p = x + (v2 / g22) * a2
-        if b1 - a1 @ p <= 1e-14 * max(1.0, abs(b1)):
-            return p
-    g12 = a1 @ a2
-    det = g11 * g22 - g12 * g12
-    if det <= 1e-14 * g11 * g22:
-        # (anti)parallel rows: fall back to the more violated one; the sweep
-        # residual check catches genuinely inconsistent data
-        if v1 / np.sqrt(g11) >= v2 / np.sqrt(g22):
-            return x + (v1 / g11) * a1
-        return x + (v2 / g22) * a2
-    l1 = (v1 * g22 - v2 * g12) / det
-    l2 = (v2 * g11 - v1 * g12) / det
-    return x + l1 * a1 + l2 * a2
-
-
-def _constraint_blocks(system: LinearConstraintSystem):
-    """Group rows into Dykstra blocks: IC pairs (j,k)/(k,j) jointly, IR singly."""
-    pair_of: dict[tuple[int, int], list[int]] = {}
-    singles: list[int] = []
-    for idx, row in enumerate(system.rows):
-        if row.kind == "IC":
-            key = (min(row.j, row.k), max(row.j, row.k))
-            pair_of.setdefault(key, []).append(idx)
-        else:
-            singles.append(idx)
-    blocks = [tuple(v) for _, v in sorted(pair_of.items())]
-    blocks.extend((idx,) for idx in singles)
-    return blocks
-
-
-def _active_set_projection(y, x_start, lo, hi, a, b, tol):
-    """Exact nearest-point projection onto {a x >= b, lo <= x <= hi}.
-
-    Standard primal active-set method for the least-distance problem,
-    started from a (tol-)feasible point: at each pivot the equality
-    projection onto the working set is computed through its Gram system,
-    the step is cut at the first blocking constraint, and working rows with
-    negative multipliers are dropped. Box faces and constraint rows are
-    treated uniformly. Finite up to the pivot cap; used when the cyclic
-    sweeps stall near degenerate faces.
-    """
-    dim = y.size
-    n_rows = b.size
-    n_cons = n_rows + 2 * dim
-
-    def normal(idx):
-        if idx < n_rows:
-            return a[idx]
-        e = np.zeros(dim)
-        k = idx - n_rows
-        if k < dim:
-            e[k] = 1.0
-        else:
-            e[k - dim] = -1.0
-        return e
-
-    def rhs(idx):
-        if idx < n_rows:
-            return b[idx]
-        k = idx - n_rows
-        return lo[k] if k < dim else -hi[k - dim]
-
-    def slacks(x):
-        parts = [a @ x - b] if n_rows else []
-        parts.extend([x - lo, hi - x])
-        return np.concatenate(parts)
-
-    def slopes(p):
-        parts = [a @ p] if n_rows else []
-        parts.extend([p, -p])
-        return np.concatenate(parts)
-
-    x = x_start.copy()
-    working: list[int] = []
-    in_working = np.zeros(n_cons, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(10 * n_cons + 100):
-        if working:
-            rows = np.stack([normal(i) for i in working])
-            gram = rows @ rows.T
-            target = np.array([rhs(i) for i in working]) - rows @ y
+    n_rows, dim = b.size, y.size
+    working = working.copy()
+    at_lo = working[n_rows:n_rows + dim]  # views: pinning updates `working`
+    at_hi = working[n_rows + dim:]
+    rhs = np.concatenate([b, lo, -hi])
+    scale = max(1.0, float(np.abs(y).max()))
+    for _ in range(10 * working.size + 100):
+        if factors is None:
+            free = ~(at_lo | at_hi)
+            w = working[:n_rows].nonzero()[0]
+            a_w = a[w]
+            # orthonormal basis of the working rows over the free coordinates:
+            # (a_w * free)^T = q r, so the Gram matrix is r^T r
+            q, r = np.linalg.qr((a_w * free).T)
             try:
-                lam = np.linalg.solve(gram, target)
+                r_inv = np.linalg.inv(r)
             except np.linalg.LinAlgError:
-                lam = np.linalg.lstsq(gram, target, rcond=None)[0]
-            x_target = y + rows.T @ lam
-        else:
-            lam = np.empty(0)
-            x_target = y
+                r_inv = np.linalg.pinv(r)
+            factors = free, np.where(at_lo, lo, hi), w, a_w, q, r_inv
+        free, pinned, w, a_w, q, r_inv = factors
+        lam = r_inv @ (r_inv.T @ (b[w] - a_w @ np.where(free, y, pinned)))
+        pull = y + lam @ a_w
+        x_target = np.where(free, pull, pinned)
         step = x_target - x
-        if float(np.max(np.abs(step))) <= 1e-12 * scale:
-            if working and float(np.min(lam)) < -1e-11:
-                drop = int(np.argmin(lam))
-                in_working[working[drop]] = False
-                working.pop(drop)
-                continue
-            ok = float(np.max(-slacks(x), initial=0.0)) <= tol
-            return x, ok
-        s = slacks(x)
-        ds = slopes(step)
-        closing = (~in_working) & (ds < -1e-14 * scale)
-        alpha = 1.0
         blocker = -1
-        if np.any(closing):
-            ratios = np.maximum(s[closing], 0.0) / -ds[closing]
-            local = int(np.argmin(ratios))
-            if ratios[local] < alpha:
-                alpha = float(ratios[local])
-                blocker = int(np.flatnonzero(closing)[local])
-        x = x + alpha * step
+        if np.abs(step).max() > 1e-12 * scale:
+            # a constraint outside the working set can block the step only
+            # if the target violates it, so the ratio test runs only then
+            at_target = np.concatenate([a @ x_target, x_target, -x_target]) - rhs
+            if (~working & (at_target < -1e-14 * scale)).any():
+                slack = np.concatenate([a @ x, x, -x]) - rhs
+                slope = np.concatenate([a @ step, step, -step])
+                closing = (~working & (slope < -1e-14 * scale)).nonzero()[0]
+                ratios = np.maximum(slack[closing], 0.0) / -slope[closing]
+                for i in np.argsort(ratios, kind="stable"):
+                    if ratios[i] >= 1.0:
+                        break
+                    if _independent(int(closing[i]), free, a, q):
+                        blocker, alpha = int(closing[i]), ratios[i]
+                        break
         if blocker >= 0:
-            working.append(blocker)
-            in_working[blocker] = True
-    # pivot cap hit (degenerate cycling): the iterate is still feasible for
-    # the working polytope, so hand it back whenever it clears the tolerance
-    return x, float(np.max(-slacks(x), initial=0.0)) <= tol
+            x = x + alpha * step
+            if blocker >= n_rows:
+                k = (blocker - n_rows) % dim
+                x[k] = lo[k] if blocker < n_rows + dim else hi[k]
+            working[blocker] = True
+            factors = None
+            continue
+        # the full step reaches the equality projection, so its multipliers
+        # decide optimality: lam on the rows and, on a pinned coordinate,
+        # the gap between the pinned value and the unconstrained pull
+        x = x_target
+        gap = x_target - pull
+        mult = np.concatenate([np.zeros(n_rows), gap, -gap]) * working
+        mult[w] = lam
+        drop = int(mult.argmin())
+        if mult[drop] >= -1e-11:
+            break
+        working[drop] = False
+        factors = None
+    return x, working, factors
+
+
+def _independent(index, free, a, q):
+    """Whether constraint `index` (a row, or a box face past the rows) has a
+    normal, over the free coordinates, outside the span of the working rows
+    (orthonormal basis q). A normal in their span has a round-off slope
+    only, and taking it in would make the Gram matrix singular."""
+    if index < a.shape[0]:
+        normal = a[index] * free
+    else:
+        normal = np.zeros(free.size)
+        normal[(index - a.shape[0]) % free.size] = 1.0
+    norm_sq = normal @ normal
+    return norm_sq - np.sum((normal @ q) ** 2) > 1e-10 * norm_sq
 
 
 def _residual(x, lo, hi, a, b):
-    return max(
-        float(np.max(b - a @ x, initial=0.0)) if b.size else 0.0,
-        float(np.max(lo - x, initial=0.0)),
-        float(np.max(x - hi, initial=0.0)),
-    )
-
-
-def _dykstra_sweeps(x, lo, hi, a, b, blocks, tol, sweeps):
-    """Cyclic Dykstra over box + constraint blocks for a fixed sweep budget."""
-    corrections = np.zeros((len(blocks) + 1, x.size))
-    for sweep in range(1, sweeps + 1):
-        y = x + corrections[0]
-        x = np.clip(y, lo, hi)
-        corrections[0] = y - x
-        for bi, block in enumerate(blocks):
-            y = x + corrections[bi + 1]
-            if len(block) == 2:
-                r, s = block
-                x = _project_halfspace_pair(y, a[r], b[r], a[s], b[s])
-            else:
-                (r,) = block
-                gap = b[r] - a[r] @ y
-                norm_sq = a[r] @ a[r]
-                x = y + (gap / norm_sq) * a[r] if gap > 0.0 and norm_sq > 0.0 else y
-            corrections[bi + 1] = y - x
-        if _residual(x, lo, hi, a, b) <= tol:
-            return x, True, sweep
-    return x, False, sweeps
-
-
-def _project_feasible(x0, start, lo, hi, a, b, blocks, tol, max_sweeps,
-                      handoff=3):
-    """Project onto box /\\ constraint blocks: Dykstra sweeps, exact handoff.
-
-    Cyclic Dykstra handles the common case in a couple of warm-started
-    sweeps, but it crawls along near-degenerate faces (several truth-telling
-    rows active at once). After a short sweep budget the exact active-set
-    projection takes over, warm-started from the feasible `start` point
-    (rows are relaxed by that point's sub-tolerance slack deficits so the
-    start is exactly feasible). If even that fails, the remaining Dykstra
-    budget is spent before failure is reported -- never masked.
-    """
-    x, ok, sweeps = _dykstra_sweeps(
-        np.clip(x0, lo, hi), lo, hi, a, b, blocks, tol, min(max_sweeps, handoff)
-    )
-    if ok:
-        return x, True, sweeps
-    start_in_box = np.clip(start, lo, hi)
-    relaxed = b - np.maximum(b - a @ start_in_box, 0.0) if b.size else b
-    x_exact, ok = _active_set_projection(
-        np.asarray(x0, dtype=float), start_in_box, lo, hi, a, relaxed, tol
-    )
-    if ok and _residual(x_exact, lo, hi, a, b) <= tol:
-        return x_exact, True, sweeps
-    if max_sweeps > handoff:
-        x, ok, more = _dykstra_sweeps(x, lo, hi, a, b, blocks, tol,
-                                      max_sweeps - handoff)
-        if ok:
-            return x, True, sweeps + more
-    return x, False, max_sweeps
+    return max(0.0, float((b - a @ x).max()), float((lo - x).max()),
+               float((x - hi).max()))
 
 
 def solve_mechanism(
@@ -328,16 +231,18 @@ def solve_mechanism(
 
     Starts from the pooling mechanism at the upper contract bound (always
     feasible for a validated instance) or from `seed_mechanism`; the returned
-    value never falls below the value of a feasible seed. A projection that
-    fails to reach `opts.tol` within its sweep budget is surfaced as
-    converged=False rather than silently returning an infeasible point.
-    A solve is single-threaded and fully deterministic; separate solves
-    share no mutable state and can run in parallel.
+    value never falls below the value of a feasible seed. Every step is
+    restored to feasibility by the exact active-set projection, warm-started
+    from the previous projection's point and working set. A projection whose
+    point misses `opts.tol` on the true rows (the polytope is empty, or the
+    pivot cap stopped the projection short) is surfaced as converged=False
+    rather than silently returning an infeasible point. A solve is
+    single-threaded and fully deterministic; separate solves share no
+    mutable state and can run in parallel.
     """
     opts = opts or SolveOptions()
     system = build_system(uu)
     a, b = system.matrix_form()
-    blocks = _constraint_blocks(system)
     n, m = system.n_types, system.n_atoms
     lo = np.tile(uu.c_lo, n)
     hi = np.tile(uu.c_hi, n)
@@ -347,9 +252,21 @@ def solve_mechanism(
     def as_mech(flat):
         return Mechanism(flat.reshape(n, m).copy())
 
-    def robust_value(flat):
-        vals = _subgradient(uu, flat.reshape(n, m))
-        return vals[0]
+    def project(y, start, working, factors):
+        # rows are relaxed to the feasible start's sub-tolerance deficits so
+        # the start is exactly feasible; the result is checked on the true rows
+        start = np.minimum(np.maximum(start, lo), hi)
+        x, working, factors = _active_set_projection(
+            y, start, lo, hi, a, np.minimum(b, a @ start), working, factors
+        )
+        return x, working, factors, _residual(x, lo, hi, a, b) <= opts.tol
+
+    def failed(x, iterations):
+        mech = as_mech(best_x if best_x is not None else np.clip(x, lo, hi))
+        report = check_mechanism(system, mech, opts.tol)
+        value, worst = principal_value(uu, mech)
+        return SolveResult(mech, value, worst, iterations, report, converged=False,
+                           trace=trace)
 
     best_x = None
     best_val = -np.inf
@@ -359,23 +276,18 @@ def solve_mechanism(
             system, seed_mechanism, opts.tol
         ).feasible:
             best_x = np.clip(seed_flat, lo, hi)
-            best_val = robust_value(best_x)
+            best_val = _subgradient(uu, best_x.reshape(n, m))[0]
         x0 = seed_flat
     else:
-        x0 = np.tile(uu.c_hi, n)
-    anchor = np.tile(uu.c_hi, n)  # pooling at the top: feasible for any
-    # validated instance (truth-telling slack is exactly zero, participation
-    # clears by validation)
-
-    x, ok, _ = _project_feasible(
-        x0, anchor, lo, hi, a, b, blocks, opts.tol, opts.projection_max_sweeps
-    )
+        x0 = hi
+    # pooling at the top is feasible for any validated instance (truth-telling
+    # slack is exactly zero, participation clears by validation); the first
+    # projection starts there with an empty working set
+    working = np.zeros(b.size + 2 * hi.size, dtype=bool)
+    x, working, factors, ok = project(x0, hi, working, None)
     trace: list[tuple[int, float, float]] = []
     if not ok:
-        mech = as_mech(best_x if best_x is not None else np.clip(x, lo, hi))
-        report = check_mechanism(system, mech, opts.tol)
-        value, worst = principal_value(uu, mech)
-        return SolveResult(mech, value, worst, 0, report, converged=False, trace=trace)
+        return failed(x, 0)
 
     val, _, grad = _subgradient(uu, x.reshape(n, m))
     if val > best_val:
@@ -389,18 +301,9 @@ def solve_mechanism(
         if gnorm < 1e-15:
             break  # flat objective: the current feasible point is optimal
         x_trial = x + (step0 / np.sqrt(t)) * flat_grad / gnorm
-        x_prev = x  # feasible: output of the previous projection
-        x, ok, _ = _project_feasible(
-            x_trial, x_prev, lo, hi, a, b, blocks, opts.tol,
-            opts.projection_max_sweeps,
-        )
+        x, working, factors, ok = project(x_trial, x, working, factors)
         if not ok:
-            mech = as_mech(best_x if best_x is not None else np.clip(x, lo, hi))
-            report = check_mechanism(system, mech, opts.tol)
-            value, worst = principal_value(uu, mech)
-            return SolveResult(
-                mech, value, worst, t, report, converged=False, trace=trace
-            )
+            return failed(x, t)
         val, _, grad = _subgradient(uu, x.reshape(n, m))
         if val > best_val:
             best_val, best_x = val, x.copy()
@@ -433,10 +336,7 @@ def grid_contracts(uu: UtilityUnitsInstance, levels_per_atom: int) -> np.ndarray
 
 def contract_values(uu: UtilityUnitsInstance, contracts: np.ndarray) -> np.ndarray:
     """Principal's expected utility of each contract (same for every type)."""
-    inst = uu.base
-    agent_wealth = inst.u.inverse(np.clip(contracts, uu.c_lo, uu.c_hi))
-    principal_wealth = inst.e_p + inst.e_a - agent_wealth
-    return _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
+    return _evaluate(uu, contracts)[2]
 
 
 def enumerate_best_assignment(

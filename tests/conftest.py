@@ -39,6 +39,8 @@ def make_instance(
         u = rcl.log_utility()
     elif family == "crra":
         u = rcl.crra(float(rng.uniform(0.3, 0.7)))
+    elif family == "cara":
+        u = rcl.cara(float(rng.uniform(0.5, 2.0)))
     else:
         u = rcl.UtilitySpec(family)
     inst = rcl.Instance(

@@ -192,12 +192,6 @@ class TestCli:
         assert [t["label"] for t in report["types"]] == ["flat", "tilt"]
         assert report["types"][1]["normalizer_gap"] >= 0.0
 
-    def test_market_respects_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RCL_THREADS", "1")
-        out = tmp_path / "mkt"
-        assert run(RunConfig(command="market", preset="cara_hedging",
-                             out=str(out))) == 0
-
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         # exit code 2 is reserved for an honest non-converged solve
         import rcl.cli as cli_mod

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import rcl
 from rcl.errors import SizeCapError
+from rcl.solver import _active_set_projection, _residual
 
 from conftest import make_instance, make_uu
 
@@ -190,6 +194,92 @@ class TestSolveMechanism:
         iters, values, violations = zip(*res.trace)
         assert list(iters) == list(range(1, res.iterations + 1))
         assert max(violations) <= 1e-8
+
+
+def projection_problem(seed, family, n, m):
+    """Box and IC/IR rows of a random instance; hi is the pooling anchor."""
+    uu = make_uu(np.random.default_rng(seed), m=m, n=n, family=family)
+    a, b = rcl.build_system(uu).matrix_form()
+    return np.tile(uu.c_lo, n), np.tile(uu.c_hi, n), a, b
+
+
+def cold_project(y, start, lo, hi, a, b):
+    """Projection started with an empty working set."""
+    empty = np.zeros(b.size + 2 * y.size, dtype=bool)
+    return _active_set_projection(y, start, lo, hi, a, b, empty)[0]
+
+
+def outside_point(rng, lo, hi):
+    return lo + (hi - lo) * rng.uniform(-0.5, 1.5, lo.size)
+
+
+projection_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["log", "crra", "cara", "linear"]),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+)
+
+
+class TestActiveSetProjection:
+    @settings(max_examples=40, deadline=None)
+    @projection_cases
+    def test_output_feasible_and_optimal(self, seed, family, n, m):
+        lo, hi, a, b = projection_problem(seed, family, n, m)
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(8):
+            y = outside_point(rng, lo, hi)
+            x = cold_project(y, hi, lo, hi, a, b)
+            assert _residual(x, lo, hi, a, b) <= 1e-12
+            pairs.append((y, x))
+        # variational inequality against feasible points: the anchor and
+        # the other projections
+        feasible = [hi] + [x for _, x in pairs]
+        for y, x in pairs:
+            for z in feasible:
+                assert (y - x) @ (z - x) <= 1e-9
+        if lo.size <= 6:
+            y, x = pairs[0]
+            ref = minimize(
+                lambda z: 0.5 * (z - y) @ (z - y), hi, jac=lambda z: z - y,
+                bounds=list(zip(lo, hi)), method="SLSQP",
+                constraints=[{"type": "ineq", "fun": lambda z: a @ z - b,
+                              "jac": lambda z: a}],
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            assert np.linalg.norm(x - y) <= np.linalg.norm(ref.x - y) + 1e-9
+            np.testing.assert_allclose(x, ref.x, atol=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @projection_cases
+    def test_feasible_point_is_fixed(self, seed, family, n, m):
+        lo, hi, a, b = projection_problem(seed, family, n, m)
+        rng = np.random.default_rng(seed)
+        z = cold_project(outside_point(rng, lo, hi), hi, lo, hi, a, b)
+        np.testing.assert_allclose(cold_project(z, hi, lo, hi, a, b), z,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(cold_project(hi, hi, lo, hi, a, b), hi)
+
+    @settings(max_examples=40, deadline=None)
+    @projection_cases
+    def test_warm_start_matches_cold_start(self, seed, family, n, m):
+        lo, hi, a, b = projection_problem(seed, family, n, m)
+        rng = np.random.default_rng(seed)
+        working = np.zeros(b.size + 2 * lo.size, dtype=bool)
+        x, working, factors = _active_set_projection(
+            outside_point(rng, lo, hi), hi, lo, hi, a, b, working
+        )
+        for _ in range(4):
+            y = x + 0.2 * (hi - lo) * rng.standard_normal(x.size)
+            # the solver's relaxation: the start is exactly feasible
+            relaxed = np.minimum(b, a @ x)
+            warm, next_working, next_factors = _active_set_projection(
+                y, x, lo, hi, a, relaxed, working, factors
+            )
+            cold = cold_project(y, x, lo, hi, a, relaxed)
+            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-10)
+            x, working, factors = warm, next_working, next_factors
 
 
 class TestTabulatedAgent:
