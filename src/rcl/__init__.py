@@ -47,7 +47,6 @@ from .menu import (
     agent_optimal_contracts,
     equivalence_check,
     extract_mechanism,
-    ir_filter,
     principal_menu_value,
     solve_menu,
 )
@@ -81,7 +80,6 @@ from .solver import (
 from .transform import (
     UtilityUnitsInstance,
     ae_check,
-    agent_utility,
     convex_conjugate,
     from_utility_units,
     to_utility_units,

@@ -26,7 +26,7 @@ from .constraints import Mechanism, build_system, check_mechanism
 from .errors import RclError
 from .menu import equivalence_check, extract_mechanism, solve_menu
 from .model import cara as cara_spec
-from .model import load_instance, log_utility
+from .model import WEALTH_FLOOR, load_instance, log_utility
 from .presets import PRESET_NAMES, PresetBundle, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
 from .transform import ae_check, from_utility_units, to_utility_units
@@ -133,7 +133,7 @@ def load_summary_mechanism(path) -> Mechanism:
 def _warn_clamps(uu):
     if uu.clamped_atoms:
         print(
-            f"warning: wealth floored at {uu.wealth_floor:g} on atoms "
+            f"warning: wealth floored at {WEALTH_FLOOR:g} on atoms "
             f"{uu.clamped_atoms} when transforming the lower contract bound",
             file=sys.stderr,
         )
@@ -155,8 +155,8 @@ def _load_bundle(config: RunConfig) -> PresetBundle:
     return PresetBundle(instance=load_instance(config.instance))
 
 
-def _solve_options(config: RunConfig, record_trace: bool) -> SolveOptions:
-    kwargs = {"record_trace": record_trace}
+def _solve_options(config: RunConfig) -> SolveOptions:
+    kwargs = {}
     if config.max_iters is not None:
         kwargs["max_iters"] = config.max_iters
     if config.tol is not None:
@@ -164,8 +164,22 @@ def _solve_options(config: RunConfig, record_trace: bool) -> SolveOptions:
     return SolveOptions(**kwargs)
 
 
+def _levels(config: RunConfig, default: int) -> int:
+    return config.levels if config.levels is not None else default
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise RclError(f"{name}: {exc}") from None
+
+
 def _node_vector(value, m: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise RclError(f"{name}: {exc}") from None
     if arr.size == 1:
         return np.full(m, float(arr[0]))
     if arr.size != m:
@@ -212,7 +226,7 @@ def run(config: RunConfig) -> int:
             bundle = _load_bundle(config)
             uu = to_utility_units(bundle.instance)
             _warn_clamps(uu)
-            result = solve_mechanism(uu, _solve_options(config, record_trace=True))
+            result = solve_mechanism(uu, _solve_options(config))
             doc = {"config": config.echo(), "result": result.to_json(),
                    "clamped_atoms": uu.clamped_atoms}
             _write_json(out / "result.json", doc)
@@ -224,7 +238,7 @@ def run(config: RunConfig) -> int:
             bundle = _load_bundle(config)
             uu = to_utility_units(bundle.instance)
             _warn_clamps(uu)
-            result = grid_oracle(uu, config.levels or 3)
+            result = grid_oracle(uu, _levels(config, 3))
             doc = {"config": config.echo(), "result": result.to_json(),
                    "clamped_atoms": uu.clamped_atoms}
             _write_json(out / "result.json", doc)
@@ -235,7 +249,7 @@ def run(config: RunConfig) -> int:
             bundle = _load_bundle(config)
             uu = to_utility_units(bundle.instance)
             _warn_clamps(uu)
-            candidates = grid_contracts(uu, config.levels or 2)
+            candidates = grid_contracts(uu, _levels(config, 2))
             menu, value = solve_menu(candidates, uu)
             mech = extract_mechanism(menu, uu)
             doc = {
@@ -252,7 +266,7 @@ def run(config: RunConfig) -> int:
             bundle = _load_bundle(config)
             uu = to_utility_units(bundle.instance)
             _warn_clamps(uu)
-            candidates = grid_contracts(uu, config.levels or 2)
+            candidates = grid_contracts(uu, _levels(config, 2))
             report = equivalence_check(candidates, uu)
             doc = {"config": config.echo(), "report": report.to_json()}
             _write_json(out / "result.json", doc)
@@ -277,8 +291,11 @@ def run(config: RunConfig) -> int:
                 m = model.n_nodes
                 e_a = _node_vector(doc_in.get("e_a", 1.0), m, "e_a")
                 e_p = _node_vector(doc_in.get("e_p", 2.0), m, "e_p")
-                alpha = config.alpha or float(doc_in.get("alpha", 1.0))
-                betas = config.beta or tuple(np.atleast_1d(doc_in.get("beta", 0.5)))
+                alpha = (config.alpha if config.alpha is not None
+                         else _number(doc_in.get("alpha", 1.0), "alpha"))
+                betas = config.beta if config.beta is not None else tuple(
+                    _number(b, "beta") for b in np.atleast_1d(doc_in.get("beta", 0.5))
+                )
                 v = cara_spec(1.0)
             else:
                 bundle = _load_bundle(config)
@@ -290,8 +307,10 @@ def run(config: RunConfig) -> int:
                 model = bundle.market_model
                 e_a = bundle.extras["market_e_a"]
                 e_p = bundle.instance.e_p
-                alpha = config.alpha or bundle.extras["alpha"]
-                betas = config.beta or (bundle.extras["beta"],)
+                alpha = (config.alpha if config.alpha is not None
+                         else bundle.extras["alpha"])
+                betas = (config.beta if config.beta is not None
+                         else (bundle.extras["beta"],))
                 v = bundle.instance.v
             reports = [
                 _market_type_report(model, i, e_a, e_p, alpha, betas, v)

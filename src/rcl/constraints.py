@@ -8,7 +8,6 @@ are kept so feasibility reports stay legible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +87,6 @@ class LinearConstraintSystem:
         b = np.array([row.rhs for row in self.rows])
         return a, b
 
-    def slacks(self, mech: Mechanism) -> np.ndarray:
-        a, b = self.matrix_form()
-        return a @ mech.assignment.ravel() - b
-
 
 def build_system(uu: UtilityUnitsInstance) -> LinearConstraintSystem:
     """Assemble the n*(n-1) truth-telling rows and n participation rows.
@@ -136,9 +131,6 @@ class FeasibilityReport:
             "tol": self.tol,
             "row_slacks": self.row_slacks,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def check_mechanism(

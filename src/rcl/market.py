@@ -29,6 +29,7 @@ MAX_NODES = 200
 BETA_MIN = 1e-3
 ENTROPY_AGENT_GIVEN_REF = "P||Q"
 ENTROPY_REF_GIVEN_AGENT = "Q||P"
+ORACLE_STEPS = 200  # cap on each bracketing and bisection loop of the budget oracle
 
 
 @dataclass
@@ -91,7 +92,7 @@ class MarketModel:
             if abs(self.weights.sum() - 1.0) > 1e-12:
                 violations.append("weights must sum to 1")
             scale = max(float(np.max(np.abs(self.nodes), initial=0.0)), 1.0)
-            if np.max(np.abs(self.nodes + self.nodes[::-1])) > 1e-12 * scale:
+            if np.max(np.abs(self.nodes + self.nodes[::-1]), initial=0.0) > 1e-12 * scale:
                 violations.append("nodes must be symmetric about 0")
         for d in self.drift_types:
             if d.values.shape != self.nodes.shape:
@@ -156,7 +157,6 @@ class TiltedDensity:
     values: np.ndarray      # density per node, strictly positive
     normalizer: float       # raw Z = E_Q[exp(f)]; Z = 1 means already a density
     weights: np.ndarray     # reference weights the density is taken against
-    normalized: bool = True
 
     def expect(self, payoff: np.ndarray) -> float:
         """Expectation of a node payoff under the tilted measure."""
@@ -285,33 +285,63 @@ def delegation_value(
     return float(model.weights @ v.value(wealth))
 
 
-def market_model_from_json(doc: dict) -> MarketModel:
+_REQUIRED = object()
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _read(entry: dict, key: str, convert, default=_REQUIRED, where: str = ""):
+    """entry[key], or the default, passed through convert; a missing or
+    malformed field raises ValidationError naming it."""
+    if key not in entry and default is _REQUIRED:
+        raise ValidationError([f"missing field {where}{key}"])
+    try:
+        return convert(entry.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError([f"{where}{key}: {exc}"]) from None
+
+
+def market_model_from_json(doc) -> MarketModel:
     """Build a MarketModel from its JSON form.
 
     The node grid comes either from an explicit "nodes"/"weights" pair or
     from "n_nodes" Gauss-Hermite points at the given horizon. Each drift
     type is either raw node values (plus a declared f(0)) or the named
-    clamped-linear family with slope and support parameters.
+    clamped-linear family with slope and support parameters. A document
+    that is not an object, or a missing or malformed field, raises
+    ValidationError naming the field.
     """
+    if not isinstance(doc, dict):
+        raise ValidationError(
+            [f"a market document must be a JSON object, not {type(doc).__name__}"]
+        )
     if "nodes" in doc:
-        nodes = np.asarray(doc["nodes"], dtype=float)
-        weights = np.asarray(doc["weights"], dtype=float)
-        horizon = float(doc.get("horizon", weighted_moment(nodes, weights, 2)))
+        nodes = _read(doc, "nodes", _array)
+        weights = _read(doc, "weights", _array)
+        if nodes.ndim != 1 or nodes.shape != weights.shape:
+            raise ValidationError(["nodes and weights must be 1-d arrays of equal length"])
+        horizon = _read(doc, "horizon", float, weighted_moment(nodes, weights, 2))
     else:
-        horizon = float(doc.get("horizon", 1.0))
-        nodes, weights = discretize_terminal(horizon, int(doc.get("n_nodes", 12)))
+        horizon = _read(doc, "horizon", float, 1.0)
+        nodes, weights = discretize_terminal(horizon, _read(doc, "n_nodes", int, 12))
+    entries = doc.get("drift_types", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(["drift_types must be a list of objects"])
     drifts = []
-    for i, entry in enumerate(doc.get("drift_types", [])):
+    for i, entry in enumerate(entries):
         label = entry.get("label", f"f{i}")
+        where = f"drift_types[{i}]."
         if "values" in entry:
-            drifts.append(
-                DriftType(label, entry["values"], float(entry.get("f_at_zero", 0.0)))
-            )
+            values = _read(entry, "values", _array, where=where)
+            f_at_zero = _read(entry, "f_at_zero", float, 0.0, where)
+            drifts.append(DriftType(label, values, f_at_zero))
         else:
-            support = float(entry.get("support", np.max(np.abs(nodes))))
-            drifts.append(
-                clamped_linear_drift(label, nodes, float(entry["slope"]), support)
-            )
+            slope = _read(entry, "slope", float, where=where)
+            support = _read(entry, "support", float,
+                            np.max(np.abs(nodes), initial=0.0), where)
+            drifts.append(clamped_linear_drift(label, nodes, slope, support))
     return MarketModel(horizon=horizon, nodes=nodes, weights=weights, drift_types=drifts)
 
 
@@ -327,7 +357,6 @@ def verify_budget_optimality(
     f_index: int,
     e_a: np.ndarray,
     u: UtilitySpec,
-    grid_size: int = 200,
 ) -> float:
     """Gap between the closed-form utility and an independent oracle.
 
@@ -347,17 +376,17 @@ def verify_budget_optimality(
         return density.expect(_multiplier_payoff(u, density.values, lam)) - target
 
     lam_lo = lam_hi = 1.0
-    for _ in range(grid_size):
+    for _ in range(ORACLE_STEPS):
         if excess(lam_lo) > 0.0:
             break
         lam_lo /= 4.0
-    for _ in range(grid_size):
+    for _ in range(ORACLE_STEPS):
         if excess(lam_hi) < 0.0:
             break
         lam_hi *= 4.0
     if excess(lam_lo) <= 0.0 or excess(lam_hi) >= 0.0:
         raise NonConvergenceError("could not bracket the budget multiplier")
-    for _ in range(grid_size):
+    for _ in range(ORACLE_STEPS):
         lam_mid = 0.5 * (lam_lo + lam_hi)
         if excess(lam_mid) > 0.0:
             lam_lo = lam_mid

@@ -11,7 +11,6 @@ incentive-compatible mechanisms give the same value on the same candidates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,48 +56,27 @@ def agent_best_value(states: StateSpace, agent_type: AgentType, menu: Menu) -> f
 
 
 def agent_optimal_contracts(
-    states: StateSpace,
-    agent_type: AgentType,
-    menu: Menu,
-    tie_tol: float = DEFAULT_TIE_TOL,
+    states: StateSpace, agent_type: AgentType, menu: Menu
 ) -> np.ndarray:
-    """Indices of the menu contracts within tie_tol of the type's optimum."""
-    if tie_tol < 0.0:
-        raise ValidationError(["tie_tol must be >= 0"])
+    """Indices of the menu contracts within DEFAULT_TIE_TOL of the type's optimum."""
     weights = states.ref_prob * agent_type.density
     scores = menu.contracts @ weights
-    return np.flatnonzero(scores >= scores.max() - tie_tol)
+    return np.flatnonzero(scores >= scores.max() - DEFAULT_TIE_TOL)
 
 
 def principal_menu_value(
-    uu: UtilityUnitsInstance,
-    agent_type: AgentType,
-    menu: Menu,
-    tie_tol: float = DEFAULT_TIE_TOL,
+    uu: UtilityUnitsInstance, agent_type: AgentType, menu: Menu
 ) -> float:
     """Principal's value of a menu for one type: best of her values over the
     contracts the agent would pick (ties resolve in her favor by definition)."""
-    chosen = agent_optimal_contracts(uu.states, agent_type, menu, tie_tol)
+    chosen = agent_optimal_contracts(uu.states, agent_type, menu)
     values = contract_values(uu, menu.contracts[chosen])
     return float(values.max())
 
 
-def ir_filter(menus: list[Menu], uu: UtilityUnitsInstance) -> list[Menu]:
-    """Keep the menus that clear every type's reservation utility."""
-    kept = []
-    for menu in menus:
-        ok = all(
-            agent_best_value(uu.states, t, menu) >= uu.reservation[j] - IR_TOL
-            for j, t in enumerate(uu.base.types)
-        )
-        if ok:
-            kept.append(menu)
-    return kept
-
-
 def _subset_values(
     uu: UtilityUnitsInstance, members: list[int],
-    e_mat: np.ndarray, values: np.ndarray, tie_tol: float,
+    e_mat: np.ndarray, values: np.ndarray,
 ) -> np.ndarray | None:
     """Per-type principal values of one candidate subset, or None if not IR."""
     cols = e_mat[:, members]
@@ -107,15 +85,13 @@ def _subset_values(
         return None
     out = np.empty(uu.n_types)
     for j in range(uu.n_types):
-        picks = [members[g] for g in np.flatnonzero(cols[j] >= best[j] - tie_tol)]
+        picks = [members[g] for g in np.flatnonzero(cols[j] >= best[j] - DEFAULT_TIE_TOL)]
         out[j] = values[picks].max()
     return out
 
 
 def solve_menu(
-    candidates: np.ndarray,
-    uu: UtilityUnitsInstance,
-    tie_tol: float = DEFAULT_TIE_TOL,
+    candidates: np.ndarray, uu: UtilityUnitsInstance
 ) -> tuple[Menu, float]:
     """Exact robust optimum over all non-empty subsets of the candidates.
 
@@ -141,7 +117,7 @@ def solve_menu(
     best_members: tuple[int, ...] | None = None
     for mask in range(1, 1 << n_cand):
         members = [g for g in range(n_cand) if mask >> g & 1]
-        per_type = _subset_values(uu, members, e_mat, values, tie_tol)
+        per_type = _subset_values(uu, members, e_mat, values)
         if per_type is None:
             continue
         robust, _ = uu.base.beliefs.robust_value(per_type)
@@ -160,9 +136,7 @@ def solve_menu(
     return Menu(candidates[list(best_members)]), best_val
 
 
-def extract_mechanism(
-    menu: Menu, uu: UtilityUnitsInstance, tie_tol: float = DEFAULT_TIE_TOL
-) -> Mechanism:
+def extract_mechanism(menu: Menu, uu: UtilityUnitsInstance) -> Mechanism:
     """Turn a menu into a direct mechanism by honoring the agent's choice.
 
     Each type receives the principal-best contract among the ones he would
@@ -178,7 +152,7 @@ def extract_mechanism(
     values = contract_values(uu, menu.contracts)
     rows = []
     for t in uu.base.types:
-        picks = agent_optimal_contracts(uu.states, t, menu, tie_tol)
+        picks = agent_optimal_contracts(uu.states, t, menu)
         order = sorted(picks, key=lambda g: tuple(menu.contracts[g]))
         chosen = order[0]
         for g in order[1:]:
@@ -215,32 +189,29 @@ class EquivalenceReport:
             "agent_optimal_sets": self.agent_optimal_sets,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def equivalence_check(
-    candidates: np.ndarray,
-    uu: UtilityUnitsInstance,
-    tie_tol: float = DEFAULT_TIE_TOL,
+    candidates: np.ndarray, uu: UtilityUnitsInstance
 ) -> EquivalenceReport:
     """Compare the optimal menu value against the optimal mechanism value.
 
     Both sides are exhaustive over the same candidate contracts. The
-    mechanism enumeration relaxes its constraint rows by tie_tol, matching
+    mechanism enumeration relaxes its constraint rows by DEFAULT_TIE_TOL,
     the menu side's indifference tolerance, so the two optima agree to
     within EQUIVALENCE_TOL on every instance inside the caps.
+    `agent_optimal_sets` lists, per type, the indices into the witness menu
+    of the contracts that type would pick.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    menu, menu_value = solve_menu(candidates, uu, tie_tol)
+    menu, menu_value = solve_menu(candidates, uu)
     assignment, mech_value, _ = enumerate_best_assignment(
-        candidates, uu, tol=tie_tol
+        candidates, uu, tol=DEFAULT_TIE_TOL
     )
     gap = abs(menu_value - mech_value)
     phi_sets = {
         (t.label or f"type{j}"): [
             int(g)
-            for g in agent_optimal_contracts(uu.states, t, menu, tie_tol)
+            for g in agent_optimal_contracts(uu.states, t, menu)
         ]
         for j, t in enumerate(uu.base.types)
     }
@@ -257,12 +228,11 @@ def equivalence_check(
     )
 
 
-def mechanism_menu_value(uu: UtilityUnitsInstance, mech: Mechanism,
-                         tie_tol: float = DEFAULT_TIE_TOL) -> float:
+def mechanism_menu_value(uu: UtilityUnitsInstance, mech: Mechanism) -> float:
     """Value of the menu formed by a mechanism's range (its offered contracts)."""
     menu = Menu(mech.assignment)
     per_type = np.array([
-        principal_menu_value(uu, t, menu, tie_tol) for t in uu.base.types
+        principal_menu_value(uu, t, menu) for t in uu.base.types
     ])
     value, _ = uu.base.beliefs.robust_value(per_type)
     return value

@@ -23,6 +23,7 @@ from .errors import DimensionError, DomainError, ValidationError
 PROB_TOL = 1e-12       # reference probabilities must sum to 1 this tightly
 DENSITY_TOL = 1e-10    # densities are user-entered decimals; looser on purpose
 FEAS_TOL = 1e-9
+WEALTH_FLOOR = 1e-8    # half-line wealth is floored here so utilities stay finite
 
 HALF_LINE = "half-line"
 WHOLE_LINE = "whole-line"
@@ -87,11 +88,6 @@ class AgentType:
         self.density = _as_float_array(self.density, "density")
         if np.any(self.density < 0.0) or not np.all(np.isfinite(self.density)):
             raise ValidationError([f"type {self.label or '?'}: density must be finite and >= 0"])
-
-    @property
-    def sup_norm(self) -> float:
-        """Essential bound of the density; finite by construction, kept for diagnostics."""
-        return float(self.density.max())
 
     def check_normalized(self, states: StateSpace) -> float:
         """Return |E_Q[d] - 1|; a valid density integrates to one under Q."""
@@ -404,10 +400,6 @@ class Instance:
     def n_types(self) -> int:
         return len(self.types)
 
-    @property
-    def type_labels(self) -> list[str]:
-        return [t.label for t in self.types]
-
     def type_weights(self) -> np.ndarray:
         """Row j holds q * d_j, the weights of type j's expectation."""
         return np.stack([self.states.ref_prob * t.density for t in self.types])
@@ -453,7 +445,8 @@ def expectation(states: StateSpace, agent_type: AgentType, payoff) -> float:
 def _default_reservation(inst: Instance, violations: list[str]) -> np.ndarray | None:
     """Participation baseline: expected utility of the untouched endowment."""
     try:
-        base = inst.u.value(np.maximum(inst.e_a, 1e-8) if inst.u.domain == HALF_LINE else inst.e_a)
+        wealth = np.maximum(inst.e_a, WEALTH_FLOOR) if inst.u.domain == HALF_LINE else inst.e_a
+        base = inst.u.value(wealth)
     except DomainError as exc:
         violations.append(f"cannot compute default reservation: {exc}")
         return None
@@ -535,7 +528,7 @@ def _check_instance(inst: Instance) -> list[str]:
     # Feasibility: the agent-best contract (upper bound) must clear every IR
     # constraint, otherwise no individually rational contract exists at all.
     try:
-        floor = np.maximum(wealth_hi, 1e-8) if inst.u.domain == HALF_LINE else wealth_hi
+        floor = np.maximum(wealth_hi, WEALTH_FLOOR) if inst.u.domain == HALF_LINE else wealth_hi
         c_best = inst.u.value(floor)
     except DomainError as exc:
         violations.append(f"cannot evaluate agent utility at the upper contract bound: {exc}")

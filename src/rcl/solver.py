@@ -34,16 +34,12 @@ _CHUNK = 1 << 16
 @dataclass
 class SolveOptions:
     max_iters: int = 50_000
-    step_scale: float | None = None  # default 0.1 * largest bound range
     tol: float = 1e-8
-    record_trace: bool = False
 
     def __post_init__(self):
         violations = []
         if self.max_iters <= 0:
             violations.append("max_iters must be positive")
-        if self.step_scale is not None and self.step_scale <= 0:
-            violations.append("step_scale must be positive")
         if self.tol <= 0:
             violations.append("tol must be positive")
         if violations:
@@ -231,14 +227,16 @@ def solve_mechanism(
 
     Starts from the pooling mechanism at the upper contract bound (always
     feasible for a validated instance) or from `seed_mechanism`; the returned
-    value never falls below the value of a feasible seed. Every step is
-    restored to feasibility by the exact active-set projection, warm-started
-    from the previous projection's point and working set. A projection whose
-    point misses `opts.tol` on the true rows (the polytope is empty, or the
-    pivot cap stopped the projection short) is surfaced as converged=False
-    rather than silently returning an infeasible point. A solve is
-    single-threaded and fully deterministic; separate solves share no
-    mutable state and can run in parallel.
+    value never falls below the value of a feasible seed. Step t moves
+    0.1 * (largest bound range) / sqrt(t) along the normalized supergradient
+    and is restored to feasibility by the exact active-set projection,
+    warm-started from the previous projection's point and working set. A
+    projection whose point misses `opts.tol` on the true rows (the polytope
+    is empty, or the pivot cap stopped the projection short) is surfaced as
+    converged=False rather than silently returning an infeasible point. The
+    result's `trace` holds (iteration, value, worst row violation) for every
+    iteration. A solve is single-threaded and fully deterministic; separate
+    solves share no mutable state and can run in parallel.
     """
     opts = opts or SolveOptions()
     system = build_system(uu)
@@ -247,7 +245,7 @@ def solve_mechanism(
     lo = np.tile(uu.c_lo, n)
     hi = np.tile(uu.c_hi, n)
     span = float(np.max(uu.c_hi - uu.c_lo))
-    step0 = opts.step_scale if opts.step_scale is not None else 0.1 * max(span, 1e-12)
+    step0 = 0.1 * max(span, 1e-12)
 
     def as_mech(flat):
         return Mechanism(flat.reshape(n, m).copy())
@@ -307,9 +305,8 @@ def solve_mechanism(
         val, _, grad = _subgradient(uu, x.reshape(n, m))
         if val > best_val:
             best_val, best_x = val, x.copy()
-        if opts.record_trace:
-            residual = float(np.max(b - a @ x, initial=0.0)) if b.size else 0.0
-            trace.append((t, val, max(residual, 0.0)))
+        residual = float(np.max(b - a @ x, initial=0.0)) if b.size else 0.0
+        trace.append((t, val, max(residual, 0.0)))
 
     mech = as_mech(best_x)
     report = check_mechanism(system, mech, opts.tol)
@@ -343,24 +340,22 @@ def enumerate_best_assignment(
     contracts: np.ndarray,
     uu: UtilityUnitsInstance,
     tol: float = DEFAULT_TOL,
-    max_assignments: int = HARD_ASSIGNMENT_CAP,
 ) -> tuple[np.ndarray, float, int]:
     """Exhaustively search type->contract assignments for the robust optimum.
 
     Returns (assignment indices, robust value, number of assignments). Only
     assignments passing the IC/IR rows at `tol` count; ties resolve to the
     lexicographically smallest index tuple. Raises SizeCapError when the
-    assignment count exceeds the cap.
+    assignment count exceeds HARD_ASSIGNMENT_CAP.
     """
     inst = uu.base
     n = inst.n_types
     n_contracts = int(contracts.shape[0])
     count = n_contracts**n
-    cap = min(int(max_assignments), HARD_ASSIGNMENT_CAP)
-    if count > cap:
+    if count > HARD_ASSIGNMENT_CAP:
         raise SizeCapError(
             f"{count} assignments of {n_contracts} contracts to {n} types "
-            f"exceed the cap {cap}"
+            f"exceed the cap {HARD_ASSIGNMENT_CAP}"
         )
     weights = inst.type_weights()
     e_mat = weights @ contracts.T          # (n, G): agent value of each contract
@@ -395,29 +390,23 @@ def enumerate_best_assignment(
     return best_idx, best_val, count
 
 
-def grid_oracle(
-    uu: UtilityUnitsInstance,
-    levels_per_atom: int,
-    max_assignments: int = HARD_ASSIGNMENT_CAP,
-) -> SolveResult:
+def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> SolveResult:
     """Exact robust optimum over the grid of per-atom contract levels.
 
     Independent of the subgradient solver: plain enumeration filtered by the
     constraint rows. The assignment count levels^(atoms*types) must stay
-    within the cap; the error carries the computed count.
+    within HARD_ASSIGNMENT_CAP, checked before the grid is built; the error
+    carries the computed count.
     """
     n, m = uu.n_types, uu.n_atoms
     count = levels_per_atom ** (m * n)
-    cap = min(int(max_assignments), HARD_ASSIGNMENT_CAP)
-    if count > cap:
+    if count > HARD_ASSIGNMENT_CAP:
         raise SizeCapError(
             f"{count} grid assignments (levels={levels_per_atom}, atoms={m}, "
-            f"types={n}) exceed the cap {cap}"
+            f"types={n}) exceed the cap {HARD_ASSIGNMENT_CAP}"
         )
     contracts = grid_contracts(uu, levels_per_atom)
-    best_idx, _, evaluated = enumerate_best_assignment(
-        contracts, uu, tol=DEFAULT_TOL, max_assignments=max_assignments
-    )
+    best_idx, _, evaluated = enumerate_best_assignment(contracts, uu, tol=DEFAULT_TOL)
     mech = Mechanism(contracts[best_idx])
     system = build_system(uu)
     report = check_mechanism(system, mech, DEFAULT_TOL)

@@ -21,15 +21,18 @@ from .model import (
     HALF_LINE,
     LINEAR,
     LOG,
-    AgentType,
+    WEALTH_FLOOR,
     Instance,
     StateSpace,
     UtilitySpec,
-    expectation,
 )
 
-DEFAULT_WEALTH_FLOOR = 1e-8
 RANGE_TOL = 1e-9
+# asymptotic-elasticity tail grid: AE_GRID_POINTS log-spaced wealth levels
+# over [AE_Z_MAX / 1e4, AE_Z_MAX]; the check passes below 1 - AE_MARGIN
+AE_Z_MAX = 1e6
+AE_GRID_POINTS = 200
+AE_MARGIN = 0.01
 
 
 @dataclass
@@ -37,14 +40,14 @@ class UtilityUnitsInstance:
     """An Instance with its contract bounds mapped into utility units.
 
     c_lo/c_hi are the images of the payoff bounds under u(e_a + .). For
-    half-line utilities the wealth at the lower bound is floored at
-    wealth_floor so the bounds stay finite; the floored atoms are recorded.
+    half-line utilities wealth at both bounds is floored at WEALTH_FLOOR so
+    the bounds stay finite; the atoms floored at the lower bound are listed
+    in clamped_atoms.
     """
 
     base: Instance
     c_lo: np.ndarray
     c_hi: np.ndarray
-    wealth_floor: float
     clamped_atoms: list[int] = field(default_factory=list)
 
     @property
@@ -64,35 +67,20 @@ class UtilityUnitsInstance:
         return self.base.reservation
 
 
-def to_utility_units(
-    instance: Instance, wealth_floor: float | None = DEFAULT_WEALTH_FLOOR
-) -> UtilityUnitsInstance:
+def to_utility_units(instance: Instance) -> UtilityUnitsInstance:
     """Map the payoff-unit contract bounds into utility units, pointwise."""
     u = instance.u
     wealth_lo = instance.e_a + instance.contract_lo
     wealth_hi = instance.e_a + instance.contract_hi
     clamped: list[int] = []
     if u.domain == HALF_LINE:
-        floor_at = 0.0 if u.family != LOG else np.nextafter(0.0, 1.0)
-        needs_floor = wealth_lo < (wealth_floor if wealth_floor is not None else floor_at)
-        if wealth_floor is None:
-            # No floor provided: let the utility's own domain rule speak.
-            c_lo = u.value(wealth_lo)
-        else:
-            if wealth_floor <= 0.0:
-                raise RangeError("wealth_floor must be strictly positive")
-            clamped = [int(i) for i in np.flatnonzero(needs_floor)]
-            wealth_lo = np.maximum(wealth_lo, wealth_floor)
-            wealth_hi = np.maximum(wealth_hi, wealth_floor)
-            c_lo = u.value(wealth_lo)
-    else:
-        c_lo = u.value(wealth_lo)
-    c_hi = u.value(wealth_hi)
+        clamped = [int(i) for i in np.flatnonzero(wealth_lo < WEALTH_FLOOR)]
+        wealth_lo = np.maximum(wealth_lo, WEALTH_FLOOR)
+        wealth_hi = np.maximum(wealth_hi, WEALTH_FLOOR)
     return UtilityUnitsInstance(
         base=instance,
-        c_lo=np.asarray(c_lo, dtype=float),
-        c_hi=np.asarray(c_hi, dtype=float),
-        wealth_floor=float(wealth_floor) if wealth_floor is not None else 0.0,
+        c_lo=np.asarray(u.value(wealth_lo), dtype=float),
+        c_hi=np.asarray(u.value(wealth_hi), dtype=float),
         clamped_atoms=clamped,
     )
 
@@ -107,11 +95,6 @@ def from_utility_units(uu: UtilityUnitsInstance, c) -> np.ndarray:
         raise RangeError("utility-level contract outside the transformed bounds")
     cc = np.clip(cc, uu.c_lo, uu.c_hi)
     return uu.base.u.inverse(cc) - uu.base.e_a
-
-
-def agent_utility(states: StateSpace, agent_type: AgentType, c) -> float:
-    """The agent's utility of a contract in utility units: E_P[c]."""
-    return expectation(states, agent_type, c)
 
 
 @dataclass
@@ -132,40 +115,29 @@ class AeReport:
         }
 
 
-def ae_check(
-    u: UtilitySpec,
-    z_max: float = 1e6,
-    margin: float = 0.01,
-    shift: float = 0.0,
-    grid_points: int = 200,
-) -> AeReport:
+def ae_check(u: UtilitySpec) -> AeReport:
     """Numerical tail estimate of the asymptotic elasticity of u.
 
-    Evaluates z * u'(z) / u(z) on a logarithmic grid over [z_max/1e4, z_max]
-    and passes iff the maximum stays below 1 - margin. A heuristic, not a
-    proof: the grid only samples the tail. For utilities that are not
-    positive on the tail, pass a constant `shift` added to u; grid points
-    where the (shifted) utility is still <= 0 are skipped, and if none are
-    positive the check is inconclusive.
+    Evaluates z * u'(z) / u(z) on the AE_GRID_POINTS-point logarithmic grid
+    over [AE_Z_MAX/1e4, AE_Z_MAX] and passes iff the maximum stays below
+    1 - AE_MARGIN. A heuristic, not a proof: the grid only samples the tail.
+    Grid points where u <= 0 are skipped; if none is positive the ratio is
+    undefined everywhere and the check is inconclusive.
     """
-    if z_max < 1e2:
-        raise RangeError("z_max too small for a tail estimate")
-    z = np.geomspace(z_max / 1e4, z_max, grid_points)
-    vals = np.asarray(u.value(z), dtype=float) + shift
+    z = np.geomspace(AE_Z_MAX / 1e4, AE_Z_MAX, AE_GRID_POINTS)
+    vals = np.asarray(u.value(z), dtype=float)
     derivs = np.asarray(u.deriv(z), dtype=float)
     positive = vals > 0.0
     if not np.any(positive):
-        raise InconclusiveError(
-            "utility not positive anywhere on the tail grid; provide a shift"
-        )
+        raise InconclusiveError("utility not positive anywhere on the tail grid")
     ratios = z[positive] * derivs[positive] / vals[positive]
     estimate = float(ratios.max())
     return AeReport(
-        passed=bool(estimate < 1.0 - margin),
+        passed=bool(estimate < 1.0 - AE_MARGIN),
         estimate=estimate,
         z_lo=float(z[0]),
         z_hi=float(z[-1]),
-        margin=margin,
+        margin=AE_MARGIN,
     )
 
 

@@ -109,9 +109,9 @@ class TestCheckMechanism:
                 assert report.feasible
                 found += 1
                 for j, tj in enumerate(uu.base.types):
-                    own = rcl.agent_utility(uu.states, tj, mech.assignment[j])
+                    own = rcl.expectation(uu.states, tj, mech.assignment[j])
                     for k in range(uu.n_types):
-                        other = rcl.agent_utility(uu.states, tj, mech.assignment[k])
+                        other = rcl.expectation(uu.states, tj, mech.assignment[k])
                         assert own >= other - 1e-8
         assert found == 100
 

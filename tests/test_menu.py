@@ -95,7 +95,7 @@ class TestOptimalContracts:
             picks = rcl.agent_optimal_contracts(uu.states, t, menu)
             assert picks.size >= 1
             for g in picks:
-                got = rcl.agent_utility(uu.states, t, menu.contracts[g])
+                got = rcl.expectation(uu.states, t, menu.contracts[g])
                 assert got >= best - 1e-9
 
 
@@ -120,25 +120,6 @@ class TestPrincipalMenuValue:
         cap = max(rcl.contract_values(uu, menu.contracts))
         for t in uu.base.types:
             assert rcl.principal_menu_value(uu, t, menu) <= cap + 1e-15
-
-
-class TestIrFilter:
-    def test_keeps_menu_with_feasible_contract(self, rng):
-        uu = make_uu(rng, m=2, n=2)
-        menus = [rcl.Menu(np.array([uu.c_hi]))]
-        assert rcl.ir_filter(menus, uu) == menus
-
-    def test_drops_all_below_reservation(self):
-        uu = two_atom_uu([(1.2, 0.8)], reservation=[0.5])
-        menu = rcl.Menu(np.array([[0.0, 0.0], [0.1, -0.1]]))
-        assert rcl.ir_filter([menu], uu) == []
-
-    def test_supersets_of_kept_menus_are_kept(self, rng):
-        uu = make_uu(rng, m=2, n=2)
-        pool = random_contracts(rng, uu, 4)
-        kept = rcl.ir_filter([rcl.Menu(pool[:2])], uu)
-        if kept:
-            assert rcl.ir_filter([rcl.Menu(pool)], uu)
 
 
 class TestSolveMenu:

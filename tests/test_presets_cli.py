@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rcl
-from rcl.cli import RunConfig, load_summary_mechanism, run
+from rcl.cli import RunConfig, load_summary_mechanism, main, run
 from rcl.errors import ValidationError
 from rcl.market import cara_optimal, cara_indirect_utility
 from rcl.presets import build_preset_bundle
@@ -191,6 +191,44 @@ class TestCli:
         report = json.loads((out / "result.json").read_text())
         assert [t["label"] for t in report["types"]] == ["flat", "tilt"]
         assert report["types"][1]["normalizer_gap"] >= 0.0
+
+    def test_market_explicit_zero_alpha_is_rejected(self, tmp_path, capsys):
+        # --alpha 0 must reach cara_optimal, not fall back to the document's alpha
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"n_nodes": 4, "alpha": 1.5,
+                                    "drift_types": [{"slope": 0.1}]}))
+        out = tmp_path / "mkt"
+        code = main(["market", "--instance", str(path), "--alpha", "0", "--out", str(out)])
+        assert code == 1
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "menu", "equivalence"])
+    def test_explicit_zero_levels_is_rejected(self, tmp_path, capsys, command):
+        code = run(RunConfig(command=command, preset="reinsurance_halfline",
+                             levels=0, out=str(tmp_path / command)))
+        assert code == 1
+        assert "levels_per_atom must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"n_nodes": 4, "drift_types": [{"label": "t"}]}, "drift_types[0].slope"),
+        ({"nodes": [-1.0, 1.0]}, "weights"),
+        ({"n_nodes": "abc"}, "n_nodes"),
+        ([{"n_nodes": 4}], "JSON object"),
+        ({"n_nodes": 4, "drift_types": {"t": {"slope": 0.1}}}, "drift_types"),
+        ({"n_nodes": 4, "e_a": "rich"}, "e_a"),
+        ({"n_nodes": 4, "alpha": [1.0, 2.0]}, "alpha"),
+        ({"n_nodes": 4, "beta": ["half"]}, "beta"),
+    ], ids=["drift_without_slope", "nodes_without_weights", "bad_n_nodes", "list",
+            "drift_types_object", "bad_e_a", "bad_alpha", "bad_beta"])
+    def test_malformed_market_document_is_input_error(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        code = main(["market", "--instance", str(path), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and field in err
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         # exit code 2 is reserved for an honest non-converged solve

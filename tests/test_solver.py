@@ -189,7 +189,7 @@ class TestSolveMechanism:
 
     def test_trace_recorded(self, rng):
         uu = make_uu(rng)
-        res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=40, record_trace=True))
+        res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=40))
         assert len(res.trace) == res.iterations
         iters, values, violations = zip(*res.trace)
         assert list(iters) == list(range(1, res.iterations + 1))
@@ -349,6 +349,13 @@ class TestGridOracle:
         uu = make_uu(rng, m=2, n=2)
         with pytest.raises(SizeCapError, match="12960000"):
             rcl.grid_oracle(uu, 60)
+
+    def test_enumeration_cap_error_carries_count(self, rng):
+        # 3163**2 = 10,004,569 assignments, just over HARD_ASSIGNMENT_CAP
+        uu = make_uu(rng, m=2, n=2)
+        contracts = np.tile(uu.c_hi, (3163, 1))
+        with pytest.raises(SizeCapError, match="10004569"):
+            rcl.enumerate_best_assignment(contracts, uu)
 
     def test_oracle_is_exact_on_tiny_grid(self, rng):
         # cross-check the vectorized enumeration against a plain python loop
