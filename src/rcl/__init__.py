@@ -11,6 +11,7 @@ from .constraints import (
     FeasibilityReport,
     LinearConstraintSystem,
     Mechanism,
+    agent_levels,
     build_system,
     check_mechanism,
 )
@@ -43,11 +44,9 @@ from .market import (
 from .menu import (
     EquivalenceReport,
     Menu,
-    agent_best_value,
-    agent_optimal_contracts,
     equivalence_check,
     extract_mechanism,
-    principal_menu_value,
+    menu_choices,
     solve_menu,
 )
 from .model import (

@@ -6,8 +6,8 @@ atom) and `solve` writes `trace.csv` with the iteration history. Outputs are
 byte-identical for identical configuration and seed: floats are rendered via
 their shortest round-trip representation and JSON keys are sorted.
 
-Exit codes: 0 success, 1 invalid input or caps exceeded, 2 honest
-non-convergence of the solver.
+Exit codes: 0 success, 1 invalid input (bad flags included) or caps
+exceeded, 2 honest non-convergence of the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market as mkt
-from .constraints import Mechanism, build_system, check_mechanism
+from .constraints import Mechanism, build_system
 from .errors import RclError
 from .menu import equivalence_check, extract_mechanism, solve_menu
 from .model import cara as cara_spec
@@ -88,15 +88,9 @@ def _write_trace(path: Path, trace):
 
 def _write_summary(path: Path, uu, mech: Mechanism):
     """Per-type, per-atom table of the mechanism with its constraint slacks."""
-    system = build_system(uu)
-    report = check_mechanism(system, mech)
-    ir_slack = {}
-    min_ic = {}
-    for row, entry in zip(system.rows, report.row_slacks):
-        if row.kind == "IR":
-            ir_slack[row.j] = entry["slack"]
-        else:
-            min_ic[row.j] = min(min_ic.get(row.j, np.inf), entry["slack"])
+    n = uu.n_types
+    ic, ir_slack = build_system(uu).slacks(mech)
+    min_ic = np.min(ic.reshape(n, n - 1), axis=1, initial=np.inf)
     rows = []
     for j, agent_type in enumerate(uu.base.types):
         x = from_utility_units(uu, mech.assignment[j])
@@ -106,8 +100,8 @@ def _write_summary(path: Path, uu, mech: Mechanism):
                 atom,
                 float(mech.assignment[j, i]),
                 float(x[i]),
-                float(ir_slack.get(j, np.inf)),
-                float(min_ic.get(j, np.inf)),
+                float(ir_slack[j]),
+                float(min_ic[j]),
             ])
     _write_csv(
         path,
@@ -337,8 +331,23 @@ def run(config: RunConfig) -> int:
         return EXIT_INPUT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag is invalid input; exit 2 is kept for non-convergence
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(b) for b in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def parse_args(argv) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rcl",
         description="Robust contracting lab: solve, delegate, certify.",
     )
@@ -352,14 +361,11 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("--tol", type=float)
     parser.add_argument("--levels", type=int, help="grid levels per atom")
     parser.add_argument(
-        "--beta", type=str,
+        "--beta", type=_numbers,
         help="profit share(s) kept by the agent, comma separated for sweeps",
     )
     parser.add_argument("--alpha", type=float, help="CARA risk aversion")
     args = parser.parse_args(argv)
-    beta = None
-    if args.beta is not None:
-        beta = tuple(float(b) for b in args.beta.split(","))
     return RunConfig(
         command=args.command,
         preset=args.preset,
@@ -369,7 +375,7 @@ def parse_args(argv) -> RunConfig:
         max_iters=args.max_iters,
         tol=args.tol,
         levels=args.levels,
-        beta=beta,
+        beta=args.beta,
         alpha=args.alpha,
     )
 

@@ -3,7 +3,8 @@
 After the change of variables the agent's utility is bilinear, so both
 constraint blocks are linear in the contract assignment: one participation
 row per type and one truth-telling row per ordered type pair. Both orderings
-are kept so feasibility reports stay legible.
+are kept so feasibility reports stay legible. Every slack is read off one
+agent-level matrix (`agent_levels`), the same one menus choose from.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from .transform import UtilityUnitsInstance
 
 DEFAULT_TOL = 1e-8
 
-IC = "IC"
-IR = "IR"
+
+def agent_levels(uu: UtilityUnitsInstance, contracts) -> np.ndarray:
+    """Level E[j, g] = sum_i q_i d_{j,i} c_{g,i} that type j gets from contract g.
+
+    One 1-d dot per entry, so a column is bitwise the same whichever other
+    contracts sit beside it: every constraint slack, menu choice and report
+    reads its levels from here.
+    """
+    contracts = np.atleast_2d(np.asarray(contracts, dtype=float))
+    return np.array([[w @ c for c in contracts] for w in uu.base.type_weights()])
 
 
 @dataclass
@@ -30,87 +39,58 @@ class Mechanism:
     def __post_init__(self):
         self.assignment = np.atleast_2d(np.asarray(self.assignment, dtype=float))
 
-    @property
-    def n_types(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
-    def n_atoms(self) -> int:
-        return self.assignment.shape[1]
-
-    def within_bounds(self, uu: UtilityUnitsInstance, tol: float = 1e-9) -> bool:
-        span = max(float((uu.c_hi - uu.c_lo).max()), 1.0)
-        return bool(
-            np.all(self.assignment >= uu.c_lo - tol * span)
-            and np.all(self.assignment <= uu.c_hi + tol * span)
-        )
-
     def to_json(self) -> dict:
         return {"assignment": self.assignment.tolist()}
 
 
 @dataclass
-class ConstraintRow:
-    """One linear row: sum over (type, atom) of coeffs * c >= rhs."""
-
-    kind: str            # IC or IR
-    j: int               # reporting type
-    k: int | None        # misreport target for IC rows, None for IR
-    coeffs: np.ndarray   # (n, m), supported only on types j (and k)
-    rhs: float
-
-    def slack(self, mech: Mechanism) -> float:
-        # Per-type dot products: for a pooling mechanism the IC blocks are
-        # exact negations and cancel to exactly zero.
-        total = self.coeffs[self.j] @ mech.assignment[self.j]
-        if self.k is not None:
-            total += self.coeffs[self.k] @ mech.assignment[self.k]
-        return float(total - self.rhs)
-
-    def describe(self) -> str:
-        if self.kind == IC:
-            return f"IC({self.j},{self.k})"
-        return f"IR({self.j})"
-
-
-@dataclass
 class LinearConstraintSystem:
-    """The full IC/IR row block for one utility-units instance."""
+    """The IC/IR rows of one utility-units instance.
 
-    rows: list[ConstraintRow]
-    n_types: int
-    n_atoms: int
+    Row order: IC(j,k) for each j and each k != j, then IR(j) for each j.
+    IC(j,k) reads sum_i q_i d_{j,i} (c_{j,i} - c_{k,i}) >= 0 and IR(j) reads
+    sum_i q_i d_{j,i} c_{j,i} >= reservation_j.
+    """
+
+    uu: UtilityUnitsInstance
+
+    @property
+    def n_types(self) -> int:
+        return self.uu.n_types
+
+    @property
+    def n_atoms(self) -> int:
+        return self.uu.n_atoms
+
+    def ic_pairs(self) -> list[tuple[int, int]]:
+        n = self.n_types
+        return [(j, k) for j in range(n) for k in range(n) if k != j]
 
     def matrix_form(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows flattened over the (type, atom) grid: A c_flat >= b."""
-        a = np.stack([row.coeffs.ravel() for row in self.rows])
-        b = np.array([row.rhs for row in self.rows])
-        return a, b
+        weights = self.uu.base.type_weights()
+        n, m = weights.shape
+        pairs = self.ic_pairs()
+        own = [j for j, _ in pairs] + list(range(n))  # the type each row is about
+        a = np.zeros((len(own), n, m))
+        a[np.arange(len(own)), own] = weights[own]
+        a[np.arange(len(pairs)), [k for _, k in pairs]] = -weights[own[:len(pairs)]]
+        b = np.concatenate([np.zeros(len(pairs)), self.uu.reservation])
+        return a.reshape(len(own), n * m), b
+
+    def slacks(self, mech: Mechanism) -> tuple[np.ndarray, np.ndarray]:
+        """IC slacks L[j,j] - L[j,k] in row order and IR slacks L[j,j] - r_j,
+        from the mechanism's level matrix L. For a pooling mechanism the IC
+        slacks are exactly zero."""
+        levels = agent_levels(self.uu, mech.assignment)
+        own = np.diag(levels)
+        ic = (own[:, None] - levels)[~np.eye(self.n_types, dtype=bool)]
+        return ic, own - self.uu.reservation
 
 
 def build_system(uu: UtilityUnitsInstance) -> LinearConstraintSystem:
-    """Assemble the n*(n-1) truth-telling rows and n participation rows.
-
-    IC row (j,k):  sum_i q_i d_{j,i} (c_{j,i} - c_{k,i}) >= 0
-    IR row (j):    sum_i q_i d_{j,i} c_{j,i} >= reservation_j
-    """
-    weights = uu.base.type_weights()
-    n, m = weights.shape
-    rows: list[ConstraintRow] = []
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            coeffs = np.zeros((n, m))
-            coeffs[j] = weights[j]
-            coeffs[k] = -weights[j]
-            rows.append(ConstraintRow(kind=IC, j=j, k=k, coeffs=coeffs, rhs=0.0))
-    for j in range(n):
-        coeffs = np.zeros((n, m))
-        coeffs[j] = weights[j]
-        rows.append(ConstraintRow(kind=IR, j=j, k=None, coeffs=coeffs,
-                                  rhs=float(uu.reservation[j])))
-    return LinearConstraintSystem(rows=rows, n_types=n, n_atoms=m)
+    """The n*(n-1) truth-telling rows and n participation rows of `uu`."""
+    return LinearConstraintSystem(uu)
 
 
 @dataclass
@@ -144,17 +124,13 @@ def check_mechanism(
             f"mechanism shape {mech.assignment.shape} does not match "
             f"({system.n_types}, {system.n_atoms})"
         )
-    max_ic = 0.0
-    max_ir = 0.0
-    row_slacks = []
-    for row in system.rows:
-        s = row.slack(mech)
-        row_slacks.append({"row": row.describe(), "slack": s})
-        violation = max(0.0, -s)
-        if row.kind == IC:
-            max_ic = max(max_ic, violation)
-        else:
-            max_ir = max(max_ir, violation)
+    ic, ir = (s.tolist() for s in system.slacks(mech))
+    row_slacks = (
+        [{"row": f"IC({j},{k})", "slack": s} for (j, k), s in zip(system.ic_pairs(), ic)]
+        + [{"row": f"IR({j})", "slack": s} for j, s in enumerate(ir)]
+    )
+    max_ic = max((max(0.0, -s) for s in ic), default=0.0)
+    max_ir = max((max(0.0, -s) for s in ir), default=0.0)
     return FeasibilityReport(
         feasible=bool(max_ic <= tol and max_ir <= tol),
         max_ic_violation=max_ic,

@@ -11,13 +11,13 @@ incentive-compatible mechanisms give the same value on the same candidates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import Mechanism
+from .constraints import Mechanism, agent_levels
 from .errors import PreconditionError, SizeCapError, ValidationError
-from .model import AgentType, StateSpace
 from .solver import contract_values, enumerate_best_assignment
 from .transform import UtilityUnitsInstance
 
@@ -38,6 +38,9 @@ class Menu:
         arr = np.atleast_2d(np.asarray(self.contracts, dtype=float))
         if arr.shape[0] == 0:
             raise ValidationError(["a menu must contain at least one contract"])
+        if not np.all(np.isfinite(arr)):
+            # a NaN row would compare as a duplicate of every other row
+            raise ValidationError(["menu contracts must be finite"])
         keep: list[int] = []
         for i in range(arr.shape[0]):
             if all(np.max(np.abs(arr[i] - arr[k])) > DEDUP_TOL for k in keep):
@@ -49,45 +52,28 @@ class Menu:
         return self.contracts.shape[0]
 
 
-def agent_best_value(states: StateSpace, agent_type: AgentType, menu: Menu) -> float:
-    """The best expected utility level the type can pick out of the menu."""
-    weights = states.ref_prob * agent_type.density
-    return float(np.max(menu.contracts @ weights))
+def _choices(levels: np.ndarray, values: np.ndarray):
+    """The menu-choice rule over a level matrix (types x contracts) and the
+    principal's value of each contract. Per type: the best level, the tie
+    window (contracts within DEFAULT_TIE_TOL of it) and the principal's most
+    favourable value inside the window."""
+    best = levels.max(axis=1)
+    window = levels >= best[:, None] - DEFAULT_TIE_TOL
+    return best, window, np.where(window, values, -np.inf).max(axis=1)
 
 
-def agent_optimal_contracts(
-    states: StateSpace, agent_type: AgentType, menu: Menu
-) -> np.ndarray:
-    """Indices of the menu contracts within DEFAULT_TIE_TOL of the type's optimum."""
-    weights = states.ref_prob * agent_type.density
-    scores = menu.contracts @ weights
-    return np.flatnonzero(scores >= scores.max() - DEFAULT_TIE_TOL)
+def menu_choices(
+    uu: UtilityUnitsInstance, menu: Menu
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each type's pick from the menu: (best level, tie window, favoured value).
 
-
-def principal_menu_value(
-    uu: UtilityUnitsInstance, agent_type: AgentType, menu: Menu
-) -> float:
-    """Principal's value of a menu for one type: best of her values over the
-    contracts the agent would pick (ties resolve in her favor by definition)."""
-    chosen = agent_optimal_contracts(uu.states, agent_type, menu)
-    values = contract_values(uu, menu.contracts[chosen])
-    return float(values.max())
-
-
-def _subset_values(
-    uu: UtilityUnitsInstance, members: list[int],
-    e_mat: np.ndarray, values: np.ndarray,
-) -> np.ndarray | None:
-    """Per-type principal values of one candidate subset, or None if not IR."""
-    cols = e_mat[:, members]
-    best = cols.max(axis=1)
-    if np.any(best < np.asarray(uu.reservation) - IR_TOL):
-        return None
-    out = np.empty(uu.n_types)
-    for j in range(uu.n_types):
-        picks = [members[g] for g in np.flatnonzero(cols[j] >= best[j] - DEFAULT_TIE_TOL)]
-        out[j] = values[picks].max()
-    return out
+    The tie window is a (types x contracts) mask of the contracts within
+    DEFAULT_TIE_TOL of the type's best level; the favoured value is the
+    principal's best value inside it (ties resolve in her favour by
+    definition of her indirect utility over menus).
+    """
+    return _choices(agent_levels(uu, menu.contracts),
+                    contract_values(uu, menu.contracts))
 
 
 def solve_menu(
@@ -95,8 +81,11 @@ def solve_menu(
 ) -> tuple[Menu, float]:
     """Exact robust optimum over all non-empty subsets of the candidates.
 
-    Ties between optimal subsets resolve to the smallest cardinality and then
-    lexicographically by candidate indices, so reports are reproducible.
+    Subsets are walked by size and then lexicographically, and only a
+    strictly better value replaces the incumbent. So ties between optimal
+    subsets resolve to the smallest cardinality, then to the
+    lexicographically smallest candidate indices, and reports are
+    reproducible.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_cand = candidates.shape[0]
@@ -104,61 +93,50 @@ def solve_menu(
         raise SizeCapError(
             f"{n_cand} candidates exceed the menu cap {MENU_CANDIDATE_CAP}"
         )
-    span = max(float((uu.c_hi - uu.c_lo).max()), 1.0)
-    if np.any(candidates < uu.c_lo - 1e-9 * span) or np.any(
-        candidates > uu.c_hi + 1e-9 * span
-    ):
+    if not uu.contains(candidates):
         raise ValidationError(["candidate contracts leave the transformed bounds"])
-    weights = uu.base.type_weights()
-    e_mat = weights @ candidates.T
+    levels = agent_levels(uu, candidates)
     values = contract_values(uu, candidates)
+    floor = np.asarray(uu.reservation) - IR_TOL
 
     best_val = -np.inf
-    best_members: tuple[int, ...] | None = None
-    for mask in range(1, 1 << n_cand):
-        members = [g for g in range(n_cand) if mask >> g & 1]
-        per_type = _subset_values(uu, members, e_mat, values)
-        if per_type is None:
-            continue
-        robust, _ = uu.base.beliefs.robust_value(per_type)
-        key = (len(members), tuple(members))
-        if robust > best_val or (
-            robust == best_val
-            and best_members is not None
-            and key < (len(best_members), best_members)
-        ):
-            best_val = robust
-            best_members = tuple(members)
+    best_members: list[int] | None = None
+    for size in range(1, n_cand + 1):
+        for members in map(list, itertools.combinations(range(n_cand), size)):
+            best, _, favoured = _choices(levels[:, members], values[members])
+            if np.any(best < floor):
+                continue
+            robust, _ = uu.base.beliefs.robust_value(favoured)
+            if robust > best_val:
+                best_val, best_members = robust, members
     if best_members is None:
         raise ValidationError(
             ["no individually rational menu among the candidate subsets"]
         )
-    return Menu(candidates[list(best_members)]), best_val
+    return Menu(candidates[best_members]), best_val
 
 
 def extract_mechanism(menu: Menu, uu: UtilityUnitsInstance) -> Mechanism:
     """Turn a menu into a direct mechanism by honoring the agent's choice.
 
-    Each type receives the principal-best contract among the ones he would
-    pick himself, with exact value ties broken by the lexicographically
-    smallest contract. The result is incentive compatible by construction and
-    individually rational because the menu is.
+    Each type receives the contract the menu-choice rule credits it with: the
+    principal-best one inside its tie window, with exact value ties broken
+    by the lexicographically smallest contract. So the mechanism's value
+    equals the menu's value exactly. The result is incentive compatible by
+    construction and individually rational because the menu is.
     """
-    for j, t in enumerate(uu.base.types):
-        if agent_best_value(uu.states, t, menu) < uu.reservation[j] - IR_TOL:
-            raise PreconditionError(
-                f"menu is not individually rational for type {t.label or j}"
-            )
     values = contract_values(uu, menu.contracts)
+    best, window, favoured = _choices(agent_levels(uu, menu.contracts), values)
+    short = np.flatnonzero(best < np.asarray(uu.reservation) - IR_TOL)
+    if short.size:
+        t = uu.base.types[short[0]]
+        raise PreconditionError(
+            f"menu is not individually rational for type {t.label or short[0]}"
+        )
     rows = []
-    for t in uu.base.types:
-        picks = agent_optimal_contracts(uu.states, t, menu)
-        order = sorted(picks, key=lambda g: tuple(menu.contracts[g]))
-        chosen = order[0]
-        for g in order[1:]:
-            if values[g] > values[chosen]:
-                chosen = g
-        rows.append(menu.contracts[chosen])
+    for j in range(uu.n_types):
+        ties = [g for g in np.flatnonzero(window[j]) if values[g] == favoured[j]]
+        rows.append(menu.contracts[min(ties, key=lambda g: tuple(menu.contracts[g]))])
     return Mechanism(np.stack(rows))
 
 
@@ -200,7 +178,8 @@ def equivalence_check(
     the menu side's indifference tolerance, so the two optima agree to
     within EQUIVALENCE_TOL on every instance inside the caps.
     `agent_optimal_sets` lists, per type, the indices into the witness menu
-    of the contracts that type would pick.
+    of its tie window under `menu_choices`, the rule the menu value was
+    computed with, so it holds every contract that value credits the type.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     menu, menu_value = solve_menu(candidates, uu)
@@ -208,11 +187,9 @@ def equivalence_check(
         candidates, uu, tol=DEFAULT_TIE_TOL
     )
     gap = abs(menu_value - mech_value)
+    _, window, _ = menu_choices(uu, menu)
     phi_sets = {
-        (t.label or f"type{j}"): [
-            int(g)
-            for g in agent_optimal_contracts(uu.states, t, menu)
-        ]
+        (t.label or f"type{j}"): [int(g) for g in np.flatnonzero(window[j])]
         for j, t in enumerate(uu.base.types)
     }
     return EquivalenceReport(
@@ -230,9 +207,6 @@ def equivalence_check(
 
 def mechanism_menu_value(uu: UtilityUnitsInstance, mech: Mechanism) -> float:
     """Value of the menu formed by a mechanism's range (its offered contracts)."""
-    menu = Menu(mech.assignment)
-    per_type = np.array([
-        principal_menu_value(uu, t, menu) for t in uu.base.types
-    ])
-    value, _ = uu.base.beliefs.robust_value(per_type)
+    _, _, favoured = menu_choices(uu, Menu(mech.assignment))
+    value, _ = uu.base.beliefs.robust_value(favoured)
     return value

@@ -68,8 +68,9 @@ class SolveResult:
 
 
 def _rows_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # one dot per row keeps results bitwise identical across matrix shapes,
-    # which the exact value-identity checks between menus and mechanisms use
+    # one dot per row, the idiom of constraints.agent_levels: a row's value
+    # is bitwise the same whichever rows sit beside it, so a menu's value and
+    # the value of the mechanism extracted from it agree exactly
     return np.array([row @ weights for row in matrix])
 
 
@@ -88,7 +89,7 @@ def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray):
 
 def principal_type_values(uu: UtilityUnitsInstance, mech: Mechanism) -> np.ndarray:
     """Principal's expected utility per reported type, under her own belief."""
-    if not mech.within_bounds(uu, tol=1e-6):
+    if not uu.contains(mech.assignment, tol=1e-6):
         raise RangeError("mechanism leaves the transformed contract bounds")
     return _evaluate(uu, mech.assignment)[2]
 
@@ -270,7 +271,7 @@ def solve_mechanism(
     best_val = -np.inf
     if seed_mechanism is not None:
         seed_flat = seed_mechanism.assignment.ravel()
-        if seed_mechanism.within_bounds(uu) and check_mechanism(
+        if uu.contains(seed_mechanism.assignment) and check_mechanism(
             system, seed_mechanism, opts.tol
         ).feasible:
             best_x = np.clip(seed_flat, lo, hi)

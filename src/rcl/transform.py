@@ -27,7 +27,6 @@ from .model import (
     UtilitySpec,
 )
 
-RANGE_TOL = 1e-9
 # asymptotic-elasticity tail grid: AE_GRID_POINTS log-spaced wealth levels
 # over [AE_Z_MAX / 1e4, AE_Z_MAX]; the check passes below 1 - AE_MARGIN
 AE_Z_MAX = 1e6
@@ -66,6 +65,13 @@ class UtilityUnitsInstance:
     def reservation(self) -> np.ndarray:
         return self.base.reservation
 
+    def contains(self, c, tol: float = 1e-9) -> bool:
+        """Whether every entry of c lies within its atom's bounds, up to tol
+        times the widest bound range (at least 1). NaN entries never do."""
+        span = max(float((self.c_hi - self.c_lo).max()), 1.0)
+        return bool(np.all(c >= self.c_lo - tol * span)
+                    and np.all(c <= self.c_hi + tol * span))
+
 
 def to_utility_units(instance: Instance) -> UtilityUnitsInstance:
     """Map the payoff-unit contract bounds into utility units, pointwise."""
@@ -90,8 +96,7 @@ def from_utility_units(uu: UtilityUnitsInstance, c) -> np.ndarray:
     cc = np.asarray(c, dtype=float)
     if cc.shape != uu.c_lo.shape:
         raise RangeError(f"contract length {cc.size} does not match {uu.n_atoms} atoms")
-    span = max(float((uu.c_hi - uu.c_lo).max()), 1.0)
-    if np.any(cc < uu.c_lo - RANGE_TOL * span) or np.any(cc > uu.c_hi + RANGE_TOL * span):
+    if not uu.contains(cc):
         raise RangeError("utility-level contract outside the transformed bounds")
     cc = np.clip(cc, uu.c_lo, uu.c_hi)
     return uu.base.u.inverse(cc) - uu.base.e_a

@@ -6,7 +6,7 @@ import pytest
 import rcl
 from rcl.errors import DimensionError
 
-from conftest import make_instance, make_uu, random_mechanisms
+from conftest import make_instance, make_uu, random_contracts, random_mechanisms
 
 
 def uu_with_types(densities, q=(0.5, 0.5), reservation=None):
@@ -31,29 +31,73 @@ def uu_with_types(densities, q=(0.5, 0.5), reservation=None):
     return rcl.to_utility_units(inst)
 
 
+class TestAgentLevels:
+    def test_matches_expectation(self, rng):
+        # the same weights and the same 1-d dot as the model's expectation
+        uu = make_uu(rng, n=3, m=4)
+        contracts = random_contracts(rng, uu, 5)
+        levels = rcl.agent_levels(uu, contracts)
+        assert levels.shape == (3, 5)
+        for j, t in enumerate(uu.base.types):
+            for g, c in enumerate(contracts):
+                assert levels[j, g] == rcl.expectation(uu.states, t, c)
+
+    def test_column_independent_of_neighbours(self, rng):
+        # a contract's levels are bitwise the same alone or beside others
+        uu = make_uu(rng, n=3, m=8)
+        contracts = random_contracts(rng, uu, 6)
+        levels = rcl.agent_levels(uu, contracts)
+        for g, c in enumerate(contracts):
+            np.testing.assert_array_equal(rcl.agent_levels(uu, c)[:, 0], levels[:, g])
+            np.testing.assert_array_equal(
+                rcl.agent_levels(uu, contracts[g:])[:, 0], levels[:, g])
+
+
+def _row_name(entry):
+    """(kind, j, k) of a row_slacks entry such as IC(0,2) or IR(1)."""
+    kind, rest = entry["row"][:2], entry["row"][3:-1]
+    idx = [int(x) for x in rest.split(",")]
+    return kind, idx[0], idx[1] if kind == "IC" else None
+
+
 class TestBuildSystem:
     @pytest.mark.parametrize("n,ic,ir", [(1, 0, 1), (2, 2, 2), (3, 6, 3)])
     def test_row_counts(self, rng, n, ic, ir):
         uu = make_uu(rng, n=n, m=2)
         system = rcl.build_system(uu)
-        kinds = [row.kind for row in system.rows]
-        assert kinds.count("IC") == n * (n - 1) == ic
-        assert kinds.count("IR") == n == ir
+        a, b = system.matrix_form()
+        assert a.shape == (n * n, n * 2) and b.shape == (n * n,)
+        report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (n, 1))))
+        kinds = [_row_name(entry)[0] for entry in report.row_slacks]
+        assert kinds == ["IC"] * ic + ["IR"] * ir
+        assert ic == n * (n - 1) and ir == n
 
     def test_rows_supported_on_their_types(self, rng):
         uu = make_uu(rng, n=3, m=2)
-        for row in rcl.build_system(uu).rows:
-            support = {t for t in range(3) if np.any(row.coeffs[t] != 0.0)}
-            expected = {row.j} if row.k is None else {row.j, row.k}
+        system = rcl.build_system(uu)
+        a, b = system.matrix_form()
+        report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (3, 1))))
+        weights = uu.base.type_weights()
+        for coeffs, rhs, entry in zip(a.reshape(-1, 3, 2), b, report.row_slacks):
+            kind, j, k = _row_name(entry)
+            support = {t for t in range(3) if np.any(coeffs[t] != 0.0)}
+            expected = {j} if k is None else {j, k}
             assert support == expected
+            np.testing.assert_array_equal(coeffs[j], weights[j])
+            if k is None:
+                assert rhs == uu.reservation[j]
+            else:
+                np.testing.assert_array_equal(coeffs[k], -weights[j])
+                assert rhs == 0.0
 
     def test_pooling_ic_slacks_exactly_zero(self):
         uu = uu_with_types([(1.3, 0.7), (0.6, 1.4)])
         system = rcl.build_system(uu)
         pooled = rcl.Mechanism(np.tile(uu.c_hi, (2, 1)))
-        for row in system.rows:
-            if row.kind == "IC":
-                assert row.slack(pooled) == 0.0
+        report = rcl.check_mechanism(system, pooled)
+        ic = [entry["slack"] for entry in report.row_slacks if entry["row"].startswith("IC")]
+        assert ic == [0.0, 0.0]
+        assert report.max_ic_violation == 0.0
 
     def test_pooling_at_endowment_binds_reservation_exactly(self):
         uu = uu_with_types([(1.3, 0.7), (0.6, 1.4)])
@@ -62,7 +106,8 @@ class TestBuildSystem:
         pooled = rcl.Mechanism(np.tile(base, (2, 1)))
         report = rcl.check_mechanism(system, pooled)
         assert report.feasible
-        for row, entry in zip(system.rows, report.row_slacks):
+        assert len(report.row_slacks) == 4
+        for entry in report.row_slacks:
             assert entry["slack"] == 0.0
 
 
@@ -148,7 +193,7 @@ class TestCheckMechanism:
         uu = rcl.to_utility_units(inst)
         system = rcl.build_system(uu)
         mech = random_mechanisms(rng, uu, 1)[0]
-        slacks = [row.slack(mech) for row in system.rows]
+        slacks = [e["slack"] for e in rcl.check_mechanism(system, mech).row_slacks]
 
         perm = np.array([2, 0, 1])
         pinst = rcl.validate_instance(rcl.Instance(
@@ -169,7 +214,7 @@ class TestCheckMechanism:
         puu = rcl.to_utility_units(pinst)
         psystem = rcl.build_system(puu)
         pmech = rcl.Mechanism(mech.assignment[:, perm])
-        pslacks = [row.slack(pmech) for row in psystem.rows]
+        pslacks = [e["slack"] for e in rcl.check_mechanism(psystem, pmech).row_slacks]
         np.testing.assert_allclose(pslacks, slacks, atol=1e-12)
 
     def test_report_serializes(self, rng):
@@ -178,4 +223,4 @@ class TestCheckMechanism:
         report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (2, 1))))
         doc = report.to_json()
         assert {"feasible", "max_ic_violation", "max_ir_violation", "row_slacks"} <= set(doc)
-        assert len(doc["row_slacks"]) == len(system.rows)
+        assert len(doc["row_slacks"]) == system.matrix_form()[0].shape[0]

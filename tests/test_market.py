@@ -311,11 +311,8 @@ class TestMarketIncentiveRouting:
                 reservation=np.full(3, -10.0),
             ))
             uu = rcl.to_utility_units(inst)
-            system = rcl.build_system(uu)
-            linear_ok = True
-            for row in system.rows:
-                if row.kind == "IC" and row.slack(rcl.Mechanism(contracts)) < -1e-8:
-                    linear_ok = False
+            report = rcl.check_mechanism(rcl.build_system(uu), rcl.Mechanism(contracts))
+            linear_ok = report.max_ic_violation <= 1e-8
             indirect_ok = True
             for j in range(3):
                 own = cara_indirect_utility(model, j, e_a, alpha, contracts[j])

@@ -1,10 +1,12 @@
 """Menus, self-selection, menu optimization and the equivalence certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import rcl
-from rcl.errors import PreconditionError, SizeCapError, ValidationError
+from rcl.errors import PreconditionError, RclError, SizeCapError, ValidationError
 from rcl.menu import mechanism_menu_value
 
 from conftest import make_uu, random_contracts
@@ -39,64 +41,69 @@ class TestMenuBasics:
         with pytest.raises(ValidationError):
             rcl.Menu(np.empty((0, 2)))
 
+    def test_nan_contract_rejected(self):
+        # NaN is no duplicate of anything: it must not swallow the other rows
+        for contracts in ([[np.nan, 1.0], [0.5, 0.5]], [[0.5, 0.5], [0.2, np.inf]]):
+            with pytest.raises(ValidationError, match="finite"):
+                rcl.Menu(np.array(contracts))
+
     def test_best_value_singleton(self):
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[1.0, -1.0]]))
-        t = uu.base.types[0]
-        assert rcl.agent_best_value(uu.states, t, menu) == pytest.approx(0.2, abs=1e-14)
+        best, _, _ = rcl.menu_choices(uu, menu)
+        assert best[0] == pytest.approx(0.2, abs=1e-14)
 
     def test_best_value_dominating_contract(self):
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[0.0, 0.0], [0.5, 0.5]]))
-        t = uu.base.types[0]
-        assert rcl.agent_best_value(uu.states, t, menu) == pytest.approx(0.5, abs=1e-14)
+        best, _, _ = rcl.menu_choices(uu, menu)
+        assert best[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_best_value_two_dots(self):
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        t = uu.base.types[0]
-        assert rcl.agent_best_value(uu.states, t, menu) == pytest.approx(0.6, abs=1e-14)
+        best, _, _ = rcl.menu_choices(uu, menu)
+        assert best[0] == pytest.approx(0.6, abs=1e-14)
 
     def test_menu_monotone_under_inclusion(self, rng):
         uu = make_uu(rng, m=2, n=3)
         pool = random_contracts(rng, uu, 6)
-        small = rcl.Menu(pool[:3])
-        large = rcl.Menu(pool)
-        for t in uu.base.types:
-            assert rcl.agent_best_value(uu.states, t, small) <= rcl.agent_best_value(
-                uu.states, t, large
-            ) + 1e-15
+        small, _, _ = rcl.menu_choices(uu, rcl.Menu(pool[:3]))
+        large, _, _ = rcl.menu_choices(uu, rcl.Menu(pool))
+        assert np.all(small <= large + 1e-15)
+
+
+def window_of(uu, menu, j=0):
+    _, window, _ = rcl.menu_choices(uu, menu)
+    return list(np.flatnonzero(window[j]))
 
 
 class TestOptimalContracts:
     def test_strict_maximizer_is_singleton(self):
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        picks = rcl.agent_optimal_contracts(uu.states, uu.base.types[0], menu)
-        assert list(picks) == [0]
+        assert window_of(uu, menu) == [0]
 
     def test_exact_tie_returns_both(self):
         uu = two_atom_uu([(1.0, 1.0)])
         menu = rcl.Menu(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        picks = rcl.agent_optimal_contracts(uu.states, uu.base.types[0], menu)
-        assert list(picks) == [0, 1]
+        assert window_of(uu, menu) == [0, 1]
 
     def test_uniform_type_indifferent_across_zero_mean(self):
         uu = two_atom_uu([(1.0, 1.0)])
         menu = rcl.Menu(np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]))
-        picks = rcl.agent_optimal_contracts(uu.states, uu.base.types[0], menu)
-        assert list(picks) == [0, 1, 2]
+        assert window_of(uu, menu) == [0, 1, 2]
 
     def test_members_attain_best_value(self, rng):
         uu = make_uu(rng, m=3, n=2)
         menu = rcl.Menu(random_contracts(rng, uu, 5))
-        for t in uu.base.types:
-            best = rcl.agent_best_value(uu.states, t, menu)
-            picks = rcl.agent_optimal_contracts(uu.states, t, menu)
+        best, window, _ = rcl.menu_choices(uu, menu)
+        for j, t in enumerate(uu.base.types):
+            picks = np.flatnonzero(window[j])
             assert picks.size >= 1
             for g in picks:
                 got = rcl.expectation(uu.states, t, menu.contracts[g])
-                assert got >= best - 1e-9
+                assert got >= best[j] - 1e-9
 
 
 class TestPrincipalMenuValue:
@@ -104,22 +111,23 @@ class TestPrincipalMenuValue:
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[0.1, 0.2]]))
         direct = rcl.principal_type_values(uu, rcl.Mechanism(menu.contracts))[0]
-        assert rcl.principal_menu_value(uu, uu.base.types[0], menu) == direct
+        _, _, favoured = rcl.menu_choices(uu, menu)
+        assert favoured[0] == direct
 
     def test_ties_resolve_for_principal(self):
         # uniform agent indifferent; principal prefers the cheaper contract
         uu = two_atom_uu([(1.0, 1.0)])
         menu = rcl.Menu(np.array([[0.3, -0.3], [-0.3, 0.3]]))
         vals = rcl.contract_values(uu, menu.contracts)
-        got = rcl.principal_menu_value(uu, uu.base.types[0], menu)
-        assert got == max(vals)
+        _, _, favoured = rcl.menu_choices(uu, menu)
+        assert favoured[0] == max(vals)
 
     def test_upper_bounded_by_unrestricted_best(self, rng):
         uu = make_uu(rng, m=2, n=2)
         menu = rcl.Menu(random_contracts(rng, uu, 5))
         cap = max(rcl.contract_values(uu, menu.contracts))
-        for t in uu.base.types:
-            assert rcl.principal_menu_value(uu, t, menu) <= cap + 1e-15
+        _, _, favoured = rcl.menu_choices(uu, menu)
+        assert np.all(favoured <= cap + 1e-15)
 
 
 class TestSolveMenu:
@@ -128,9 +136,7 @@ class TestSolveMenu:
         candidates = np.array([uu.c_hi])
         menu, value = rcl.solve_menu(candidates, uu)
         assert menu.size == 1
-        per_type = np.array([
-            rcl.principal_menu_value(uu, t, menu) for t in uu.base.types
-        ])
+        _, _, per_type = rcl.menu_choices(uu, menu)
         expected, _ = uu.base.beliefs.robust_value(per_type)
         assert value == expected
 
@@ -153,6 +159,12 @@ class TestSolveMenu:
         uu = make_uu(rng, m=2, n=2)
         with pytest.raises(ValidationError, match="bounds"):
             rcl.solve_menu(np.array([uu.c_hi + 1.0]), uu)
+
+    def test_nan_candidate_rejected(self, rng):
+        uu = make_uu(rng, m=2, n=2)
+        candidates = np.array([uu.c_hi, [np.nan, uu.c_hi[1]]])
+        with pytest.raises(ValidationError, match="bounds"):
+            rcl.solve_menu(candidates, uu)
 
     def test_no_ir_subset_raises(self):
         uu = two_atom_uu([(1.2, 0.8)], reservation=[0.9])
@@ -198,6 +210,53 @@ class TestExtractMechanism:
             assert extracted_value == value
 
 
+def knife_edge_case(rng):
+    """Two 8-atom contracts on the edge of type 0's tie window.
+
+    c2 = c1 - 1e-9 v with w0 @ v = 1 and w1 @ v = 5: type 0 loses exactly
+    the tie tolerance on c2 and type 1 five times that, below a reservation
+    that only c1 clears. c2 is then nudged by ulps until a matrix product
+    W @ C.T and the per-type products C @ w0 disagree on whether it lies in
+    type 0's window (the unnudged pair if they never do).
+    """
+    uu = make_uu(rng, m=8, n=2)
+    w = uu.base.type_weights()
+    v = np.linalg.solve(w @ w.T, np.array([1.0, 5.0])) @ w
+    c1 = 0.5 * (uu.c_lo + uu.c_hi) + 0.05 * (uu.c_hi - uu.c_lo) * rng.uniform(-1, 1, 8)
+    c2 = c1 - 1e-9 * v
+    uu.base.reservation = np.array([-10.0, w[1] @ c1 - 1e-10])
+    for i, direction in itertools.product(range(8), (np.inf, -np.inf)):
+        c = c2.copy()
+        for _ in range(64):
+            pair = np.stack([c1, c])
+            by_matrix = (w @ pair.T)[0]
+            by_type = pair @ w[0]
+            if ((by_matrix[1] >= by_matrix.max() - 1e-9)
+                    != (by_type[1] >= by_type.max() - 1e-9)):
+                return uu, pair
+            c[i] = np.nextafter(c[i], direction)
+    return uu, np.stack([c1, c2])
+
+
+class TestKnifeEdgeRounding:
+    def test_menu_value_extraction_and_sets_agree(self):
+        # the menu optimum, the mechanism extracted from it and the reported
+        # optimal sets read one level matrix, so they agree to the last bit
+        # even where two ways of rounding the levels put c2 on either side
+        # of the tie window (draws 8 and 10 of this seed did so)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            uu, candidates = knife_edge_case(rng)
+            menu, value = rcl.solve_menu(candidates, uu)
+            mech = rcl.extract_mechanism(menu, uu)
+            assert rcl.principal_value(uu, mech)[0] == value
+            report = rcl.equivalence_check(candidates, uu)
+            assert report.witness_menu == menu.contracts.tolist()
+            for j, t in enumerate(uu.base.types):
+                g = [row.tolist() for row in menu.contracts].index(mech.assignment[j].tolist())
+                assert g in report.agent_optimal_sets[t.label]
+
+
 class TestEquivalence:
     def test_single_type_reduces_to_best_ir_candidate(self, rng):
         uu = make_uu(rng, m=2, n=1)
@@ -239,6 +298,12 @@ class TestEquivalence:
             relaxed_per_type.append(values[ok].max())
         relaxed, _ = uu.base.beliefs.robust_value(np.array(relaxed_per_type))
         assert relaxed > report.mechanism_value + 0.05
+
+    def test_nan_candidate_rejected(self, rng):
+        uu = make_uu(rng, m=2, n=2)
+        candidates = np.array([uu.c_hi, [uu.c_lo[0], np.nan]])
+        with pytest.raises(RclError, match="bounds"):
+            rcl.equivalence_check(candidates, uu)
 
     def test_report_serializes(self, rng):
         uu = make_uu(rng, m=2, n=2)

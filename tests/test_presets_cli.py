@@ -251,3 +251,25 @@ class TestCli:
                           "--beta", "0.25,0.5", "--alpha", "2.0"])
         assert cfg.beta == (0.25, 0.5)
         assert cfg.alpha == 2.0
+
+    @pytest.mark.parametrize("argv", [
+        ["market", "--preset", "cara_hedging", "--beta", "abc"],
+        ["oracle", "--preset", "reinsurance_halfline", "--levels", "abc"],
+        ["market", "--preset", "cara_hedging", "--alpha", "x"],
+    ], ids=["beta", "levels", "alpha"])
+    def test_bad_flag_is_input_error(self, tmp_path, capsys, argv):
+        # exit 2 means non-convergence, so a usage error must not use it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "error: argument" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_help_exits_zero(self, capsys):
+        from rcl.cli import parse_args
+
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--help"])
+        assert exc.value.code == 0
+        assert "usage: rcl" in capsys.readouterr().out

@@ -1,0 +1,25 @@
+"""The experiment scripts run end to end and hold their bounds on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_equivalence_sweep.py", ["--instances", "3"]),
+    ("run_market_closed_forms.py", ["--drifts", "3"]),
+    ("run_solver_vs_oracle.py", ["--instances", "2", "--levels", "3", "--max-iters", "300"]),
+], ids=["equivalence_sweep", "market_closed_forms", "solver_vs_oracle"])
+def test_script_exits_zero(script, args):
+    # each script exits non-zero when its bound is broken
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

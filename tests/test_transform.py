@@ -87,6 +87,13 @@ class TestFromUtilityUnits:
         with pytest.raises(RangeError):
             rcl.from_utility_units(uu, uu.c_lo - 1e-6)
 
+    def test_nan_level_raises(self):
+        inst = simple_instance(rcl.log_utility(), e_a=[1.0, 1.0], e_p=[3.0, 3.0],
+                               lo=[0.0, 0.0], hi=[2.0, 2.0])
+        uu = rcl.to_utility_units(inst)
+        with pytest.raises(RangeError):
+            rcl.from_utility_units(uu, np.array([np.nan, uu.c_hi[1]]))
+
     def test_roundtrip_identity(self, rng):
         for _ in range(25):
             inst = make_instance(rng, m=3, n=2)
