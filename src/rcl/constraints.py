@@ -113,6 +113,13 @@ class FeasibilityReport:
         }
 
 
+def _worst_violation(slacks: np.ndarray) -> float:
+    """The largest max(0, -s); a NaN slack is a NaN violation, never 0."""
+    if np.isnan(slacks).any():
+        return float("nan")
+    return max((max(0.0, -s) for s in slacks.tolist()), default=0.0)
+
+
 def check_mechanism(
     system: LinearConstraintSystem, mech: Mechanism, tol: float = DEFAULT_TOL
 ) -> FeasibilityReport:
@@ -124,13 +131,13 @@ def check_mechanism(
             f"mechanism shape {mech.assignment.shape} does not match "
             f"({system.n_types}, {system.n_atoms})"
         )
-    ic, ir = (s.tolist() for s in system.slacks(mech))
+    ic, ir = system.slacks(mech)
     row_slacks = (
-        [{"row": f"IC({j},{k})", "slack": s} for (j, k), s in zip(system.ic_pairs(), ic)]
-        + [{"row": f"IR({j})", "slack": s} for j, s in enumerate(ir)]
+        [{"row": f"IC({j},{k})", "slack": s}
+         for (j, k), s in zip(system.ic_pairs(), ic.tolist())]
+        + [{"row": f"IR({j})", "slack": s} for j, s in enumerate(ir.tolist())]
     )
-    max_ic = max((max(0.0, -s) for s in ic), default=0.0)
-    max_ir = max((max(0.0, -s) for s in ir), default=0.0)
+    max_ic, max_ir = _worst_violation(ic), _worst_violation(ir)
     return FeasibilityReport(
         feasible=bool(max_ic <= tol and max_ir <= tol),
         max_ic_violation=max_ic,

@@ -4,14 +4,17 @@ A menu is a finite set of utility-level contracts the agent picks from. The
 agent of a given type attains the best expected level in the menu; among his
 optimal contracts the principal's value is evaluated optimistically (that is
 the definition of her indirect utility over menus, not a heuristic). Menu
-optimization enumerates candidate subsets exactly, and `equivalence_check`
-certifies numerically that optimizing over menus and optimizing over direct
-incentive-compatible mechanisms give the same value on the same candidates.
+optimization is exact: some optimal menu has at most 2·n_types contracts
+(see `solve_menu`), so it enumerates every candidate subset of at most that
+size. `equivalence_check` certifies numerically that optimizing over menus
+and optimizing over direct incentive-compatible mechanisms give the same
+value on the same candidates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ from .solver import contract_values, enumerate_best_assignment
 from .transform import UtilityUnitsInstance
 
 DEFAULT_TIE_TOL = 1e-9
-MENU_CANDIDATE_CAP = 16
+MENU_SUBSET_CAP = 2**16 - 1   # every subset of 16 candidates
 EQUIVALENCE_TOL = 1e-9
 IR_TOL = 1e-9
 DEDUP_TOL = 1e-12
@@ -86,12 +89,27 @@ def solve_menu(
     subsets resolve to the smallest cardinality, then to the
     lexicographically smallest candidate indices, and reports are
     reproducible.
+
+    Only subsets of at most 2·n_types contracts are walked, and this loses
+    nothing. In an individually rational menu S let a_j be a contract with
+    type j's best level and g_j the one its favoured value comes from (in
+    its tie window). In S' = {a_j} ∪ {g_j} every type keeps its best level,
+    so its tie window is its window in S cut down to S' and still holds
+    g_j: the favoured values, IR and the robust value are bitwise those of
+    S. So the smallest, lexicographically first optimal subset has at most
+    2·n_types members. n_types is not enough: with the DEFAULT_TIE_TOL
+    window, a type may need a strictly best contract that clears its
+    reservation and a second one just inside its window that the principal
+    prefers.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_cand = candidates.shape[0]
-    if n_cand > MENU_CANDIDATE_CAP:
+    max_size = min(n_cand, 2 * uu.n_types)
+    n_subsets = sum(math.comb(n_cand, k) for k in range(1, max_size + 1))
+    if n_subsets > MENU_SUBSET_CAP:
         raise SizeCapError(
-            f"{n_cand} candidates exceed the menu cap {MENU_CANDIDATE_CAP}"
+            f"{n_subsets} subsets of at most {max_size} of {n_cand} candidates "
+            f"exceed the menu cap {MENU_SUBSET_CAP}"
         )
     if not uu.contains(candidates):
         raise ValidationError(["candidate contracts leave the transformed bounds"])
@@ -101,7 +119,7 @@ def solve_menu(
 
     best_val = -np.inf
     best_members: list[int] | None = None
-    for size in range(1, n_cand + 1):
+    for size in range(1, max_size + 1):
         for members in map(list, itertools.combinations(range(n_cand), size)):
             best, _, favoured = _choices(levels[:, members], values[members])
             if np.any(best < floor):

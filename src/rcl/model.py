@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DimensionError, DomainError, ValidationError
 
@@ -166,6 +164,10 @@ class UtilitySpec:
             return out
         if self.grid[0] < 0:
             self.domain = WHOLE_LINE
+        # scipy.interpolate is most of the package's import time, and only
+        # tabulated utilities need it
+        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
         if self.derivs is not None:
             self._fwd = CubicHermiteSpline(self.grid, self.values, self.derivs)
         else:
@@ -245,6 +247,8 @@ class UtilitySpec:
         return float(out) if np.ndim(y) == 0 else out
 
     def _inverse_tabulated(self, yy: np.ndarray) -> np.ndarray:
+        from scipy.optimize import brentq
+
         v_lo, v_hi = self.values[0], self.values[-1]
         pad = 1e-9 * max(v_hi - v_lo, 1.0)
         if np.any(yy < v_lo - pad) or np.any(yy > v_hi + pad):

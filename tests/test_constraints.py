@@ -137,6 +137,22 @@ class TestCheckMechanism:
         assert report.max_ir_violation == pytest.approx(0.5)
         assert report.max_ic_violation == 0.0
 
+    def test_nan_mechanism_is_infeasible(self):
+        # max(0.0, -nan) is 0.0: a NaN slack must not read as satisfied
+        uu = rcl.to_utility_units(rcl.build_preset("reinsurance_halfline"))
+        system = rcl.build_system(uu)
+        report = rcl.check_mechanism(
+            system, rcl.Mechanism(np.full((uu.n_types, uu.n_atoms), np.nan)))
+        assert not report.feasible
+        assert not report.max_ic_violation <= 0.0
+        assert not report.max_ir_violation <= 0.0
+        # a NaN in the last row only, among finite slacks
+        assignment = np.tile(uu.c_hi, (uu.n_types, 1))
+        assignment[-1, 0] = np.nan
+        report = rcl.check_mechanism(system, rcl.Mechanism(assignment))
+        assert not report.feasible
+        assert not report.max_ir_violation <= 0.0
+
     def test_dimension_mismatch(self, rng):
         uu = make_uu(rng, n=2, m=2)
         system = rcl.build_system(uu)

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcl
 from rcl.errors import PreconditionError, RclError, SizeCapError, ValidationError
-from rcl.menu import mechanism_menu_value
+from rcl.menu import IR_TOL, mechanism_menu_value
 
 from conftest import make_uu, random_contracts
 
@@ -151,9 +153,18 @@ class TestSolveMenu:
         np.testing.assert_array_equal(menu.contracts, menu_only.contracts)
 
     def test_candidate_cap(self, rng):
+        # the cap counts the subsets walked: sizes 1..4 of 40 at two types
         uu = make_uu(rng, m=2, n=2)
-        with pytest.raises(SizeCapError):
-            rcl.solve_menu(random_contracts(rng, uu, 17), uu)
+        with pytest.raises(SizeCapError, match="102090"):
+            rcl.solve_menu(random_contracts(rng, uu, 40), uu)
+
+    def test_seventeen_candidates_solve(self, rng):
+        # 3,213 subsets of at most 4 contracts, inside the cap
+        uu = make_uu(rng, m=2, n=2)
+        candidates = random_contracts(rng, uu, 17)
+        candidates[0] = uu.c_hi
+        menu, _ = rcl.solve_menu(candidates, uu)
+        assert 1 <= menu.size <= 4
 
     def test_out_of_bounds_candidates_rejected(self, rng):
         uu = make_uu(rng, m=2, n=2)
@@ -170,6 +181,90 @@ class TestSolveMenu:
         uu = two_atom_uu([(1.2, 0.8)], reservation=[0.9])
         with pytest.raises(ValidationError, match="individually rational"):
             rcl.solve_menu(np.array([[0.0, 0.0], [0.2, 0.2]]), uu)
+
+
+def full_walk(candidates, uu):
+    """Reference optimum: every non-empty subset, by size and then
+    lexicographically, scored through `menu_choices`; a strictly better
+    value replaces the incumbent. (None, -inf) when no subset is IR."""
+    floor = uu.reservation - IR_TOL
+    best_members, best_value = None, -np.inf
+    for size in range(1, len(candidates) + 1):
+        for members in map(list, itertools.combinations(range(len(candidates)), size)):
+            level, _, favoured = rcl.menu_choices(uu, rcl.Menu(candidates[members]))
+            if np.any(level < floor):
+                continue
+            value, _ = uu.base.beliefs.robust_value(favoured)
+            if value > best_value:
+                best_members, best_value = members, value
+    return best_members, best_value
+
+
+def near_tie_case(seed, family, n, count):
+    """Random candidates, some of them copies of an earlier one moved along a
+    type's level direction by up to 1.5e-9 in level. For half the copies
+    that type's reservation is set up to the tie window above the higher of
+    the two levels, where an optimal menu may need both. The copied
+    contract is often the principal's favourite so far, so the pair is
+    likely to be picked."""
+    rng = np.random.default_rng(seed)
+    uu = make_uu(rng, m=int(rng.integers(1, 4)), n=n, family=family,
+                 n_priors=int(rng.integers(1, 4)), random_penalties=True)
+    w = uu.base.type_weights()
+    candidates = random_contracts(rng, uu, count)
+    candidates[0] = uu.c_hi
+    values = rcl.contract_values(uu, candidates)
+    reservation = uu.reservation.copy()
+    for g in range(2, count):
+        if rng.random() < 0.4:
+            j = rng.integers(n)
+            src = 1 + int(np.argmax(values[1:g])) if rng.random() < 0.5 else rng.integers(1, g)
+            candidates[g] = candidates[src] + rng.uniform(-1.5e-9, 1.5e-9) * w[j] / (w[j] @ w[j])
+            if rng.random() < 0.5:
+                top = max(w[j] @ candidates[src], w[j] @ candidates[g])
+                reservation[j] = top + rng.uniform(0.0, 1e-9)
+    uu.base.reservation = reservation
+    return uu, candidates
+
+
+class TestPrunedWalk:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["log", "crra", "cara", "linear"]),
+        n=st.integers(1, 4),
+        count=st.integers(1, 12),
+    )
+    def test_matches_full_walk(self, seed, family, n, count):
+        # walking only subsets of at most 2 n contracts finds the full
+        # walk's menu and its value to the last bit
+        uu, candidates = near_tie_case(seed, family, n, count)
+        members, value = full_walk(candidates, uu)
+        if members is None:
+            with pytest.raises(ValidationError, match="individually rational"):
+                rcl.solve_menu(candidates, uu)
+            return
+        menu, got = rcl.solve_menu(candidates, uu)
+        assert got == value
+        np.testing.assert_array_equal(menu.contracts, rcl.Menu(candidates[members]).contracts)
+
+    def test_one_type_needs_two_contracts(self):
+        # a = g + 0.5e-9 w / |w|^2 clears a reservation that g misses by
+        # 0.3e-9, and g sits in the tie window of a with a better value for
+        # the principal: only {a, g} attains the optimum, so a walk bounded
+        # at n_types contracts would miss it
+        uu = two_atom_uu([(1.2, 0.8)])
+        w = uu.base.type_weights()[0]
+        g = 0.5 * (uu.c_lo + uu.c_hi)
+        a = g + 0.5e-9 * w / (w @ w)
+        uu.base.reservation = np.array([w @ a + 0.8e-9])
+        candidates = np.stack([g, a])
+        menu, value = rcl.solve_menu(candidates, uu)
+        assert menu.size == 2
+        with pytest.raises(ValidationError, match="individually rational"):
+            rcl.solve_menu(candidates[:1], uu)
+        _, singleton = rcl.solve_menu(candidates[1:], uu)
+        assert value > singleton
 
 
 class TestExtractMechanism:
