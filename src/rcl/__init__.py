@@ -79,7 +79,6 @@ from .solver import (
 from .transform import (
     UtilityUnitsInstance,
     ae_check,
-    convex_conjugate,
     from_utility_units,
     to_utility_units,
 )

@@ -2,12 +2,15 @@
 
 Every command writes `result.json` into the output directory; the
 mechanism-producing commands also write `summary.csv` (one row per type and
-atom) and `solve` writes `trace.csv` with the iteration history. Outputs are
+atom). `solve` reports the certified `bound` and `gap` in `result.json` and
+writes `trace.csv` with one `iter,bound` row per dual iteration. Outputs are
 byte-identical for identical configuration and seed: floats are rendered via
 their shortest round-trip representation and JSON keys are sorted.
 
 Exit codes: 0 success, 1 invalid input (bad flags included) or caps
-exceeded, 2 honest non-convergence of the solver.
+exceeded, 2 the solve did not certify its mechanism: it is infeasible, or
+its gap is above `--tol` (for instance because `--max-iters` stopped the
+dual early).
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 
 def _write_trace(path: Path, trace):
-    _write_csv(path, ["iter", "value", "max_violation"],
-               [[t, v, r] for t, v, r in trace])
+    _write_csv(path, ["iter", "bound"], trace)
 
 
 def _write_summary(path: Path, uu, mech: Mechanism):
@@ -357,8 +359,10 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=42,
                         help="recorded in result.json; nothing is random")
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--tol", type=float)
+    parser.add_argument("--max-iters", type=int, dest="max_iters",
+                        help="cap on the solver's dual iterations")
+    parser.add_argument("--tol", type=float,
+                        help="feasibility and gap tolerance of solve")
     parser.add_argument("--levels", type=int, help="grid levels per atom")
     parser.add_argument(
         "--beta", type=_numbers,

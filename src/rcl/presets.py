@@ -7,7 +7,10 @@ indirect preferences: after optimal trading, both the CARA and the log
 agent rank transfer contracts by E_f[x], so the solver sees a linear agent
 utility with zero instance endowment and zero reservation, which reproduces
 exactly the linear participation and truth-telling characterization of the
-market applications.
+market applications. That makes `cara_hedging` and `log_delegation` build
+byte-identical solver instances: only the `market` command tells the two
+agents apart, and it reports the CARA and the log closed forms for either
+name.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
     )
 
 
-def _market_bundle(params: dict | None, name: str, agent_kind: str) -> PresetBundle:
+def _market_bundle(params: dict | None, name: str) -> PresetBundle:
     p = _merge_params(
         {"n_nodes": 12, "horizon": 1.0, "alpha": 1.0, "beta": 0.5,
          "slopes": (0.0, 0.35, -0.35), "support": 2.0, "e_a_level": 1.0,
@@ -215,7 +218,6 @@ def _market_bundle(params: dict | None, name: str, agent_kind: str) -> PresetBun
         reservation=np.zeros(n),
     )
     extras = {
-        "agent_kind": agent_kind,
         "alpha": float(p["alpha"]),
         "beta": float(p["beta"]),
         "market_e_a": np.full(m, float(p["e_a_level"])),
@@ -231,9 +233,9 @@ def build_preset_bundle(name: str, params: dict | None = None) -> PresetBundle:
     if name == "reinsurance_wholeline":
         return _reinsurance_wholeline(params)
     if name == "cara_hedging":
-        return _market_bundle(params, "cara_hedging", "cara")
+        return _market_bundle(params, "cara_hedging")
     if name == "log_delegation":
-        return _market_bundle(params, "log_delegation", "log")
+        return _market_bundle(params, "log_delegation")
     raise ValidationError(
         [f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"]
     )

@@ -1,14 +1,15 @@
-"""Robust mechanism optimization and its brute-force grid oracle.
+"""Certified robust mechanism optimization and its brute-force grid oracle.
 
 The principal's objective over mechanisms is concave (her utility is concave
 and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
-set is an exact minimum. The solver runs projected subgradient ascent with a
-diminishing step; feasibility after each step is restored by the exact
-nearest-point projection onto the box and the constraint rows, computed by a
-primal active-set method warm-started from the previous step's working set.
-The oracle enumerates grid-level assignments exhaustively and is kept free
-of any solver machinery so the two can check each other.
+set is an exact minimum. The solver minimizes the Lagrangian dual, whose
+every value bounds the optimum from above, turns the dual's inner maximizer
+into a mechanism by the exact nearest-point projection onto the box and the
+constraint rows (a primal active-set method), and reports the gap between
+the bound and that mechanism's value. The oracle enumerates grid-level
+assignments exhaustively and is kept free of any solver machinery so the
+two can check each other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .transform import UtilityUnitsInstance
 
 HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
+# bisection rounds of the dual's inner maximum: c* lands within 2^-35 of its
+# bound range, and the bound's error is quadratic in that distance; each
+# round evaluates u^-1, u' and v' once. The count also steers SLSQP's path:
+# at 45 the halfline preset already needs the primal step
+HALVINGS = 35
+PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
 
 
 @dataclass
@@ -54,10 +61,15 @@ class SolveResult:
     iterations: int
     feasibility: FeasibilityReport
     converged: bool
-    trace: list[tuple[int, float, float]] = field(default_factory=list)
+    bound: float | None = None
+    trace: list[tuple[int, float]] = field(default_factory=list)
+
+    @property
+    def gap(self) -> float | None:
+        return None if self.bound is None else self.bound - self.value
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "value": self.value,
             "worst_prior": self.worst_prior,
             "iterations": self.iterations,
@@ -65,6 +77,9 @@ class SolveResult:
             "feasibility": self.feasibility.to_json(),
             "mechanism": self.mechanism.to_json(),
         }
+        if self.bound is not None:
+            doc.update(bound=self.bound, gap=self.gap)
+        return doc
 
 
 def _rows_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -74,24 +89,19 @@ def _rows_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array([row @ weights for row in matrix])
 
 
-def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray):
-    """Agent wealth, principal wealth and principal value of each row of c.
-
-    The one evaluator behind the objective, its supergradient and the
-    oracle's per-contract values.
-    """
+def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
+    """Principal value of each row of c: the one evaluator behind the
+    objective, the dual bound and the oracle's per-contract values."""
     inst = uu.base
-    agent_wealth = inst.u.inverse(np.clip(c, uu.c_lo, uu.c_hi))
-    principal_wealth = inst.e_p + inst.e_a - agent_wealth
-    values = _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
-    return agent_wealth, principal_wealth, values
+    principal_wealth = inst.e_p + inst.e_a - inst.u.inverse(np.clip(c, uu.c_lo, uu.c_hi))
+    return _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
 
 
 def principal_type_values(uu: UtilityUnitsInstance, mech: Mechanism) -> np.ndarray:
     """Principal's expected utility per reported type, under her own belief."""
     if not uu.contains(mech.assignment, tol=1e-6):
         raise RangeError("mechanism leaves the transformed contract bounds")
-    return _evaluate(uu, mech.assignment)[2]
+    return _evaluate(uu, mech.assignment)
 
 
 def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, int]:
@@ -100,63 +110,79 @@ def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, i
     return uu.base.beliefs.robust_value(principal_type_values(uu, mech))
 
 
-def _subgradient(uu: UtilityUnitsInstance, c: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Objective value, active worst prior and an ascent subgradient at c.
-
-    At a kink (several priors attaining the minimum) the lowest-index active
-    prior's gradient is used, the standard choice for subgradient methods.
-    """
+def _marginal(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
+    """phi'(c) = -v'(e_p + e_a - u^-1(c)) / u'(u^-1(c)) entry by entry: the
+    principal's marginal value of agent utility at each atom. It falls in c
+    and may be -inf where her wealth reaches a singular point."""
     inst = uu.base
-    agent_wealth, principal_wealth, type_values = _evaluate(uu, c)
-    value, worst = inst.beliefs.robust_value(type_values)
-    kappa = inst.beliefs.priors[worst]
+    agent_wealth = inst.u.inverse(c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        marginal = -(inst.principal_weights() * inst.v.deriv(principal_wealth))
-        marginal = marginal / inst.u.deriv(agent_wealth)
-    marginal = np.where(np.isfinite(marginal), marginal, 0.0)
-    return value, worst, kappa[:, None] * marginal
+        slope = -inst.v.deriv(inst.e_p + inst.e_a - agent_wealth) / inst.u.deriv(agent_wealth)
+    return np.where(np.isnan(slope), 0.0, slope)
 
 
-def _active_set_projection(y, x, lo, hi, a, b, working, factors=None):
+def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The maximizer over the box of s_j w_i phi_i(c) + g_ji c, entry by entry.
+
+    The objective is concave in c, so its slope falls: an entry sits on the
+    lower face when the slope is <= 0 there, on the upper face when it is
+    >= 0 there, and otherwise at the sign change, found by HALVINGS rounds
+    of bisection over all entries at once (skipped when no entry is inside).
+    """
+    weight = s[:, None] * uu.base.principal_weights()
+
+    def slope(c):
+        with np.errstate(invalid="ignore"):
+            return g + np.where(weight > 0.0, weight * _marginal(uu, c), 0.0)
+
+    lo = np.broadcast_to(uu.c_lo, g.shape)
+    hi = np.broadcast_to(uu.c_hi, g.shape)
+    at_lo = slope(lo) <= 0.0
+    inside = ~at_lo & (slope(hi) < 0.0)
+    c = np.where(at_lo, lo, hi)
+    if inside.any():
+        left, right = lo, hi
+        for _ in range(HALVINGS):
+            mid = 0.5 * (left + right)
+            up = slope(mid) > 0.0
+            left, right = np.where(up, mid, left), np.where(up, right, mid)
+        c = np.where(inside, 0.5 * (left + right), c)
+    return c
+
+
+def _active_set_projection(y, x, lo, hi, a, b):
     """Exact nearest point to y in {a x >= b, lo <= x <= hi}.
 
     Standard primal active-set method for the least-distance problem
     (Nocedal & Wright, Numerical Optimization, ch. 16), started from a
-    feasible x that lies on every constraint of `working`, a mask over the
-    rows, then the lower box faces, then the upper ones. A working box face
-    fixes its coordinate, so each pivot projects onto the working rows over
-    the free coordinates only, through a QR factorization of those rows.
-    The step toward that equality projection is cut at the first blocking
-    constraint whose normal is independent of the working set, and the
-    blocker joins it; once the step is taken in full, the constraint with
-    the most negative multiplier leaves it. The pivot cap bounds degenerate
-    cycling; the caller checks feasibility.
-
-    Returns the point, the final working set and its `factors` (the QR
-    factors and index arrays, which depend only on the working set, lo, hi
-    and a). Passing both to the next projection over the same box and rows
-    warm-starts it.
+    feasible x with an empty working set over the rows, the lower box faces
+    and the upper ones. A working box face fixes its coordinate, so each
+    pivot projects onto the working rows over the free coordinates only,
+    through a QR factorization of those rows. The step toward that equality
+    projection is cut at the first blocking constraint whose normal is
+    independent of the working set, and the blocker joins it; once the step
+    is taken in full, the constraint with the most negative multiplier
+    leaves it. The pivot cap bounds degenerate cycling; the caller checks
+    feasibility.
     """
     n_rows, dim = b.size, y.size
-    working = working.copy()
+    working = np.zeros(n_rows + 2 * dim, dtype=bool)
     at_lo = working[n_rows:n_rows + dim]  # views: pinning updates `working`
     at_hi = working[n_rows + dim:]
     rhs = np.concatenate([b, lo, -hi])
     scale = max(1.0, float(np.abs(y).max()))
     for _ in range(10 * working.size + 100):
-        if factors is None:
-            free = ~(at_lo | at_hi)
-            w = working[:n_rows].nonzero()[0]
-            a_w = a[w]
-            # orthonormal basis of the working rows over the free coordinates:
-            # (a_w * free)^T = q r, so the Gram matrix is r^T r
-            q, r = np.linalg.qr((a_w * free).T)
-            try:
-                r_inv = np.linalg.inv(r)
-            except np.linalg.LinAlgError:
-                r_inv = np.linalg.pinv(r)
-            factors = free, np.where(at_lo, lo, hi), w, a_w, q, r_inv
-        free, pinned, w, a_w, q, r_inv = factors
+        free = ~(at_lo | at_hi)
+        pinned = np.where(at_lo, lo, hi)
+        w = working[:n_rows].nonzero()[0]
+        a_w = a[w]
+        # orthonormal basis of the working rows over the free coordinates:
+        # (a_w * free)^T = q r, so the Gram matrix is r^T r
+        q, r = np.linalg.qr((a_w * free).T)
+        try:
+            r_inv = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            r_inv = np.linalg.pinv(r)
         lam = r_inv @ (r_inv.T @ (b[w] - a_w @ np.where(free, y, pinned)))
         pull = y + lam @ a_w
         x_target = np.where(free, pull, pinned)
@@ -183,7 +209,6 @@ def _active_set_projection(y, x, lo, hi, a, b, working, factors=None):
                 k = (blocker - n_rows) % dim
                 x[k] = lo[k] if blocker < n_rows + dim else hi[k]
             working[blocker] = True
-            factors = None
             continue
         # the full step reaches the equality projection, so its multipliers
         # decide optimality: lam on the rows and, on a pinned coordinate,
@@ -196,8 +221,7 @@ def _active_set_projection(y, x, lo, hi, a, b, working, factors=None):
         if mult[drop] >= -1e-11:
             break
         working[drop] = False
-        factors = None
-    return x, working, factors
+    return x
 
 
 def _independent(index, free, a, q):
@@ -219,102 +243,121 @@ def _residual(x, lo, hi, a, b):
                float((x - hi).max()))
 
 
-def solve_mechanism(
-    uu: UtilityUnitsInstance,
-    opts: SolveOptions | None = None,
-    seed_mechanism: Mechanism | None = None,
-) -> SolveResult:
-    """Maximize the robust objective over feasible mechanisms.
+def _primal_step(uu, x, value, a, b):
+    """The epigraph form max t s.t. t <= kappa_k V(c) + pen_k, a c >= b and
+    the box, by at most PRIMAL_ITERS SLSQP iterations from the feasible
+    point x of robust value `value`. It recovers the mechanism where c*
+    alone does not: on linear-linear instances, whose dual is piecewise
+    linear, and where a prior weight near zero makes a type's c* bang-bang."""
+    from scipy.optimize import minimize
 
-    Starts from the pooling mechanism at the upper contract bound (always
-    feasible for a validated instance) or from `seed_mechanism`; the returned
-    value never falls below the value of a feasible seed. Step t moves
-    0.1 * (largest bound range) / sqrt(t) along the normalized supergradient
-    and is restored to feasibility by the exact active-set projection,
-    warm-started from the previous projection's point and working set. A
-    projection whose point misses `opts.tol` on the true rows (the polytope
-    is empty, or the pivot cap stopped the projection short) is surfaced as
-    converged=False rather than silently returning an infeasible point. The
-    result's `trace` holds (iteration, value, worst row violation) for every
-    iteration. A solve is single-threaded and fully deterministic; separate
-    solves share no mutable state and can run in parallel.
+    n, m = uu.n_types, uu.n_atoms
+    priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
+    weights = uu.base.principal_weights()
+
+    def epigraph_jac(z):
+        marginal = _marginal(uu, z[:-1].reshape(n, m))
+        grad = weights * np.where(np.isfinite(marginal), marginal, 0.0)
+        jac = (priors[:, :, None] * grad).reshape(len(priors), n * m)
+        return np.hstack([jac, -np.ones((len(priors), 1))])
+
+    rows = np.hstack([a, np.zeros((b.size, 1))])
+    descent = np.r_[np.zeros(x.size), -1.0]
+    res = minimize(
+        lambda z: -z[-1], np.append(x, value), jac=lambda z: descent,
+        method="SLSQP",
+        bounds=list(zip(np.tile(uu.c_lo, n), np.tile(uu.c_hi, n))) + [(None, None)],
+        constraints=[
+            {"type": "ineq", "jac": epigraph_jac,
+             "fun": lambda z: priors @ _evaluate(uu, z[:-1].reshape(n, m)) + penalties - z[-1]},
+            {"type": "ineq", "fun": lambda z: rows @ z - b, "jac": lambda z: rows},
+        ],
+        options={"maxiter": PRIMAL_ITERS, "ftol": 1e-15},
+    )
+    return res.x[:-1]
+
+
+def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) -> SolveResult:
+    """Maximize the robust objective over feasible mechanisms, with a
+    certified bound.
+
+    Weak duality (Boyd & Vandenberghe, Convex Optimization, ch. 5) bounds
+    the optimum by D(lam, mu) = lam.pen - mu.b + sum_ji max_c [s_j w_i
+    phi_i(c) + (A^T mu)_ji c] for every prior mixture lam and row prices
+    mu >= 0, where s = lam^T kappa and phi_i(c) = v(e_p,i + e_a,i - u^-1(c)).
+    SLSQP minimizes D for at most `opts.max_iters` iterations, with the
+    gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
+    (`_inner_max`). The mechanism is the exact projection of c* onto the
+    constraints, started at the pooling point at the upper contract bound;
+    only while the bound exceeds its value by more than `opts.tol` does
+    `_primal_step` run, and its projected point replaces that mechanism
+    if it is worth more. `converged` means the mechanism is feasible
+    within `opts.tol` and `gap` = bound - value is at most `opts.tol`; the
+    `trace` holds (iteration, bound) per dual iteration. A solve is
+    single-threaded and deterministic.
     """
+    # imported here: scipy.optimize would triple the package's import time
+    from scipy.optimize import minimize
+
     opts = opts or SolveOptions()
     system = build_system(uu)
     a, b = system.matrix_form()
     n, m = system.n_types, system.n_atoms
-    lo = np.tile(uu.c_lo, n)
-    hi = np.tile(uu.c_hi, n)
-    span = float(np.max(uu.c_hi - uu.c_lo))
-    step0 = 0.1 * max(span, 1e-12)
+    lo, hi = np.tile(uu.c_lo, n), np.tile(uu.c_hi, n)
+    priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
+    k = priors.shape[0]
 
-    def as_mech(flat):
-        return Mechanism(flat.reshape(n, m).copy())
-
-    def project(y, start, working, factors):
-        # rows are relaxed to the feasible start's sub-tolerance deficits so
-        # the start is exactly feasible; the result is checked on the true rows
-        start = np.minimum(np.maximum(start, lo), hi)
-        x, working, factors = _active_set_projection(
-            y, start, lo, hi, a, np.minimum(b, a @ start), working, factors
-        )
-        return x, working, factors, _residual(x, lo, hi, a, b) <= opts.tol
-
-    def failed(x, iterations):
-        mech = as_mech(best_x if best_x is not None else np.clip(x, lo, hi))
+    def result(x, bound, trace):
+        mech = Mechanism(x.reshape(n, m).copy())
         report = check_mechanism(system, mech, opts.tol)
         value, worst = principal_value(uu, mech)
-        return SolveResult(mech, value, worst, iterations, report, converged=False,
-                           trace=trace)
+        converged = bool(report.feasible and bound - value <= opts.tol)
+        return SolveResult(mech, value, worst, len(trace), report, converged,
+                           bound=bound, trace=trace)
 
-    best_x = None
-    best_val = -np.inf
-    if seed_mechanism is not None:
-        seed_flat = seed_mechanism.assignment.ravel()
-        if uu.contains(seed_mechanism.assignment) and check_mechanism(
-            system, seed_mechanism, opts.tol
-        ).feasible:
-            best_x = np.clip(seed_flat, lo, hi)
-            best_val = _subgradient(uu, best_x.reshape(n, m))[0]
-        x0 = seed_flat
-    else:
-        x0 = hi
-    # pooling at the top is feasible for any validated instance (truth-telling
-    # slack is exactly zero, participation clears by validation); the first
-    # projection starts there with an empty working set
-    working = np.zeros(b.size + 2 * hi.size, dtype=bool)
-    x, working, factors, ok = project(x0, hi, working, None)
-    trace: list[tuple[int, float, float]] = []
-    if not ok:
-        return failed(x, 0)
+    if _residual(hi, lo, hi, a, b) > opts.tol:
+        # pooling at the top gives every type its best level and zero IC
+        # slack, so a participation row it misses no mechanism meets
+        return result(hi, -float("inf"), [])
 
-    val, _, grad = _subgradient(uu, x.reshape(n, m))
-    if val > best_val:
-        best_val, best_x = val, x.copy()
+    def project(y):
+        # rows are relaxed to the start's sub-tolerance deficits, so the
+        # start is exactly feasible
+        return _active_set_projection(y, hi, lo, hi, a, np.minimum(b, a @ hi))
 
-    iterations = 0
-    for t in range(1, opts.max_iters + 1):
-        iterations = t
-        flat_grad = grad.ravel()
-        gnorm = float(np.linalg.norm(flat_grad))
-        if gnorm < 1e-15:
-            break  # flat objective: the current feasible point is optimal
-        x_trial = x + (step0 / np.sqrt(t)) * flat_grad / gnorm
-        x, working, factors, ok = project(x_trial, x, working, factors)
-        if not ok:
-            return failed(x, t)
-        val, _, grad = _subgradient(uu, x.reshape(n, m))
-        if val > best_val:
-            best_val, best_x = val, x.copy()
-        residual = float(np.max(b - a @ x, initial=0.0)) if b.size else 0.0
-        trace.append((t, val, max(residual, 0.0)))
+    def dual(z):
+        lam = np.maximum(z[:k], 0.0)
+        lam, mu = lam / lam.sum(), np.maximum(z[k:], 0.0)
+        s, g = lam @ priors, (mu @ a).reshape(n, m)
+        c = _inner_max(uu, s, g)
+        values = _evaluate(uu, c)
+        bound = float(lam @ penalties - mu @ b + s @ values + np.sum(g * c))
+        last.update(z=z.copy(), bound=bound, c=c.ravel())
+        return bound, np.concatenate([penalties + priors @ values, a @ c.ravel() - b])
 
-    mech = as_mech(best_x)
-    report = check_mechanism(system, mech, opts.tol)
-    value, worst = principal_value(uu, mech)
-    return SolveResult(
-        mech, value, worst, iterations, report, converged=report.feasible, trace=trace
+    def at(z):
+        if not np.array_equal(z, last.get("z")):
+            dual(z)
+        return last
+
+    last: dict = {}
+    trace: list[tuple[int, float]] = []
+    res = minimize(
+        dual, np.concatenate([np.full(k, 1.0 / k), np.zeros(b.size)]), jac=True,
+        method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b.size,
+        constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
+                      "jac": lambda z: np.r_[np.ones(k), np.zeros(b.size)]}],
+        callback=lambda z: trace.append((len(trace) + 1, at(z)["bound"])),
+        options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )
+    final = at(res.x)
+    bound, x = final["bound"], project(final["c"])
+    value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
+    if bound - value > opts.tol:
+        polished = project(_primal_step(uu, x, value, a, b))
+        if principal_value(uu, Mechanism(polished.reshape(n, m)))[0] > value:
+            x = polished
+    return result(x, bound, trace)
 
 
 def grid_contracts(uu: UtilityUnitsInstance, levels_per_atom: int) -> np.ndarray:
@@ -334,7 +377,7 @@ def grid_contracts(uu: UtilityUnitsInstance, levels_per_atom: int) -> np.ndarray
 
 def contract_values(uu: UtilityUnitsInstance, contracts: np.ndarray) -> np.ndarray:
     """Principal's expected utility of each contract (same for every type)."""
-    return _evaluate(uu, contracts)[2]
+    return _evaluate(uu, contracts)
 
 
 def enumerate_best_assignment(
@@ -394,7 +437,7 @@ def enumerate_best_assignment(
 def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> SolveResult:
     """Exact robust optimum over the grid of per-atom contract levels.
 
-    Independent of the subgradient solver: plain enumeration filtered by the
+    Independent of the dual solver: plain enumeration filtered by the
     constraint rows. The assignment count levels^(atoms*types) must stay
     within HARD_ASSIGNMENT_CAP, checked before the grid is built; the error
     carries the computed count.

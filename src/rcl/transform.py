@@ -3,24 +3,18 @@
 Replacing a transfer x by the utility level c = u(e_a + x) turns the agent's
 expected utility into the bilinear form sum_i q_i d_i c_i, which makes the
 participation and truth-telling constraints linear. This module holds the
-forward and inverse transform, the asymptotic-elasticity tail check and the
-convex conjugate of the agent utility.
+forward and inverse transform and the asymptotic-elasticity tail check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InconclusiveError, RangeError
+from .errors import InconclusiveError, RangeError
 from .model import (
-    CARA,
-    CRRA,
     HALF_LINE,
-    LINEAR,
-    LOG,
     WEALTH_FLOOR,
     Instance,
     StateSpace,
@@ -144,56 +138,3 @@ def ae_check(u: UtilitySpec) -> AeReport:
         z_hi=float(z[-1]),
         margin=AE_MARGIN,
     )
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    span = max(hi - lo, 1.0)
-    while b - a > tol * span:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def convex_conjugate(u: UtilitySpec, y: float) -> float:
-    """sup_z { u(z) - z*y }, in closed form where available.
-
-    Closed forms cover crra, log, cara and linear; tabulated utilities are
-    maximized by golden-section search over their grid range, with a warning
-    when the supremum sits on the boundary of the table.
-    """
-    if y <= 0.0:
-        raise DomainError("conjugate is infinite for y <= 0")
-    if u.family == LOG:
-        return -np.log(y) - 1.0
-    if u.family == CRRA:
-        g = u.gamma
-        return (1.0 - g) / g * y ** (-g / (1.0 - g))
-    if u.family == CARA:
-        z_star = -np.log(y / u.alpha) / u.alpha
-        if u.domain == HALF_LINE and z_star < 0.0:
-            z_star = 0.0
-        return float(u.value(z_star) - z_star * y)
-    if u.family == LINEAR:
-        if u.domain == HALF_LINE:
-            return 0.0 if y >= 1.0 else float("inf")
-        return 0.0 if y == 1.0 else float("inf")
-    lo, hi = float(u.grid[0]), float(u.grid[-1])
-    z_star = _golden_max(lambda z: float(u.value(z)) - z * y, lo, hi)
-    if z_star > hi - 1e-6 * (hi - lo) or z_star < lo + 1e-6 * (hi - lo):
-        warnings.warn(
-            "conjugate supremum lies on the boundary of the tabulated range",
-            stacklevel=2,
-        )
-    return float(u.value(z_star)) - z_star * y

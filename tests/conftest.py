@@ -7,6 +7,12 @@ import pytest
 
 import rcl
 
+V_FAMILIES = {
+    "cara_half": lambda: rcl.cara(1.0, "half-line"),
+    "cara_whole": lambda: rcl.cara(1.0, "whole-line"),
+    "linear": rcl.linear,
+}
+
 
 def make_instance(
     rng: np.random.Generator,
@@ -17,11 +23,14 @@ def make_instance(
     random_penalties: bool = False,
     reservation=None,
     bound_shrink: float = 0.8,
+    v_family: str = "cara_half",
 ) -> rcl.Instance:
     """A random well-posed instance with strictly interior wealth everywhere.
 
     Bounds are shrunk below the no-short-sale limits so no wealth floor is
-    needed and both utilities stay comfortably inside their domains.
+    needed and both utilities stay comfortably inside their domains. The
+    principal's utility is CARA on the half line (`cara_half`, the default),
+    CARA on the whole line (`cara_whole`) or `linear`; none draws from rng.
     """
     q = rng.dirichlet(np.full(m, 5.0))
     states = rcl.StateSpace(ref_prob=q)
@@ -51,7 +60,7 @@ def make_instance(
         e_a=e_a,
         e_p=e_p,
         u=u,
-        v=rcl.cara(1.0, "half-line"),
+        v=V_FAMILIES[v_family](),
         contract_lo=-bound_shrink * e_a,
         contract_hi=bound_shrink * e_p,
         reservation=reservation,

@@ -89,14 +89,18 @@ class TestCli:
         assert rcl.check_mechanism(system, mech).feasible
 
     def test_trace_schema(self, tmp_path):
+        # one iter,bound row per dual iteration; result.json certifies the gap
         out = tmp_path / "run"
-        run(RunConfig(command="solve", preset="reinsurance_halfline",
-                      out=str(out), max_iters=50))
+        assert run(RunConfig(command="solve", preset="reinsurance_halfline",
+                             out=str(out))) == 0
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "value", "max_violation"]
-        assert len(rows) == 51
-        assert float(rows[1][2]) <= 1e-8
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert rows[0] == ["iter", "bound"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, result["iterations"] + 1))
+        assert min(float(r[1]) for r in rows[1:]) >= result["value"] - 1e-12
+        assert result["gap"] == result["bound"] - result["value"]
+        assert result["converged"] and -1e-12 <= result["gap"] <= 1e-8
 
     def test_clamped_atoms_reported(self, tmp_path, capsys):
         # the halfline preset floors wealth at the lower bound on every atom
@@ -234,7 +238,7 @@ class TestCli:
         # exit code 2 is reserved for an honest non-converged solve
         import rcl.cli as cli_mod
 
-        def fake_solve(uu, opts, seed_mechanism=None):
+        def fake_solve(uu, opts):
             res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=5))
             res.converged = False
             return res

@@ -1,12 +1,13 @@
-"""Projected subgradient solver and the exhaustive grid oracle."""
+"""Certified dual solver, its exact projection, and the exhaustive grid oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 import rcl
+import rcl.solver
 from rcl.errors import SizeCapError
 from rcl.solver import _active_set_projection, _residual
 
@@ -141,6 +142,8 @@ class TestSolveMechanism:
         assert rcl.check_mechanism(system, res.mechanism, tol=1e-8).feasible
 
     def test_never_below_feasible_seed(self, rng):
+        # a feasible mechanism is worth at most the certified bound, and the
+        # solve's value at least its value less the tolerance
         for _ in range(5):
             uu = make_uu(rng, m=2, n=2)
             uu.base.reservation = np.full(uu.n_types, -10.0)
@@ -148,10 +151,10 @@ class TestSolveMechanism:
             system = rcl.build_system(uu)
             assert rcl.check_mechanism(system, seed).feasible
             seed_value, _ = rcl.principal_value(uu, seed)
-            res = rcl.solve_mechanism(
-                uu, rcl.SolveOptions(max_iters=50), seed_mechanism=seed
-            )
-            assert res.value >= seed_value - 1e-12
+            res = rcl.solve_mechanism(uu)
+            assert res.converged
+            assert seed_value <= res.bound + 1e-12
+            assert res.value >= seed_value - 1e-8
 
     def test_projection_failure_is_surfaced(self, rng):
         # an unreachable reservation (injected after validation) makes the
@@ -180,20 +183,98 @@ class TestSolveMechanism:
             ))
             uu_narrow = rcl.to_utility_units(inst)
             uu_wide = rcl.to_utility_units(wide)
-            res_wide = rcl.solve_mechanism(uu_wide, rcl.SolveOptions(max_iters=800))
-            res_narrow = rcl.solve_mechanism(
-                uu_narrow, rcl.SolveOptions(max_iters=800),
-                seed_mechanism=res_wide.mechanism,
-            )
-            assert res_wide.value <= res_narrow.value + 1e-8
+            res_wide = rcl.solve_mechanism(uu_wide)
+            res_narrow = rcl.solve_mechanism(uu_narrow)
+            assert res_wide.converged and res_narrow.converged
+            assert res_wide.value <= res_narrow.bound + 1e-12
 
     def test_trace_recorded(self, rng):
+        # one (iteration, bound) row per dual iteration, every bound above
+        # the recovered mechanism's value
         uu = make_uu(rng)
         res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=40))
-        assert len(res.trace) == res.iterations
-        iters, values, violations = zip(*res.trace)
+        assert len(res.trace) == res.iterations > 0
+        iters, bounds = zip(*res.trace)
         assert list(iters) == list(range(1, res.iterations + 1))
-        assert max(violations) <= 1e-8
+        assert min(bounds + (res.bound,)) >= res.value - 1e-12
+
+
+def linear_lp_optimum(uu):
+    """The robust optimum of a linear-u, linear-v instance as an LP (HiGHS):
+    max t s.t. t <= kappa_k V(c) + pen_k, A c >= b and the box, where
+    V_j(c) = sum_i w_i (e_p,i + e_a,i - c_ji)."""
+    inst = uu.base
+    n, m = uu.n_types, uu.n_atoms
+    priors, penalties = inst.beliefs.priors, inst.beliefs.penalties
+    w = inst.principal_weights()
+    a, b = rcl.build_system(uu).matrix_form()
+    # t + sum_j kappa_kj w_i c_ji <= pen_k + sum_j kappa_kj w.(e_p + e_a)
+    epigraph = np.hstack([(priors[:, :, None] * w).reshape(len(priors), n * m),
+                          np.ones((len(priors), 1))])
+    rhs = penalties + priors.sum(axis=1) * (w @ (inst.e_p + inst.e_a))
+    rows = np.hstack([-a, np.zeros((b.size, 1))])
+    res = linprog(np.r_[np.zeros(n * m), -1.0],
+                  A_ub=np.vstack([epigraph, rows]), b_ub=np.r_[rhs, -b],
+                  bounds=list(zip(np.tile(uu.c_lo, n), np.tile(uu.c_hi, n)))
+                  + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name, params", [
+        ("reinsurance_halfline", None),
+        ("reinsurance_wholeline", None),
+        ("cara_hedging", None),
+        ("cara_hedging", {"n_nodes": 200, "slopes": tuple(np.linspace(-0.45, 0.45, 8))}),
+    ], ids=["halfline", "wholeline", "cara_hedging", "cara_hedging_200x8"])
+    def test_presets_close_their_gap(self, name, params):
+        # log_delegation builds the same solver instance as cara_hedging
+        uu = rcl.to_utility_units(rcl.build_preset(name, params))
+        res = rcl.solve_mechanism(uu)
+        assert res.converged and res.feasibility.feasible
+        assert -1e-12 <= res.gap <= 1e-8
+        if name == "cara_hedging" and params is None:
+            assert res.value >= 0.8640006
+
+    def test_halfline_recovers_when_a_prior_weight_vanishes(self, monkeypatch):
+        # at 45 halvings the dual drives the uniform prior's weight to about
+        # 5e-13, type 1's c* turns bang-bang and its projection loses 8e-3;
+        # the primal step must close that gap
+        monkeypatch.setattr(rcl.solver, "HALVINGS", 45)
+        uu = rcl.to_utility_units(rcl.build_preset("reinsurance_halfline"))
+        res = rcl.solve_mechanism(uu)
+        assert res.converged
+        assert -1e-12 <= res.gap <= 1e-8
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
+    def test_linear_linear_matches_linprog(self, n, m):
+        # the dual is piecewise linear and its c* sits on box corners, so
+        # the projection of c* alone falls short of the LP optimum
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            uu = make_uu(rng, n=n, m=m, family="linear", v_family="linear")
+            res = rcl.solve_mechanism(uu)
+            assert res.converged
+            assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["log", "crra", "cara", "linear"]),
+        v_family=st.sampled_from(["cara_half", "cara_whole", "linear"]),
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+    )
+    def test_every_family_certifies(self, seed, family, v_family, n, m):
+        uu = make_uu(np.random.default_rng(seed), n=n, m=m, family=family,
+                     v_family=v_family, random_penalties=bool(seed % 2))
+        opts = rcl.SolveOptions()
+        res = rcl.solve_mechanism(uu, opts)
+        assert res.converged
+        assert rcl.check_mechanism(rcl.build_system(uu), res.mechanism, tol=1e-8).feasible
+        assert rcl.grid_oracle(uu, 3).value <= res.bound + 1e-12
+        assert res.value >= res.bound - opts.tol
 
 
 def projection_problem(seed, family, n, m):
@@ -201,12 +282,6 @@ def projection_problem(seed, family, n, m):
     uu = make_uu(np.random.default_rng(seed), m=m, n=n, family=family)
     a, b = rcl.build_system(uu).matrix_form()
     return np.tile(uu.c_lo, n), np.tile(uu.c_hi, n), a, b
-
-
-def cold_project(y, start, lo, hi, a, b):
-    """Projection started with an empty working set."""
-    empty = np.zeros(b.size + 2 * y.size, dtype=bool)
-    return _active_set_projection(y, start, lo, hi, a, b, empty)[0]
 
 
 def outside_point(rng, lo, hi):
@@ -230,7 +305,7 @@ class TestActiveSetProjection:
         pairs = []
         for _ in range(8):
             y = outside_point(rng, lo, hi)
-            x = cold_project(y, hi, lo, hi, a, b)
+            x = _active_set_projection(y, hi, lo, hi, a, b)
             assert _residual(x, lo, hi, a, b) <= 1e-12
             pairs.append((y, x))
         # variational inequality against feasible points: the anchor and
@@ -256,30 +331,10 @@ class TestActiveSetProjection:
     def test_feasible_point_is_fixed(self, seed, family, n, m):
         lo, hi, a, b = projection_problem(seed, family, n, m)
         rng = np.random.default_rng(seed)
-        z = cold_project(outside_point(rng, lo, hi), hi, lo, hi, a, b)
-        np.testing.assert_allclose(cold_project(z, hi, lo, hi, a, b), z,
+        z = _active_set_projection(outside_point(rng, lo, hi), hi, lo, hi, a, b)
+        np.testing.assert_allclose(_active_set_projection(z, hi, lo, hi, a, b), z,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(cold_project(hi, hi, lo, hi, a, b), hi)
-
-    @settings(max_examples=40, deadline=None)
-    @projection_cases
-    def test_warm_start_matches_cold_start(self, seed, family, n, m):
-        lo, hi, a, b = projection_problem(seed, family, n, m)
-        rng = np.random.default_rng(seed)
-        working = np.zeros(b.size + 2 * lo.size, dtype=bool)
-        x, working, factors = _active_set_projection(
-            outside_point(rng, lo, hi), hi, lo, hi, a, b, working
-        )
-        for _ in range(4):
-            y = x + 0.2 * (hi - lo) * rng.standard_normal(x.size)
-            # the solver's relaxation: the start is exactly feasible
-            relaxed = np.minimum(b, a @ x)
-            warm, next_working, next_factors = _active_set_projection(
-                y, x, lo, hi, a, relaxed, working, factors
-            )
-            cold = cold_project(y, x, lo, hi, a, relaxed)
-            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-10)
-            x, working, factors = warm, next_working, next_factors
+        np.testing.assert_array_equal(_active_set_projection(hi, hi, lo, hi, a, b), hi)
 
 
 class TestTabulatedAgent:

@@ -1,4 +1,4 @@
-"""Utility-units transform, AE tail check, convex conjugate."""
+"""Utility-units transform and the AE tail check."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rcl
-from rcl.errors import DomainError, InconclusiveError, RangeError
+from rcl.errors import InconclusiveError, RangeError
 
 from conftest import make_instance, random_mechanisms
 
@@ -213,45 +213,3 @@ class TestAeCheck:
             derivs=2.0 * (2.0 * grid) ** (gamma - 1.0),
         )
         assert rcl.ae_check(scaled).estimate == pytest.approx(base, abs=1e-6)
-
-
-class TestConjugate:
-    def test_log_conjugate(self):
-        assert rcl.convex_conjugate(rcl.log_utility(), 1.0) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_crra_conjugate(self):
-        assert rcl.convex_conjugate(rcl.crra(0.5), 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_fenchel_instance(self):
-        # u*(1) = -1 >= ln 2 - 2 for the log utility
-        lhs = rcl.convex_conjugate(rcl.log_utility(), 1.0)
-        assert lhs >= math.log(2.0) - 2.0
-
-    def test_nonpositive_slope_rejected(self):
-        with pytest.raises(DomainError):
-            rcl.convex_conjugate(rcl.log_utility(), 0.0)
-
-    @given(y=st.floats(0.05, 5.0), z=st.floats(0.05, 20.0))
-    def test_fenchel_inequality_log(self, y, z):
-        u = rcl.log_utility()
-        assert rcl.convex_conjugate(u, y) >= u.value(z) - z * y - 1e-8
-
-    @given(y=st.floats(0.05, 5.0), z=st.floats(-5.0, 20.0))
-    def test_fenchel_inequality_cara(self, y, z):
-        u = rcl.cara(1.5)
-        assert rcl.convex_conjugate(u, y) >= u.value(z) - z * y - 1e-8
-
-    def test_tabulated_matches_closed_form(self):
-        grid = np.linspace(0.05, 30.0, 800)
-        u_tab = rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid),
-                                derivs=1.0 / grid)
-        for y in (0.5, 1.0, 2.0):
-            exact = rcl.convex_conjugate(rcl.log_utility(), y)
-            assert rcl.convex_conjugate(u_tab, y) == pytest.approx(exact, abs=1e-6)
-
-    def test_tabulated_boundary_supremum_warns(self):
-        grid = np.linspace(0.5, 2.0, 50)
-        u_tab = rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid),
-                                derivs=1.0 / grid)
-        with pytest.warns(UserWarning, match="boundary"):
-            rcl.convex_conjugate(u_tab, 10.0)  # maximizer z = 0.1 below range
