@@ -1,6 +1,9 @@
 """Command-line runner: configuration, batch execution, report emission.
 
-Every command writes `result.json` into the output directory; the
+Every command reads its input through one reader, `_load` (a market
+preset is a market document, read like a `--instance` file), and writes
+through the one writer at the end of `run`. It writes `result.json` into
+the output directory; the
 mechanism-producing commands also write `summary.csv` (one row per type and
 atom). `solve` reports the certified `bound` and `gap` in `result.json` and
 writes `trace.csv` with one `iter,bound` row per dual iteration. Outputs are
@@ -29,8 +32,8 @@ from .constraints import Mechanism, build_system
 from .errors import RclError
 from .menu import equivalence_check, extract_mechanism, solve_menu
 from .model import cara as cara_spec
-from .model import WEALTH_FLOOR, load_instance, log_utility
-from .presets import PRESET_NAMES, PresetBundle, build_preset_bundle
+from .model import WEALTH_FLOOR, Instance, load_instance, log_utility
+from .presets import PRESET_NAMES, build_preset, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
 from .transform import ae_check, from_utility_units, to_utility_units
 
@@ -70,12 +73,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, doc: dict):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -84,21 +81,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _write_trace(path: Path, trace):
-    _write_csv(path, ["iter", "bound"], trace)
-
-
 def _write_summary(path: Path, uu, mech: Mechanism):
     """Per-type, per-atom table of the mechanism with its constraint slacks."""
     n = uu.n_types
     ic, ir_slack = build_system(uu).slacks(mech)
     min_ic = np.min(ic.reshape(n, n - 1), axis=1, initial=np.inf)
     rows = []
-    for j, agent_type in enumerate(uu.base.types):
+    for j, label in enumerate(uu.base.report_labels()):
         x = from_utility_units(uu, mech.assignment[j])
         for i, atom in enumerate(uu.states.atoms):
             rows.append([
-                agent_type.label or f"type{j}",
+                label,
                 atom,
                 float(mech.assignment[j, i]),
                 float(x[i]),
@@ -135,29 +128,25 @@ def _warn_clamps(uu):
         )
 
 
-def _load_bundle(config: RunConfig) -> PresetBundle:
+def _load(config: RunConfig) -> Instance | dict:
+    """The one reader: the named preset or the --instance file, as a market
+    document for `market` and as an instance for every other command."""
     if (config.preset is None) == (config.instance is None):
         raise RclError("provide exactly one of --preset or --instance")
-    if config.preset is not None:
-        params = {}
-        if config.alpha is not None:
-            params["alpha"] = config.alpha
-        if config.beta is not None:
-            params["beta"] = config.beta[0]
-        if config.preset in ("reinsurance_halfline", "reinsurance_wholeline"):
-            params.pop("alpha", None)
-            params.pop("beta", None)
-        return build_preset_bundle(config.preset, params)
-    return PresetBundle(instance=load_instance(config.instance))
-
-
-def _solve_options(config: RunConfig) -> SolveOptions:
-    kwargs = {}
-    if config.max_iters is not None:
-        kwargs["max_iters"] = config.max_iters
-    if config.tol is not None:
-        kwargs["tol"] = config.tol
-    return SolveOptions(**kwargs)
+    if config.command != "market":
+        if config.preset is not None:
+            return build_preset(config.preset)
+        return load_instance(config.instance)
+    if config.instance is not None:
+        with open(config.instance) as fh:
+            return json.load(fh)
+    doc = build_preset_bundle(config.preset).market
+    if doc is None:
+        raise RclError(
+            f"preset {config.preset!r} carries no market model; "
+            "use cara_hedging or log_delegation"
+        )
+    return doc
 
 
 def _levels(config: RunConfig, default: int) -> int:
@@ -214,114 +203,91 @@ def _market_type_report(model, index, e_a, e_p, alpha, betas, v) -> dict:
     return entry
 
 
+def _market(config: RunConfig, doc: dict) -> dict:
+    """Closed forms and delegation values per drift type; flags win over
+    the document's alpha and beta."""
+    model = mkt.market_model_from_json(doc)
+    m = model.n_nodes
+    e_a = _node_vector(doc.get("e_a", 1.0), m, "e_a")
+    e_p = _node_vector(doc.get("e_p", 2.0), m, "e_p")
+    alpha = (config.alpha if config.alpha is not None
+             else _number(doc.get("alpha", 1.0), "alpha"))
+    betas = config.beta if config.beta is not None else tuple(
+        _number(b, "beta") for b in np.atleast_1d(doc.get("beta", 0.5))
+    )
+    v = cara_spec(1.0)
+    return {
+        "horizon": model.horizon,
+        "n_nodes": model.n_nodes,
+        "types": [
+            _market_type_report(model, i, e_a, e_p, alpha, betas, v)
+            for i in range(len(model.drift_types))
+        ],
+    }
+
+
+# The mechanism commands: each body maps the loaded utility-units instance to
+# its result.json body, the mechanism for summary.csv, its trace (or None)
+# and its exit code.
+
+def _solve(config: RunConfig, uu):
+    flags = {"max_iters": config.max_iters, "tol": config.tol}
+    result = solve_mechanism(
+        uu, SolveOptions(**{k: v for k, v in flags.items() if v is not None}))
+    code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    doc = {"result": result.to_json(), "clamped_atoms": uu.clamped_atoms}
+    return doc, result.mechanism, result.trace, code
+
+
+def _oracle(config: RunConfig, uu):
+    result = grid_oracle(uu, _levels(config, 3))
+    doc = {"result": result.to_json(), "clamped_atoms": uu.clamped_atoms}
+    return doc, result.mechanism, None, EXIT_OK
+
+
+def _menu(config: RunConfig, uu):
+    menu, value = solve_menu(grid_contracts(uu, _levels(config, 2)), uu)
+    mech = extract_mechanism(menu, uu)
+    doc = {"menu_value": value, "menu": menu.contracts.tolist(),
+           "mechanism": mech.to_json()}
+    return doc, mech, None, EXIT_OK
+
+
+def _equivalence(config: RunConfig, uu):
+    candidates = grid_contracts(uu, _levels(config, 2))
+    report = equivalence_check(candidates, uu)
+    witness = Mechanism(candidates[report.witness_assignment])
+    return {"report": report.to_json()}, witness, None, EXIT_OK
+
+
+_MECHANISM_COMMANDS = {"solve": _solve, "oracle": _oracle, "menu": _menu,
+                       "equivalence": _equivalence}
+
+
 def run(config: RunConfig) -> int:
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if config.command == "solve":
-            bundle = _load_bundle(config)
-            uu = to_utility_units(bundle.instance)
+        uu = mech = trace = None
+        code = EXIT_OK
+        if config.command in _MECHANISM_COMMANDS:
+            uu = to_utility_units(_load(config))
             _warn_clamps(uu)
-            result = solve_mechanism(uu, _solve_options(config))
-            doc = {"config": config.echo(), "result": result.to_json(),
-                   "clamped_atoms": uu.clamped_atoms}
-            _write_json(out / "result.json", doc)
-            _write_trace(out / "trace.csv", result.trace)
-            _write_summary(out / "summary.csv", uu, result.mechanism)
-            return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-
-        if config.command == "oracle":
-            bundle = _load_bundle(config)
-            uu = to_utility_units(bundle.instance)
-            _warn_clamps(uu)
-            result = grid_oracle(uu, _levels(config, 3))
-            doc = {"config": config.echo(), "result": result.to_json(),
-                   "clamped_atoms": uu.clamped_atoms}
-            _write_json(out / "result.json", doc)
-            _write_summary(out / "summary.csv", uu, result.mechanism)
-            return EXIT_OK
-
-        if config.command == "menu":
-            bundle = _load_bundle(config)
-            uu = to_utility_units(bundle.instance)
-            _warn_clamps(uu)
-            candidates = grid_contracts(uu, _levels(config, 2))
-            menu, value = solve_menu(candidates, uu)
-            mech = extract_mechanism(menu, uu)
-            doc = {
-                "config": config.echo(),
-                "menu_value": value,
-                "menu": menu.contracts.tolist(),
-                "mechanism": mech.to_json(),
-            }
-            _write_json(out / "result.json", doc)
+            doc, mech, trace, code = _MECHANISM_COMMANDS[config.command](config, uu)
+        elif config.command == "ae-check":
+            doc = {"report": ae_check(_load(config).u).to_json()}
+        elif config.command == "market":
+            doc = _market(config, _load(config))
+        else:
+            raise RclError(f"unknown command {config.command!r}")
+        with open(out / "result.json", "w") as fh:
+            json.dump({"config": config.echo(), **doc}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if trace is not None:
+            _write_csv(out / "trace.csv", ["iter", "bound"], trace)
+        if mech is not None:
             _write_summary(out / "summary.csv", uu, mech)
-            return EXIT_OK
-
-        if config.command == "equivalence":
-            bundle = _load_bundle(config)
-            uu = to_utility_units(bundle.instance)
-            _warn_clamps(uu)
-            candidates = grid_contracts(uu, _levels(config, 2))
-            report = equivalence_check(candidates, uu)
-            doc = {"config": config.echo(), "report": report.to_json()}
-            _write_json(out / "result.json", doc)
-            witness = Mechanism(candidates[report.witness_assignment])
-            _write_summary(out / "summary.csv", uu, witness)
-            return EXIT_OK
-
-        if config.command == "ae-check":
-            bundle = _load_bundle(config)
-            report = ae_check(bundle.instance.u)
-            _write_json(out / "result.json",
-                        {"config": config.echo(), "report": report.to_json()})
-            return EXIT_OK
-
-        if config.command == "market":
-            if (config.preset is None) == (config.instance is None):
-                raise RclError("provide exactly one of --preset or --instance")
-            if config.instance is not None:
-                with open(config.instance) as fh:
-                    doc_in = json.load(fh)
-                model = mkt.market_model_from_json(doc_in)
-                m = model.n_nodes
-                e_a = _node_vector(doc_in.get("e_a", 1.0), m, "e_a")
-                e_p = _node_vector(doc_in.get("e_p", 2.0), m, "e_p")
-                alpha = (config.alpha if config.alpha is not None
-                         else _number(doc_in.get("alpha", 1.0), "alpha"))
-                betas = config.beta if config.beta is not None else tuple(
-                    _number(b, "beta") for b in np.atleast_1d(doc_in.get("beta", 0.5))
-                )
-                v = cara_spec(1.0)
-            else:
-                bundle = _load_bundle(config)
-                if bundle.market_model is None:
-                    raise RclError(
-                        f"preset {config.preset!r} carries no market model; "
-                        "use cara_hedging or log_delegation"
-                    )
-                model = bundle.market_model
-                e_a = bundle.extras["market_e_a"]
-                e_p = bundle.instance.e_p
-                alpha = (config.alpha if config.alpha is not None
-                         else bundle.extras["alpha"])
-                betas = (config.beta if config.beta is not None
-                         else (bundle.extras["beta"],))
-                v = bundle.instance.v
-            reports = [
-                _market_type_report(model, i, e_a, e_p, alpha, betas, v)
-                for i in range(len(model.drift_types))
-            ]
-            doc = {
-                "config": config.echo(),
-                "horizon": model.horizon,
-                "n_nodes": model.n_nodes,
-                "types": reports,
-            }
-            _write_json(out / "result.json", doc)
-            return EXIT_OK
-
-        raise RclError(f"unknown command {config.command!r}")
+        return code
     except RclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -369,19 +335,7 @@ def parse_args(argv) -> RunConfig:
         help="profit share(s) kept by the agent, comma separated for sweeps",
     )
     parser.add_argument("--alpha", type=float, help="CARA risk aversion")
-    args = parser.parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        preset=args.preset,
-        instance=args.instance,
-        out=args.out,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        levels=args.levels,
-        beta=args.beta,
-        alpha=args.alpha,
-    )
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ agent-level matrix (`agent_levels`), the same one menus choose from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,13 +104,7 @@ class FeasibilityReport:
     row_slacks: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "max_ic_violation": self.max_ic_violation,
-            "max_ir_violation": self.max_ir_violation,
-            "tol": self.tol,
-            "row_slacks": self.row_slacks,
-        }
+        return asdict(self)
 
 
 def _worst_violation(slacks: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -173,17 +173,7 @@ class EquivalenceReport:
     agent_optimal_sets: dict[str, list[int]]
 
     def to_json(self) -> dict:
-        return {
-            "menu_value": self.menu_value,
-            "mechanism_value": self.mechanism_value,
-            "gap": self.gap,
-            "equal": self.equal,
-            "tolerance": self.tolerance,
-            "witness_menu": self.witness_menu,
-            "witness_assignment": self.witness_assignment,
-            "witness_contracts": self.witness_contracts,
-            "agent_optimal_sets": self.agent_optimal_sets,
-        }
+        return asdict(self)
 
 
 def equivalence_check(
@@ -207,8 +197,8 @@ def equivalence_check(
     gap = abs(menu_value - mech_value)
     _, window, _ = menu_choices(uu, menu)
     phi_sets = {
-        (t.label or f"type{j}"): [int(g) for g in np.flatnonzero(window[j])]
-        for j, t in enumerate(uu.base.types)
+        label: [int(g) for g in np.flatnonzero(window[j])]
+        for j, label in enumerate(uu.base.report_labels())
     }
     return EquivalenceReport(
         menu_value=menu_value,

@@ -408,6 +408,10 @@ class Instance:
         """Row j holds q * d_j, the weights of type j's expectation."""
         return np.stack([self.states.ref_prob * t.density for t in self.types])
 
+    def report_labels(self) -> list[str]:
+        """The type names reports key on: the label, or type{j} when empty."""
+        return [t.label or f"type{j}" for j, t in enumerate(self.types)]
+
     def principal_weights(self) -> np.ndarray:
         return self.states.ref_prob * self.principal_belief.density
 
@@ -485,6 +489,9 @@ def _check_instance(inst: Instance) -> list[str]:
     m = inst.n_atoms
     if inst.n_types == 0:
         violations.append("type set is empty")
+    labels = inst.report_labels()
+    if len(set(labels)) != len(labels):
+        violations.append(f"type labels {labels} are not distinct")
     for t in inst.types + [inst.principal_belief]:
         try:
             gap = t.check_normalized(inst.states)
@@ -537,6 +544,15 @@ def _check_instance(inst: Instance) -> list[str]:
     except DomainError as exc:
         violations.append(f"cannot evaluate agent utility at the upper contract bound: {exc}")
         return violations
+    # The principal pays the agent-best contract out of e_p; the wealth left
+    # is computed through the solver's own round trip u^-1(u(.)).
+    try:
+        v_best = inst.v.value(inst.e_p + inst.e_a - inst.u.inverse(c_best))
+    except DomainError as exc:
+        violations.append(f"cannot evaluate principal utility at the upper contract bound: {exc}")
+    else:
+        if not np.all(np.isfinite(v_best)):
+            violations.append("principal utility not finite at the upper contract bound")
     for j, t in enumerate(inst.types):
         if expectation(inst.states, t, c_best) < inst.reservation[j] - FEAS_TOL:
             violations.append(

@@ -2,30 +2,28 @@
 
 Two reinsurance settings (agent utility on the half line with a bounded
 principal, and on the whole line behind the asymptotic-elasticity screen)
-and two financial-market settings. The market presets encode the agents'
-indirect preferences: after optimal trading, both the CARA and the log
-agent rank transfer contracts by E_f[x], so the solver sees a linear agent
-utility with zero instance endowment and zero reservation, which reproduces
+and two financial-market settings. A market preset is a market document:
+`PresetBundle.market` is in the README market schema, and the `market`
+command reads it with `market_model_from_json` exactly as it reads a
+`--instance` file. The market presets also encode the agents' indirect
+preferences: after optimal trading, both the CARA and the log agent rank
+transfer contracts by E_f[x], so the solver sees a linear agent utility
+with zero instance endowment and zero reservation, which reproduces
 exactly the linear participation and truth-telling characterization of the
 market applications. That makes `cara_hedging` and `log_delegation` build
-byte-identical solver instances: only the `market` command tells the two
-agents apart, and it reports the CARA and the log closed forms for either
-name.
+byte-identical documents and solver instances: only the `market` command
+tells the two agents apart, and it reports the CARA and the log closed
+forms for either name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .market import (
-    MarketModel,
-    clamped_linear_drift,
-    discretize_terminal,
-    tilted_density,
-)
+from .market import market_model_from_json, tilted_density
 from .model import (
     HALF_LINE,
     WHOLE_LINE,
@@ -51,11 +49,10 @@ PRESET_NAMES = (
 
 @dataclass
 class PresetBundle:
-    """A validated instance plus whatever market data the preset rests on."""
+    """A validated instance, plus the market document of a market preset."""
 
     instance: Instance
-    market_model: MarketModel | None = None
-    extras: dict = field(default_factory=dict)
+    market: dict | None = None
 
 
 def _merge_params(defaults: dict, params: dict | None, name: str) -> dict:
@@ -150,14 +147,6 @@ def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
     e_a = 1.0 + 0.25 * np.arange(m)
     e_p = 2.0 + 0.5 * np.arange(m)
     cap = float(p["cap_scale"]) * e_p
-    # Finiteness screen: the best attainable utility from the capped transfer
-    # set is bounded by the utility of the largest reachable wealth.
-    top_wealth = float((np.max(e_a) + cap).max())
-    screen = u.value(np.linspace(1e-8, top_wealth, 64))
-    if not np.all(np.isfinite(screen)):
-        raise ValidationError(
-            ["whole-line preset refused: attainable utility estimate is not finite"]
-        )
     inst = Instance(
         states=StateSpace(ref_prob=q),
         types=_tilt_types(q, n, float(p["tilt"])),
@@ -170,10 +159,7 @@ def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
         contract_lo=-e_a,
         contract_hi=cap,
     )
-    return PresetBundle(
-        instance=validate_instance(inst),
-        extras={"ae_estimate": report.estimate},
-    )
+    return PresetBundle(instance=validate_instance(inst))
 
 
 def _market_bundle(params: dict | None, name: str) -> PresetBundle:
@@ -184,15 +170,21 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
          "penalty": 0.0},
         params, name,
     )
-    nodes, weights = discretize_terminal(float(p["horizon"]), int(p["n_nodes"]))
-    slopes = tuple(np.atleast_1d(p["slopes"]).tolist())
-    drifts = [
-        clamped_linear_drift(f"slope={s:+.2f}", nodes, float(s), float(p["support"]))
-        for s in slopes
-    ]
-    model = MarketModel(
-        horizon=float(p["horizon"]), nodes=nodes, weights=weights, drift_types=drifts
-    )
+    market = {
+        "horizon": float(p["horizon"]),
+        "n_nodes": int(p["n_nodes"]),
+        "e_a": float(p["e_a_level"]),
+        "alpha": float(p["alpha"]),
+        "beta": [float(p["beta"])],
+        "drift_types": [
+            {"label": f"slope={s:+.2f}", "slope": float(s), "support": float(p["support"])}
+            for s in np.atleast_1d(p["slopes"]).tolist()
+        ],
+    }
+    model = market_model_from_json(market)
+    nodes = model.nodes
+    e_p = float(p["e_p_level"]) - float(p["exposure"]) * nodes
+    market["e_p"] = e_p.tolist()
     types = []
     for i, drift in enumerate(model.drift_types):
         density = tilted_density(model, i)
@@ -200,12 +192,11 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
     m = model.n_nodes
     n = len(types)
     x_cap = float(p["x_cap"])
-    e_p = float(p["e_p_level"]) - float(p["exposure"]) * nodes
     # Indirect preferences over transfers are monotone in E_f[x], so the
     # solver-facing instance uses a linear agent utility, zero endowment and
     # zero reservation (keeping x = 0 attains exactly the outside option).
     inst = Instance(
-        states=StateSpace(ref_prob=weights, atoms=[f"w={w:+.4f}" for w in nodes]),
+        states=StateSpace(ref_prob=model.weights, atoms=[f"w={w:+.4f}" for w in nodes]),
         types=types,
         principal_belief=AgentType(density=np.ones(m), label="reference"),
         beliefs=_ambiguity(n, int(p["n_priors"]), float(p["penalty"])),
@@ -217,14 +208,7 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
         contract_hi=np.full(m, x_cap),
         reservation=np.zeros(n),
     )
-    extras = {
-        "alpha": float(p["alpha"]),
-        "beta": float(p["beta"]),
-        "market_e_a": np.full(m, float(p["e_a_level"])),
-    }
-    return PresetBundle(
-        instance=validate_instance(inst), market_model=model, extras=extras
-    )
+    return PresetBundle(instance=validate_instance(inst), market=market)
 
 
 def build_preset_bundle(name: str, params: dict | None = None) -> PresetBundle:

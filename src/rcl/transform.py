@@ -8,7 +8,7 @@ forward and inverse transform and the asymptotic-elasticity tail check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,13 +105,7 @@ class AeReport:
     margin: float
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "estimate": self.estimate,
-            "z_lo": self.z_lo,
-            "z_hi": self.z_hi,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 def ae_check(u: UtilitySpec) -> AeReport:

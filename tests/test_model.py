@@ -151,6 +151,25 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="individually rational"):
             rcl.validate_instance(doc)
 
+    def test_rejects_principal_utility_undefined_at_upper_bound(self):
+        # the halfline preset pays the principal's whole endowment at its upper
+        # bound; a log principal has no utility for the wealth left over
+        doc = rcl.build_preset("reinsurance_halfline").to_json()
+        doc["v"] = {"family": "log"}
+        with pytest.raises(ValidationError, match="principal utility"):
+            rcl.validate_instance(doc)
+
+    @pytest.mark.parametrize("labels", [("same", "same"), ("type1", "")],
+                             ids=["equal", "default_clash"])
+    def test_rejects_duplicate_report_labels(self, rng, labels):
+        # reports key types by label (type{j} when empty), so a clash would
+        # merge two types in agent_optimal_sets and summary.csv
+        doc = make_instance(rng).to_json()
+        for entry, label in zip(doc["types"], labels):
+            entry["label"] = label
+        with pytest.raises(ValidationError, match="not distinct"):
+            rcl.validate_instance(doc)
+
     def test_idempotent_returns_same_object(self, rng):
         inst = make_instance(rng)
         assert rcl.validate_instance(inst) is inst

@@ -9,7 +9,7 @@ import pytest
 import rcl
 from rcl.cli import RunConfig, load_summary_mechanism, main, run
 from rcl.errors import ValidationError
-from rcl.market import cara_optimal, cara_indirect_utility
+from rcl.market import cara_optimal, cara_indirect_utility, market_model_from_json
 from rcl.presets import build_preset_bundle
 
 
@@ -32,8 +32,8 @@ class TestPresets:
             rcl.build_preset("reinsurance_wholeline", {"agent_family": "linear"})
 
     def test_wholeline_crra_passes_screen(self):
-        bundle = build_preset_bundle("reinsurance_wholeline", {"gamma": 0.5})
-        assert bundle.extras["ae_estimate"] == pytest.approx(0.5, abs=1e-3)
+        build_preset_bundle("reinsurance_wholeline", {"gamma": 0.5})
+        assert rcl.ae_check(rcl.crra(0.5)).estimate == pytest.approx(0.5, abs=1e-3)
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="unknown preset"):
@@ -49,7 +49,7 @@ class TestPresets:
         assert inst.u.family == "linear"
         np.testing.assert_array_equal(inst.e_a, 0.0)
         np.testing.assert_array_equal(inst.reservation, 0.0)
-        assert bundle.market_model is not None
+        assert market_model_from_json(bundle.market) is not None
 
     def test_cara_hedging_solver_reproduces_closed_form_benchmark(self):
         # one flat type: the optimum binds participation, so the agent's
@@ -58,9 +58,9 @@ class TestPresets:
         uu = rcl.to_utility_units(bundle.instance)
         res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=1500))
         assert res.converged
-        model = bundle.market_model
-        e_a = bundle.extras["market_e_a"]
-        alpha = bundle.extras["alpha"]
+        model = market_model_from_json(bundle.market)
+        e_a = np.full(model.n_nodes, bundle.market["e_a"])
+        alpha = bundle.market["alpha"]
         realized = cara_indirect_utility(model, 0, e_a, alpha,
                                          res.mechanism.assignment[0])
         _, benchmark = cara_optimal(model, 0, e_a, alpha)
@@ -174,6 +174,20 @@ class TestCli:
         assert flat["cara"]["oracle_gap"] <= 1e-7
         assert flat["log"]["oracle_gap"] <= 1e-7
         assert set(flat["delegation"]) == {"0.5", "1.0"}
+
+    def test_market_preset_and_its_document_take_one_path(self, tmp_path):
+        # a market preset is a market document: running the preset and running
+        # --instance on its own document report the same model and types
+        flags = ["--alpha", "1.7", "--beta", "0.25,1.0"]
+        path = tmp_path / "log_delegation.json"
+        path.write_text(json.dumps(build_preset_bundle("log_delegation").market))
+        reports = []
+        for source in (["--preset", "log_delegation"], ["--instance", str(path)]):
+            out = tmp_path / source[0].lstrip("-")
+            assert main(["market", *source, *flags, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "result.json").read_text()))
+        for key in ("horizon", "n_nodes", "types"):
+            assert reports[0][key] == reports[1][key]
 
     def test_market_command_with_instance_json(self, tmp_path):
         doc = {

@@ -8,7 +8,7 @@ from scipy.optimize import linprog, minimize
 
 import rcl
 import rcl.solver
-from rcl.errors import SizeCapError
+from rcl.errors import SizeCapError, ValidationError
 from rcl.solver import _active_set_projection, _residual
 
 from conftest import make_instance, make_uu
@@ -74,10 +74,18 @@ class TestPrincipalValue:
 
     def test_half_line_principal_domain_error(self):
         # an upper contract bound beyond the principal's endowment pushes her
-        # wealth negative, which a half-line utility must refuse
-        inst = single_type_instance(
-            rcl.log_utility(), rcl.crra(0.5),
-            e_a=[1.0], e_p=[1.0], lo=[0.0], hi=[2.0],
+        # wealth negative, which a half-line utility must refuse: validation
+        # rejects the instance, and the unvalidated one raises DomainError
+        args = dict(e_a=[1.0], e_p=[1.0], lo=[0.0], hi=[2.0])
+        with pytest.raises(ValidationError, match="principal utility"):
+            single_type_instance(rcl.log_utility(), rcl.crra(0.5), **args)
+        inst = rcl.Instance(
+            states=rcl.StateSpace(ref_prob=[1.0]),
+            types=[rcl.AgentType(density=[1.0], label="theta0")],
+            principal_belief=rcl.AgentType(density=[1.0], label="p"),
+            beliefs=rcl.BeliefSet(priors=[[1.0]], penalties=[0.0]),
+            e_a=args["e_a"], e_p=args["e_p"], u=rcl.log_utility(), v=rcl.crra(0.5),
+            contract_lo=args["lo"], contract_hi=args["hi"],
         )
         uu = rcl.to_utility_units(inst)
         from rcl.errors import DomainError
