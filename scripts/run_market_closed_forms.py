@@ -41,10 +41,10 @@ def main() -> int:
         density = rcl.tilted_density(model, k)
         h_pq = rcl.relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
         h_qp = rcl.relative_entropy(density, ENTROPY_REF_GIVEN_AGENT)
-        _, u_cara = rcl.cara_optimal(model, k, e_a, args.alpha)
-        gap_cara = rcl.verify_budget_optimality(model, k, e_a, rcl.cara(args.alpha))
-        _, u_log = rcl.log_optimal(model, k, e_a)
-        gap_log = rcl.verify_budget_optimality(model, k, e_a, rcl.log_utility())
+        _, u_cara = rcl.cara_optimal(density, e_a, args.alpha)
+        gap_cara = rcl.verify_budget_optimality(density, e_a, rcl.cara(args.alpha))
+        _, u_log = rcl.log_optimal(density, e_a)
+        gap_log = rcl.verify_budget_optimality(density, e_a, rcl.log_utility())
         worst = max(worst, gap_cara, gap_log)
         print(f"{k:>6} {abs(density.normalizer - 1):>9.2e} {h_pq:>9.5f} "
               f"{h_qp:>9.5f} {u_cara:>10.6f} {gap_cara:>9.2e} "

@@ -3,12 +3,14 @@
 Every command reads its input through one reader, `_load` (a market
 preset is a market document, read like a `--instance` file), and writes
 through the one writer at the end of `run`. It writes `result.json` into
-the output directory; the
-mechanism-producing commands also write `summary.csv` (one row per type and
-atom). `solve` reports the certified `bound` and `gap` in `result.json` and
-writes `trace.csv` with one `iter,bound` row per dual iteration. Outputs are
-byte-identical for identical configuration and seed: floats are rendered via
-their shortest round-trip representation and JSON keys are sorted.
+the output directory; the mechanism-producing commands also write
+`summary.csv` (one row per type and atom). `market` holds no market code:
+`rcl.market.market_report` reads the document, with `--alpha` and `--beta`
+winning over its fields. `solve` reports the certified `bound` and `gap` in
+`result.json` and writes `trace.csv` with one `iter,bound` row per dual
+iteration. Outputs are byte-identical for identical configuration and
+seed: floats are rendered via their shortest round-trip representation
+and JSON keys are sorted.
 
 Exit codes: 0 success, 1 invalid input (bad flags included) or caps
 exceeded, 2 the solve did not certify its mechanism: it is infeasible, or
@@ -27,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import market as mkt
 from .constraints import Mechanism, build_system
 from .errors import RclError
+from .market import market_report
 from .menu import equivalence_check, extract_mechanism, solve_menu
-from .model import cara as cara_spec
-from .model import WEALTH_FLOOR, Instance, load_instance, log_utility
+from .model import WEALTH_FLOOR, Instance, load_instance
 from .presets import PRESET_NAMES, build_preset, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
 from .transform import ae_check, from_utility_units, to_utility_units
@@ -153,79 +154,6 @@ def _levels(config: RunConfig, default: int) -> int:
     return config.levels if config.levels is not None else default
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise RclError(f"{name}: {exc}") from None
-
-
-def _node_vector(value, m: int, name: str) -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise RclError(f"{name}: {exc}") from None
-    if arr.size == 1:
-        return np.full(m, float(arr[0]))
-    if arr.size != m:
-        raise RclError(f"{name} must be a scalar or one value per node ({m})")
-    return arr
-
-
-def _market_type_report(model, index, e_a, e_p, alpha, betas, v) -> dict:
-    density = mkt.tilted_density(model, index)
-    entry = {
-        "label": model.drift_types[index].label,
-        "normalizer": density.normalizer,
-        "normalizer_gap": abs(density.normalizer - 1.0),
-        "entropy_agent_ref": mkt.relative_entropy(density, mkt.ENTROPY_AGENT_GIVEN_REF),
-        "entropy_ref_agent": mkt.relative_entropy(density, mkt.ENTROPY_REF_GIVEN_AGENT),
-    }
-    x_cara, u_cara = mkt.cara_optimal(model, index, e_a, alpha)
-    entry["cara"] = {
-        "utility": u_cara,
-        "oracle_gap": mkt.verify_budget_optimality(
-            model, index, e_a, cara_spec(alpha)
-        ),
-        "payoff": x_cara.tolist(),
-    }
-    x_log, u_log = mkt.log_optimal(model, index, e_a)
-    entry["log"] = {
-        "utility": u_log,
-        "oracle_gap": mkt.verify_budget_optimality(model, index, e_a, log_utility()),
-        "payoff": x_log.tolist(),
-    }
-    zero = np.zeros(model.n_nodes)
-    entry["delegation"] = {
-        repr(float(beta)): mkt.delegation_value(model, index, zero, beta, e_a, e_p, v)
-        for beta in betas
-    }
-    return entry
-
-
-def _market(config: RunConfig, doc: dict) -> dict:
-    """Closed forms and delegation values per drift type; flags win over
-    the document's alpha and beta."""
-    model = mkt.market_model_from_json(doc)
-    m = model.n_nodes
-    e_a = _node_vector(doc.get("e_a", 1.0), m, "e_a")
-    e_p = _node_vector(doc.get("e_p", 2.0), m, "e_p")
-    alpha = (config.alpha if config.alpha is not None
-             else _number(doc.get("alpha", 1.0), "alpha"))
-    betas = config.beta if config.beta is not None else tuple(
-        _number(b, "beta") for b in np.atleast_1d(doc.get("beta", 0.5))
-    )
-    v = cara_spec(1.0)
-    return {
-        "horizon": model.horizon,
-        "n_nodes": model.n_nodes,
-        "types": [
-            _market_type_report(model, i, e_a, e_p, alpha, betas, v)
-            for i in range(len(model.drift_types))
-        ],
-    }
-
-
 # The mechanism commands: each body maps the loaded utility-units instance to
 # its result.json body, the mechanism for summary.csv, its trace (or None)
 # and its exit code.
@@ -277,7 +205,7 @@ def run(config: RunConfig) -> int:
         elif config.command == "ae-check":
             doc = {"report": ae_check(_load(config).u).to_json()}
         elif config.command == "market":
-            doc = _market(config, _load(config))
+            doc = market_report(_load(config), config.alpha, config.beta)
         else:
             raise RclError(f"unknown command {config.command!r}")
         with open(out / "result.json", "w") as fh:

@@ -118,8 +118,8 @@ def check_mechanism(
     system: LinearConstraintSystem, mech: Mechanism, tol: float = DEFAULT_TOL
 ) -> FeasibilityReport:
     """Evaluate every constraint row and report the worst violations."""
-    if tol < 0.0:
-        raise RangeError("tol must be >= 0")
+    if not 0.0 <= tol < np.inf:
+        raise RangeError("tol must be finite and >= 0")
     if mech.assignment.shape != (system.n_types, system.n_atoms):
         raise DimensionError(
             f"mechanism shape {mech.assignment.shape} does not match "

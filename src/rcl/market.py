@@ -6,7 +6,10 @@ reference law, always re-normalized numerically (the raw normalizer Z is
 reported so the unnormalized identities can be audited). The CARA and log
 budget-constrained optima, their utilities in terms of relative entropies,
 and the principal's delegation income are implemented in closed form, with
-an independent Lagrange-multiplier oracle for verification.
+an independent Lagrange-multiplier oracle for verification. The closed
+forms take a type's `TiltedDensity`, computed once by `tilted_density`.
+Only this module reads the market document (`market_model_from_json`,
+`market_report`); non-finite numbers in it are rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .model import CARA, LOG, UtilitySpec
+from .model import CARA, LOG, UtilitySpec, cara, log_utility
 
 MAX_NODES = 200
 BETA_MIN = 1e-3
@@ -65,7 +68,7 @@ def clamped_linear_drift(label: str, nodes: np.ndarray, slope: float,
                          support: float) -> DriftType:
     """f(w) = slope * clip(w, -support, support): bounded, compactly sloped,
     and f(0) = 0 by construction."""
-    if support <= 0.0:
+    if not support > 0.0:
         raise RangeError("support must be positive")
     values = slope * np.clip(nodes, -support, support)
     return DriftType(label=label, values=values)
@@ -84,10 +87,12 @@ class MarketModel:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         violations = []
-        if self.horizon <= 0.0:
-            violations.append("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            violations.append("horizon must be positive and finite")
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             violations.append("nodes and weights must be 1-d arrays of equal length")
+        elif not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
+            violations.append("nodes and weights must be finite")
         else:
             if abs(self.weights.sum() - 1.0) > 1e-12:
                 violations.append("weights must sum to 1")
@@ -124,8 +129,8 @@ def discretize_terminal(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]
         raise RangeError("need at least two quadrature nodes")
     if m > MAX_NODES:
         raise RangeError(f"{m} nodes exceed the cap {MAX_NODES}")
-    if horizon <= 0.0:
-        raise RangeError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise RangeError("horizon must be positive and finite")
     x, w = hermgauss(m)
     nodes = np.sqrt(2.0 * horizon) * x
     weights = w / np.sqrt(np.pi)
@@ -191,9 +196,9 @@ def relative_entropy(density: TiltedDensity, direction: str) -> float:
 
 
 def cara_optimal(
-    model: MarketModel, f_index: int, e_a: np.ndarray, alpha: float
+    density: TiltedDensity, e_a: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, float]:
-    """Budget-optimal payoff and utility of a CARA agent with belief f.
+    """Budget-optimal payoff and utility of a CARA agent with belief density d.
 
     x* = -(1/alpha) ln d + E_f[e_a] + (1/alpha) H(P||Q) and the attained
     utility is 1 - exp(-alpha E_f[e_a] - H(P||Q)). The budget binds exactly:
@@ -201,7 +206,8 @@ def cara_optimal(
     """
     if alpha <= 0.0:
         raise RangeError("alpha must be positive")
-    density = tilted_density(model, f_index)
+    if not np.isfinite(alpha):
+        raise RangeError("alpha must be finite")
     e_a = np.asarray(e_a, dtype=float)
     mean_endowment = density.expect(e_a)
     entropy = relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
@@ -210,15 +216,12 @@ def cara_optimal(
     return x_star, float(utility)
 
 
-def log_optimal(
-    model: MarketModel, f_index: int, e_a: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Budget-optimal payoff and utility of a log agent with belief f.
+def log_optimal(density: TiltedDensity, e_a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Budget-optimal payoff and utility of a log agent with belief density d.
 
     x* = E_f[e_a] / d (wealth proportional to the inverse state-price
     density) and the attained utility is ln E_f[e_a] + H(Q||P).
     """
-    density = tilted_density(model, f_index)
     e_a = np.asarray(e_a, dtype=float)
     mean_endowment = density.expect(e_a)
     if mean_endowment <= 0.0:
@@ -231,20 +234,16 @@ def log_optimal(
 
 
 def cara_indirect_utility(
-    model: MarketModel, f_index: int, e_a: np.ndarray, alpha: float, x: np.ndarray
+    density: TiltedDensity, e_a: np.ndarray, alpha: float, x: np.ndarray
 ) -> float:
     """CARA agent's utility after optimally trading his income e_a + x."""
-    density = tilted_density(model, f_index)
     mean_income = density.expect(np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float))
     entropy = relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
     return float(1.0 - np.exp(-alpha * mean_income - entropy))
 
 
-def log_indirect_utility(
-    model: MarketModel, f_index: int, e_a: np.ndarray, x: np.ndarray
-) -> float:
+def log_indirect_utility(density: TiltedDensity, e_a: np.ndarray, x: np.ndarray) -> float:
     """Log agent's utility after optimally trading his income e_a + x."""
-    density = tilted_density(model, f_index)
     mean_income = density.expect(np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float))
     if mean_income <= 0.0:
         raise DomainError("log wealth needs E_f[e_a + x] > 0")
@@ -252,7 +251,7 @@ def log_indirect_utility(
 
 
 def delegation_income(
-    model: MarketModel, f_index: int, x: np.ndarray, beta: float, e_a: np.ndarray
+    density: TiltedDensity, x: np.ndarray, beta: float, e_a: np.ndarray
 ) -> np.ndarray:
     """Principal's per-node income from the log manager's optimal trading.
 
@@ -262,7 +261,6 @@ def delegation_income(
     """
     if not (BETA_MIN <= beta <= 1.0):
         raise RangeError(f"beta must lie in [{BETA_MIN}, 1]")
-    density = tilted_density(model, f_index)
     income = np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float)
     mean_income = density.expect(income)
     if mean_income <= 0.0:
@@ -271,18 +269,18 @@ def delegation_income(
 
 
 def delegation_value(
-    model: MarketModel,
-    f_index: int,
+    density: TiltedDensity,
     x: np.ndarray,
     beta: float,
     e_a: np.ndarray,
     e_p: np.ndarray,
     v: UtilitySpec,
 ) -> float:
-    """Principal's expected utility from delegating to the log manager f."""
-    w_star = delegation_income(model, f_index, x, beta, e_a)
+    """Principal's expected utility, under the reference law, from delegating
+    to the log manager with belief density d."""
+    w_star = delegation_income(density, x, beta, e_a)
     wealth = np.asarray(e_p, dtype=float) - np.asarray(x, dtype=float) + w_star
-    return float(model.weights @ v.value(wealth))
+    return float(density.weights @ v.value(wealth))
 
 
 _REQUIRED = object()
@@ -326,6 +324,8 @@ def market_model_from_json(doc) -> MarketModel:
     else:
         horizon = _read(doc, "horizon", float, 1.0)
         nodes, weights = discretize_terminal(horizon, _read(doc, "n_nodes", int, 12))
+    # the grid is checked before the drift types are evaluated on its nodes
+    MarketModel(horizon=horizon, nodes=nodes, weights=weights)
     entries = doc.get("drift_types", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError(["drift_types must be a list of objects"])
@@ -353,10 +353,7 @@ def _multiplier_payoff(u: UtilitySpec, density: np.ndarray, lam: float) -> np.nd
 
 
 def verify_budget_optimality(
-    model: MarketModel,
-    f_index: int,
-    e_a: np.ndarray,
-    u: UtilitySpec,
+    density: TiltedDensity, e_a: np.ndarray, u: UtilitySpec
 ) -> float:
     """Gap between the closed-form utility and an independent oracle.
 
@@ -366,7 +363,6 @@ def verify_budget_optimality(
     """
     if u.family not in (CARA, LOG):
         raise RangeError("oracle supports cara and log utilities only")
-    density = tilted_density(model, f_index)
     e_a = np.asarray(e_a, dtype=float)
     target = density.expect(e_a)
     if u.family == LOG and target <= 0.0:
@@ -396,9 +392,58 @@ def verify_budget_optimality(
             break
     lam = 0.5 * (lam_lo + lam_hi)
     oracle_payoff = _multiplier_payoff(u, density.values, lam)
-    oracle_utility = float(model.weights @ u.value(oracle_payoff))
+    oracle_utility = float(density.weights @ u.value(oracle_payoff))
     if u.family == CARA:
-        _, closed = cara_optimal(model, f_index, e_a, u.alpha)
+        _, closed = cara_optimal(density, e_a, u.alpha)
     else:
-        _, closed = log_optimal(model, f_index, e_a)
+        _, closed = log_optimal(density, e_a)
     return abs(oracle_utility - closed)
+
+
+def _node_values(doc: dict, key: str, default: float, m: int) -> np.ndarray:
+    """doc[key] as one finite value per node; a scalar is broadcast."""
+    values = np.atleast_1d(_read(doc, key, _array, default))
+    if values.size == 1:
+        values = np.full(m, float(values[0]))
+    if values.shape != (m,):
+        raise ValidationError([f"{key} must be a scalar or one value per node ({m})"])
+    if not np.all(np.isfinite(values)):
+        raise ValidationError([f"{key} must be finite"])
+    return values
+
+
+def market_report(doc, alpha: float | None = None,
+                  betas: tuple[float, ...] | None = None) -> dict:
+    """The `rcl market` report of a market document: per drift type, the
+    density's normalizer and entropies, the CARA and log closed forms with
+    their oracle gaps, and the principal's CARA(1) delegation value at each
+    beta for a zero transfer. Given alpha and betas win over the document's.
+    """
+    model = market_model_from_json(doc)
+    m = model.n_nodes
+    e_a = _node_values(doc, "e_a", 1.0, m)
+    e_p = _node_values(doc, "e_p", 2.0, m)
+    if alpha is None:
+        alpha = _read(doc, "alpha", float, 1.0)
+    if betas is None:
+        betas = tuple(_read(doc, "beta", _array, 0.5).ravel().tolist())
+    v, zero = cara(1.0), np.zeros(m)
+    types = []
+    for i, drift in enumerate(model.drift_types):
+        density = tilted_density(model, i)
+        x_cara, u_cara = cara_optimal(density, e_a, alpha)
+        cara_gap = verify_budget_optimality(density, e_a, cara(alpha))
+        x_log, u_log = log_optimal(density, e_a)
+        log_gap = verify_budget_optimality(density, e_a, log_utility())
+        types.append({
+            "label": drift.label,
+            "normalizer": density.normalizer,
+            "normalizer_gap": abs(density.normalizer - 1.0),
+            "entropy_agent_ref": relative_entropy(density, ENTROPY_AGENT_GIVEN_REF),
+            "entropy_ref_agent": relative_entropy(density, ENTROPY_REF_GIVEN_AGENT),
+            "cara": {"utility": u_cara, "oracle_gap": cara_gap, "payoff": x_cara.tolist()},
+            "log": {"utility": u_log, "oracle_gap": log_gap, "payoff": x_log.tolist()},
+            "delegation": {repr(float(beta)): delegation_value(density, zero, beta, e_a, e_p, v)
+                           for beta in betas},
+        })
+    return {"horizon": model.horizon, "n_nodes": m, "types": types}

@@ -59,12 +59,13 @@ class StateSpace:
         self.ref_prob = _as_float_array(self.ref_prob, "ref_prob")
         if self.ref_prob.size < 1:
             raise ValidationError(["state space needs at least one atom"])
+        if not np.all(np.isfinite(self.ref_prob)):
+            raise ValidationError(["reference probabilities must be finite"])
         if np.any(self.ref_prob <= 0.0):
             raise ValidationError(["reference probabilities must be strictly positive"])
-        if abs(self.ref_prob.sum() - 1.0) > PROB_TOL:
-            raise ValidationError(
-                [f"reference probabilities sum to {self.ref_prob.sum()!r}, not 1"]
-            )
+        total = float(self.ref_prob.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError([f"reference probabilities sum to {total!r}, not 1"])
         if not self.atoms:
             self.atoms = [f"s{i}" for i in range(self.ref_prob.size)]
         if len(self.atoms) != self.ref_prob.size:
@@ -131,8 +132,8 @@ class UtilitySpec:
             self.domain = HALF_LINE
         if self.family == LOG:
             self.domain = HALF_LINE
-        if self.family == CARA and (self.alpha is None or self.alpha <= 0.0):
-            violations.append(f"cara requires alpha > 0, got {self.alpha!r}")
+        if self.family == CARA and (self.alpha is None or not 0.0 < self.alpha < np.inf):
+            violations.append(f"cara requires a finite alpha > 0, got {self.alpha!r}")
         if self.family == TABULATED:
             violations.extend(self._init_tabulated())
         if violations:
@@ -181,7 +182,7 @@ class UtilitySpec:
         """Reject out-of-domain wealth; boundary noise within 1e-12 is clipped."""
         if self.family == LOG:
             if np.any(z <= 0.0):
-                raise DomainError(f"log utility undefined at wealth {z.min()!r}")
+                raise DomainError(f"log utility undefined at wealth {float(z.min())!r}")
         elif self.family == TABULATED:
             lo, hi = self.grid[0], self.grid[-1]
             pad = 1e-12 * max(hi - lo, 1.0)
@@ -191,7 +192,7 @@ class UtilitySpec:
             pad = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
             if np.any(z < -pad):
                 raise DomainError(
-                    f"{self.family} utility on the half line undefined at {z.min()!r}"
+                    f"{self.family} utility on the half line undefined at {float(z.min())!r}"
                 )
             return np.maximum(z, 0.0)
         return z
@@ -338,7 +339,9 @@ class BeliefSet:
             violations.append("belief set needs at least one prior")
         if self.penalties.size != self.priors.shape[0]:
             violations.append("one penalty per prior required")
-        if np.any(self.priors < 0.0):
+        if not np.all(np.isfinite(self.priors)):
+            violations.append("prior weights must be finite")
+        elif np.any(self.priors < 0.0):
             violations.append("prior weights must be >= 0")
         sums = self.priors.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > PROB_TOL):
@@ -532,6 +535,8 @@ def _check_instance(inst: Instance) -> list[str]:
         inst.reservation = _default_reservation(inst, violations)
     elif inst.reservation.size != inst.n_types:
         violations.append("reservation length does not match the number of types")
+    elif not np.all(np.isfinite(inst.reservation)):
+        violations.append("reservation contains non-finite entries")
 
     if violations or inst.reservation is None:
         return violations

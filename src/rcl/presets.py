@@ -4,7 +4,7 @@ Two reinsurance settings (agent utility on the half line with a bounded
 principal, and on the whole line behind the asymptotic-elasticity screen)
 and two financial-market settings. A market preset is a market document:
 `PresetBundle.market` is in the README market schema, and the `market`
-command reads it with `market_model_from_json` exactly as it reads a
+command reads it with `rcl.market.market_report` exactly as it reads a
 `--instance` file. The market presets also encode the agents' indirect
 preferences: after optimal trading, both the CARA and the log agent rank
 transfer contracts by E_f[x], so the solver sees a linear agent utility
@@ -14,6 +14,10 @@ market applications. That makes `cara_hedging` and `log_delegation` build
 byte-identical documents and solver instances: only the `market` command
 tells the two agents apart, and it reports the CARA and the log closed
 forms for either name.
+
+Parameters: `n_atoms`, `n_types`, `tilt`, `n_priors`, `penalty` (halfline);
+`gamma`, `agent_family` (wholeline); `n_nodes`, `slopes`, `n_priors`
+(market). Everything else is a constant; an unknown name is rejected.
 """
 
 from __future__ import annotations
@@ -92,8 +96,7 @@ def _ambiguity(n_types: int, n_priors: int, penalty: float) -> BeliefSet:
 
 def _reinsurance_halfline(params: dict | None) -> PresetBundle:
     p = _merge_params(
-        {"n_atoms": 2, "n_types": 2, "tilt": 0.4, "n_priors": 2, "penalty": 0.0,
-         "v_alpha": 1.0},
+        {"n_atoms": 2, "n_types": 2, "tilt": 0.4, "n_priors": 2, "penalty": 0.0},
         params, "reinsurance_halfline",
     )
     m, n = int(p["n_atoms"]), int(p["n_types"])
@@ -109,7 +112,7 @@ def _reinsurance_halfline(params: dict | None) -> PresetBundle:
         e_a=e_a,
         e_p=e_p,
         u=log_utility(),
-        v=cara(float(p["v_alpha"]), HALF_LINE),
+        v=cara(1.0, HALF_LINE),
         contract_lo=-e_a,
         contract_hi=e_p,
     )
@@ -117,11 +120,8 @@ def _reinsurance_halfline(params: dict | None) -> PresetBundle:
 
 
 def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
-    p = _merge_params(
-        {"n_atoms": 2, "n_types": 2, "tilt": 0.4, "n_priors": 2, "penalty": 0.0,
-         "gamma": 0.5, "agent_family": "crra", "v_alpha": 0.5, "cap_scale": 2.0},
-        params, "reinsurance_wholeline",
-    )
+    p = _merge_params({"gamma": 0.5, "agent_family": "crra"}, params,
+                      "reinsurance_wholeline")
     family = str(p["agent_family"]).lower()
     if family == "crra":
         u = crra(float(p["gamma"]))
@@ -142,56 +142,46 @@ def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
                 f"{report.estimate:.6f} is not below 1 - margin"
             ]
         )
-    m, n = int(p["n_atoms"]), int(p["n_types"])
-    q = np.full(m, 1.0 / m)
-    e_a = 1.0 + 0.25 * np.arange(m)
-    e_p = 2.0 + 0.5 * np.arange(m)
-    cap = float(p["cap_scale"]) * e_p
+    q = np.full(2, 0.5)
+    e_a = np.array([1.0, 1.25])
+    e_p = np.array([2.0, 2.5])
     inst = Instance(
         states=StateSpace(ref_prob=q),
-        types=_tilt_types(q, n, float(p["tilt"])),
-        principal_belief=AgentType(density=np.ones(m), label="principal"),
-        beliefs=_ambiguity(n, int(p["n_priors"]), float(p["penalty"])),
+        types=_tilt_types(q, 2, 0.4),
+        principal_belief=AgentType(density=np.ones(2), label="principal"),
+        beliefs=_ambiguity(2, 2, 0.0),
         e_a=e_a,
         e_p=e_p,
         u=u,
-        v=cara(float(p["v_alpha"]), WHOLE_LINE),
+        v=cara(0.5, WHOLE_LINE),
         contract_lo=-e_a,
-        contract_hi=cap,
+        contract_hi=2.0 * e_p,
     )
     return PresetBundle(instance=validate_instance(inst))
 
 
 def _market_bundle(params: dict | None, name: str) -> PresetBundle:
-    p = _merge_params(
-        {"n_nodes": 12, "horizon": 1.0, "alpha": 1.0, "beta": 0.5,
-         "slopes": (0.0, 0.35, -0.35), "support": 2.0, "e_a_level": 1.0,
-         "e_p_level": 2.0, "exposure": 0.4, "x_cap": 1.0, "n_priors": 2,
-         "penalty": 0.0},
-        params, name,
-    )
+    p = _merge_params({"n_nodes": 12, "slopes": (0.0, 0.35, -0.35), "n_priors": 2},
+                      params, name)
     market = {
-        "horizon": float(p["horizon"]),
+        "horizon": 1.0,
         "n_nodes": int(p["n_nodes"]),
-        "e_a": float(p["e_a_level"]),
-        "alpha": float(p["alpha"]),
-        "beta": [float(p["beta"])],
+        "e_a": 1.0,
+        "alpha": 1.0,
+        "beta": [0.5],
         "drift_types": [
-            {"label": f"slope={s:+.2f}", "slope": float(s), "support": float(p["support"])}
+            {"label": f"slope={s:+.2f}", "slope": float(s), "support": 2.0}
             for s in np.atleast_1d(p["slopes"]).tolist()
         ],
     }
     model = market_model_from_json(market)
     nodes = model.nodes
-    e_p = float(p["e_p_level"]) - float(p["exposure"]) * nodes
+    e_p = 2.0 - 0.4 * nodes  # the principal is exposed to the market
     market["e_p"] = e_p.tolist()
-    types = []
-    for i, drift in enumerate(model.drift_types):
-        density = tilted_density(model, i)
-        types.append(AgentType(density=density.values, label=drift.label))
+    types = [AgentType(density=tilted_density(model, i).values, label=drift.label)
+             for i, drift in enumerate(model.drift_types)]
     m = model.n_nodes
     n = len(types)
-    x_cap = float(p["x_cap"])
     # Indirect preferences over transfers are monotone in E_f[x], so the
     # solver-facing instance uses a linear agent utility, zero endowment and
     # zero reservation (keeping x = 0 attains exactly the outside option).
@@ -199,13 +189,13 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
         states=StateSpace(ref_prob=model.weights, atoms=[f"w={w:+.4f}" for w in nodes]),
         types=types,
         principal_belief=AgentType(density=np.ones(m), label="reference"),
-        beliefs=_ambiguity(n, int(p["n_priors"]), float(p["penalty"])),
+        beliefs=_ambiguity(n, int(p["n_priors"]), 0.0),
         e_a=np.zeros(m),
         e_p=e_p,
         u=linear(WHOLE_LINE),
         v=cara(1.0, WHOLE_LINE),
-        contract_lo=np.full(m, -x_cap),
-        contract_hi=np.full(m, x_cap),
+        contract_lo=np.full(m, -1.0),
+        contract_hi=np.full(m, 1.0),
         reservation=np.zeros(n),
     )
     return PresetBundle(instance=validate_instance(inst), market=market)

@@ -47,8 +47,8 @@ class SolveOptions:
         violations = []
         if self.max_iters <= 0:
             violations.append("max_iters must be positive")
-        if self.tol <= 0:
-            violations.append("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            violations.append("tol must be positive and finite")
         if violations:
             raise ValidationError(violations)
 

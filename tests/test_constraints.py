@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rcl
-from rcl.errors import DimensionError
+from rcl.errors import DimensionError, RangeError
 
 from conftest import make_instance, make_uu, random_contracts, random_mechanisms
 
@@ -136,6 +136,13 @@ class TestCheckMechanism:
         assert not report.feasible
         assert report.max_ir_violation == pytest.approx(0.5)
         assert report.max_ic_violation == 0.0
+
+    @pytest.mark.parametrize("tol", [-1e-9, np.inf, np.nan])
+    def test_rejects_bad_tol(self, tol):
+        # an infinite tol would call any mechanism feasible
+        uu = uu_with_types([(1.0, 1.0)], reservation=[0.5])
+        with pytest.raises(RangeError, match="tol"):
+            rcl.check_mechanism(rcl.build_system(uu), rcl.Mechanism(np.zeros((1, 2))), tol)
 
     def test_nan_mechanism_is_infeasible(self):
         # max(0.0, -nan) is 0.0: a NaN slack must not read as satisfied

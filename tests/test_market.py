@@ -128,20 +128,20 @@ class TestRelativeEntropy:
 class TestCaraOptimal:
     def test_no_tilt_keeps_endowment_value(self):
         model = two_node_model((0.0, 0.0))
-        x, utility = rcl.cara_optimal(model, 0, np.ones(2), alpha=1.0)
+        x, utility = rcl.cara_optimal(rcl.tilted_density(model, 0), np.ones(2), alpha=1.0)
         np.testing.assert_allclose(x, 1.0, atol=1e-14)
         assert utility == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
 
     def test_zero_endowment_zero_utility(self):
         model = two_node_model((0.0, 0.0))
-        x, utility = rcl.cara_optimal(model, 0, np.zeros(2), alpha=2.0)
+        x, utility = rcl.cara_optimal(rcl.tilted_density(model, 0), np.zeros(2), alpha=2.0)
         np.testing.assert_allclose(x, 0.0, atol=1e-14)
         assert utility == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_tilted_utility(self):
         # direct-summation oracle: 1 - exp(-alpha E_f[e_a] - H(P||Q))
         model = two_node_model(TILT_12_08)
-        _, utility = rcl.cara_optimal(model, 0, np.ones(2), alpha=1.0)
+        _, utility = rcl.cara_optimal(rcl.tilted_density(model, 0), np.ones(2), alpha=1.0)
         oracle = 1.0 - math.exp(-1.0 - H_PQ_ORACLE)
         assert utility == pytest.approx(oracle, abs=1e-12)
         assert utility == pytest.approx(0.639454, abs=1e-6)
@@ -155,7 +155,7 @@ class TestCaraOptimal:
         e_a = rng.uniform(0.5, 1.5, 16)
         for k in range(5):
             alpha = float(rng.uniform(0.5, 3.0))
-            x, utility = rcl.cara_optimal(model, k, e_a, alpha)
+            x, utility = rcl.cara_optimal(rcl.tilted_density(model, k), e_a, alpha)
             d = rcl.tilted_density(model, k)
             assert d.expect(x - e_a) == pytest.approx(0.0, abs=1e-9)
             realized = float(weights @ (1.0 - np.exp(-alpha * x)))
@@ -165,13 +165,13 @@ class TestCaraOptimal:
 class TestLogOptimal:
     def test_no_tilt_keeps_endowment(self):
         model = two_node_model((0.0, 0.0))
-        x, utility = rcl.log_optimal(model, 0, np.full(2, 2.0))
+        x, utility = rcl.log_optimal(rcl.tilted_density(model, 0), np.full(2, 2.0))
         np.testing.assert_allclose(x, 2.0, atol=1e-14)
         assert utility == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_worked_tilted_payoff(self):
         model = two_node_model(TILT_12_08)
-        x, utility = rcl.log_optimal(model, 0, np.ones(2))
+        x, utility = rcl.log_optimal(rcl.tilted_density(model, 0), np.ones(2))
         np.testing.assert_allclose(x, [1.0 / 1.2, 1.0 / 0.8], atol=1e-12)
         assert utility == pytest.approx(H_QP_ORACLE, abs=1e-12)
 
@@ -182,7 +182,7 @@ class TestLogOptimal:
             drift_types=[rcl.DriftType(label="t", values=rng.uniform(-1, 1, 12))],
         )
         e_a = rng.uniform(0.5, 1.5, 12)
-        x, _ = rcl.log_optimal(model, 0, e_a)
+        x, _ = rcl.log_optimal(rcl.tilted_density(model, 0), e_a)
         d = rcl.tilted_density(model, 0)
         assert d.expect(x - e_a) == pytest.approx(0.0, abs=1e-9)
         assert np.all(x > 0.0)
@@ -194,7 +194,7 @@ class TestLogOptimal:
             drift_types=[rcl.DriftType(label="t", values=rng.uniform(-1, 1, 12))],
         )
         e_a = rng.uniform(0.5, 1.5, 12)
-        x, utility = rcl.log_optimal(model, 0, e_a)
+        x, utility = rcl.log_optimal(rcl.tilted_density(model, 0), e_a)
         d = rcl.tilted_density(model, 0)
         lhs = float(weights @ np.log(x))
         rhs = math.log(d.expect(e_a)) + rcl.relative_entropy(d, ENTROPY_REF_GIVEN_AGENT)
@@ -204,23 +204,24 @@ class TestLogOptimal:
     def test_nonpositive_endowment_rejected(self):
         model = two_node_model((0.0, 0.0))
         with pytest.raises(DomainError):
-            rcl.log_optimal(model, 0, np.full(2, -1.0))
+            rcl.log_optimal(rcl.tilted_density(model, 0), np.full(2, -1.0))
 
 
 class TestDelegation:
     def test_full_share_means_no_income(self, rng):
         model = two_node_model(TILT_12_08)
         x = rng.uniform(-0.5, 0.5, 2)
-        w_star = rcl.delegation_income(model, 0, x, beta=1.0, e_a=np.ones(2))
+        w_star = rcl.delegation_income(rcl.tilted_density(model, 0), x, beta=1.0,
+                                       e_a=np.ones(2))
         np.testing.assert_array_equal(w_star, 0.0)
-        value = rcl.delegation_value(model, 0, x, 1.0, np.ones(2), np.zeros(2),
-                                     rcl.linear())
+        value = rcl.delegation_value(rcl.tilted_density(model, 0), x, 1.0, np.ones(2),
+                                     np.zeros(2), rcl.linear())
         direct = float(model.weights @ -x)
         assert value == pytest.approx(direct, abs=1e-12)
 
     def test_no_tilt_constant_endowment_no_income(self):
         model = two_node_model((0.0, 0.0))
-        w_star = rcl.delegation_income(model, 0, np.zeros(2), beta=0.25,
+        w_star = rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2), beta=0.25,
                                        e_a=np.ones(2))
         np.testing.assert_allclose(w_star, 0.0, atol=1e-14)
 
@@ -228,28 +229,30 @@ class TestDelegation:
         # direct summation of ((1-b)/b)(E_f[e_a]/d - e_a) at b = 1/2:
         # 0.5/1.2 + 0.5/0.8 - 1 = 1/24
         model = two_node_model(TILT_12_08)
-        value = rcl.delegation_value(model, 0, np.zeros(2), 0.5, np.ones(2),
-                                     np.zeros(2), rcl.linear())
+        value = rcl.delegation_value(rcl.tilted_density(model, 0), np.zeros(2), 0.5,
+                                     np.ones(2), np.zeros(2), rcl.linear())
         assert value == pytest.approx(1.0 / 24.0, abs=1e-12)
 
     def test_beta_floor(self):
         model = two_node_model()
         with pytest.raises(RangeError):
-            rcl.delegation_income(model, 0, np.zeros(2), beta=1e-4, e_a=np.ones(2))
+            rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2), beta=1e-4,
+                                  e_a=np.ones(2))
 
     def test_log_agent_utility_independent_of_share(self):
         # the manager's attainable utility never references the profit share:
         # delegation reuses the log optimum unchanged for every beta
         model = two_node_model(TILT_12_08)
-        _, base_utility = rcl.log_optimal(model, 0, np.ones(2))
-        got = log_indirect_utility(model, 0, np.ones(2), np.zeros(2))
+        _, base_utility = rcl.log_optimal(rcl.tilted_density(model, 0), np.ones(2))
+        got = log_indirect_utility(rcl.tilted_density(model, 0), np.ones(2), np.zeros(2))
         assert got == pytest.approx(base_utility, abs=1e-14)
 
 
 class TestBudgetOracle:
     def test_no_tilt_cara_gap_tiny(self):
         model = two_node_model((0.0, 0.0))
-        gap = rcl.verify_budget_optimality(model, 0, np.ones(2), rcl.cara(1.0))
+        gap = rcl.verify_budget_optimality(rcl.tilted_density(model, 0), np.ones(2),
+                                           rcl.cara(1.0))
         assert gap <= 1e-10
 
     def test_random_tilts_log(self, rng):
@@ -260,7 +263,8 @@ class TestBudgetOracle:
                                 drift_types=drifts)
         e_a = rng.uniform(0.5, 1.5, 20)
         for k in range(5):
-            assert rcl.verify_budget_optimality(model, k, e_a, rcl.log_utility()) <= 1e-7
+            assert rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a,
+                                                rcl.log_utility()) <= 1e-7
 
     def test_random_tilts_cara(self, rng):
         nodes, weights = rcl.discretize_terminal(1.0, 20)
@@ -270,12 +274,14 @@ class TestBudgetOracle:
                                 drift_types=drifts)
         e_a = rng.uniform(0.5, 1.5, 20)
         for k in range(5):
-            assert rcl.verify_budget_optimality(model, k, e_a, rcl.cara(2.0)) <= 1e-7
+            assert rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a,
+                                                rcl.cara(2.0)) <= 1e-7
 
     def test_rejects_unsupported_family(self):
         model = two_node_model()
         with pytest.raises(RangeError):
-            rcl.verify_budget_optimality(model, 0, np.ones(2), rcl.crra(0.5))
+            rcl.verify_budget_optimality(rcl.tilted_density(model, 0), np.ones(2),
+                                         rcl.crra(0.5))
 
 
 class TestMarketIncentiveRouting:
@@ -315,9 +321,11 @@ class TestMarketIncentiveRouting:
             linear_ok = report.max_ic_violation <= 1e-8
             indirect_ok = True
             for j in range(3):
-                own = cara_indirect_utility(model, j, e_a, alpha, contracts[j])
+                own = cara_indirect_utility(rcl.tilted_density(model, j), e_a, alpha,
+                                            contracts[j])
                 for k in range(3):
-                    other = cara_indirect_utility(model, j, e_a, alpha, contracts[k])
+                    other = cara_indirect_utility(rcl.tilted_density(model, j), e_a, alpha,
+                                                  contracts[k])
                     if own < other - 1e-10:
                         indirect_ok = False
             assert linear_ok == indirect_ok

@@ -75,6 +75,17 @@ class TestStateSpace:
         s = rcl.StateSpace(ref_prob=[0.25, 0.75])
         assert s.atoms == ["s0", "s1"]
 
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(ValidationError) as exc:
+            rcl.StateSpace(ref_prob=[0.6, 0.5])
+        assert str(exc.value) == "reference probabilities sum to 1.1, not 1"
+        with pytest.raises(DomainError) as exc:
+            rcl.log_utility().value(np.array([-0.5, 1.0]))
+        assert str(exc.value) == "log utility undefined at wealth -0.5"
+        with pytest.raises(DomainError) as exc:
+            rcl.crra(0.5).value(np.array([-0.5, 1.0]))
+        assert str(exc.value) == "crra utility on the half line undefined at -0.5"
+
 
 class TestUtilitySpec:
     def test_crra_gamma_must_be_interior(self):
@@ -86,6 +97,11 @@ class TestUtilitySpec:
     def test_cara_alpha_positive(self):
         with pytest.raises(ValidationError):
             rcl.cara(-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_cara_alpha_finite(self, alpha):
+        with pytest.raises(ValidationError, match="finite alpha"):
+            rcl.cara(alpha)
 
     def test_log_domain(self):
         u = rcl.log_utility()
@@ -168,6 +184,21 @@ class TestValidateInstance:
         for entry, label in zip(doc["types"], labels):
             entry["label"] = label
         with pytest.raises(ValidationError, match="not distinct"):
+            rcl.validate_instance(doc)
+
+    @pytest.mark.parametrize("path, message", [
+        (("states", "ref_prob", 0), "reference probabilities must be finite"),
+        (("beliefs", "priors", 0, 0), "prior weights must be finite"),
+        (("reservation", 0), "reservation contains non-finite entries"),
+    ], ids=["ref_prob", "prior", "reservation"])
+    def test_rejects_nan_entry(self, rng, path, message):
+        # NaN slips past checks like `<= 0` and `abs(s - 1) > tol`
+        doc = make_instance(rng).to_json()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = float("nan")
+        with pytest.raises(ValidationError, match=message):
             rcl.validate_instance(doc)
 
     def test_idempotent_returns_same_object(self, rng):

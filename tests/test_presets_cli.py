@@ -12,6 +12,8 @@ from rcl.errors import ValidationError
 from rcl.market import cara_optimal, cara_indirect_utility, market_model_from_json
 from rcl.presets import build_preset_bundle
 
+NAN = float("nan")
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", [
@@ -42,6 +44,8 @@ class TestPresets:
     def test_unknown_param(self):
         with pytest.raises(ValidationError, match="no parameter"):
             rcl.build_preset("cara_hedging", {"bogus": 1})
+        with pytest.raises(ValidationError, match="no parameter 'v_alpha'"):
+            rcl.build_preset("reinsurance_wholeline", {"v_alpha": 0.5})
 
     def test_market_presets_have_linear_ic_structure(self):
         bundle = build_preset_bundle("cara_hedging")
@@ -61,9 +65,9 @@ class TestPresets:
         model = market_model_from_json(bundle.market)
         e_a = np.full(model.n_nodes, bundle.market["e_a"])
         alpha = bundle.market["alpha"]
-        realized = cara_indirect_utility(model, 0, e_a, alpha,
+        realized = cara_indirect_utility(rcl.tilted_density(model, 0), e_a, alpha,
                                          res.mechanism.assignment[0])
-        _, benchmark = cara_optimal(model, 0, e_a, alpha)
+        _, benchmark = cara_optimal(rcl.tilted_density(model, 0), e_a, alpha)
         assert realized == pytest.approx(benchmark, abs=1e-9)
 
 
@@ -247,6 +251,53 @@ class TestCli:
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("doc, flags", [
+        ({"alpha": NAN}, []),
+        ({"e_a": [1.0, NAN]}, []),
+        ({"e_p": NAN}, []),
+        ({"nodes": [-1.0, 1.0], "weights": [NAN, NAN]}, []),
+        ({"nodes": [NAN, NAN], "weights": [0.5, 0.5]}, []),
+        ({"nodes": [-1.0, 1.0], "weights": [0.5, 0.5], "horizon": NAN}, []),
+        ({"horizon": NAN}, []),
+        ({}, ["--alpha", "nan"]),
+        ({}, ["--alpha", "inf"]),
+    ], ids=["alpha", "e_a", "e_p", "weights", "nodes", "horizon_grid", "horizon",
+            "flag_alpha_nan", "flag_alpha_inf"])
+    def test_non_finite_market_input_is_input_error(self, tmp_path, capsys, doc, flags):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"n_nodes": 2, "drift_types": [{"slope": 0.1}], **doc}))
+        out = tmp_path / "m"
+        code = main(["market", "--instance", str(path), *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    def test_market_computes_one_density_per_type(self, tmp_path, monkeypatch):
+        calls = []
+        original = rcl.market.tilted_density
+
+        def counted(model, f_index):
+            calls.append(f_index)
+            return original(model, f_index)
+
+        monkeypatch.setattr(rcl.market, "tilted_density", counted)
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"n_nodes": 8, "beta": [0.25, 0.5, 1.0], "drift_types": [
+            {"slope": 0.0}, {"slope": 0.3}, {"slope": -0.3}]}))
+        assert main(["market", "--instance", str(path), "--out", str(tmp_path / "m")]) == 0
+        assert calls == [0, 1, 2]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_input_error(self, tmp_path, capsys, tol):
+        # at an infinite tol every mechanism would read as certified
+        out = tmp_path / "s"
+        code = main(["solve", "--preset", "reinsurance_halfline", "--tol", tol,
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: tol must be positive and finite" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         # exit code 2 is reserved for an honest non-converged solve

@@ -107,6 +107,11 @@ class TestPrincipalValue:
 
 
 class TestSolveMechanism:
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_options_reject_bad_tol(self, tol):
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            rcl.SolveOptions(tol=tol)
+
     def test_binding_reservation_single_atom(self):
         # risk transfer is costly to the principal, so participation binds
         # and the optimum sits at the endowment utility level
