@@ -32,7 +32,7 @@ import numpy as np
 from .constraints import Mechanism, build_system
 from .errors import RclError
 from .market import market_report
-from .menu import equivalence_check, extract_mechanism, solve_menu
+from .menu import _check_menu_cap, equivalence_check, extract_mechanism, solve_menu
 from .model import WEALTH_FLOOR, Instance, load_instance
 from .presets import PRESET_NAMES, build_preset, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
@@ -65,21 +65,12 @@ class RunConfig:
         return doc
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal rendering for floats; str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]):
+    """csv writes a float cell as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _write_summary(path: Path, uu, mech: Mechanism):
@@ -173,8 +164,14 @@ def _oracle(config: RunConfig, uu):
     return doc, result.mechanism, None, EXIT_OK
 
 
+def _candidates(config: RunConfig, uu):  # the cap is checked before the grid is built
+    levels = _levels(config, 2)
+    _check_menu_cap(max(levels, 0) ** uu.n_atoms, uu.n_types)
+    return grid_contracts(uu, levels)
+
+
 def _menu(config: RunConfig, uu):
-    menu, value = solve_menu(grid_contracts(uu, _levels(config, 2)), uu)
+    menu, value = solve_menu(_candidates(config, uu), uu)
     mech = extract_mechanism(menu, uu)
     doc = {"menu_value": value, "menu": menu.contracts.tolist(),
            "mechanism": mech.to_json()}
@@ -182,7 +179,7 @@ def _menu(config: RunConfig, uu):
 
 
 def _equivalence(config: RunConfig, uu):
-    candidates = grid_contracts(uu, _levels(config, 2))
+    candidates = _candidates(config, uu)
     report = equivalence_check(candidates, uu)
     witness = Mechanism(candidates[report.witness_assignment])
     return {"report": report.to_json()}, witness, None, EXIT_OK

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionError, RangeError
+from .model import _row_dots
 from .transform import UtilityUnitsInstance
 
 DEFAULT_TOL = 1e-8
@@ -22,12 +23,12 @@ DEFAULT_TOL = 1e-8
 def agent_levels(uu: UtilityUnitsInstance, contracts) -> np.ndarray:
     """Level E[j, g] = sum_i q_i d_{j,i} c_{g,i} that type j gets from contract g.
 
-    One 1-d dot per entry, so a column is bitwise the same whichever other
-    contracts sit beside it: every constraint slack, menu choice and report
-    reads its levels from here.
+    Each row is `_row_dots` of the contracts, so a column is bitwise the
+    same whichever other contracts sit beside it: every constraint slack,
+    menu choice and report reads its levels from here.
     """
     contracts = np.atleast_2d(np.asarray(contracts, dtype=float))
-    return np.array([[w @ c for c in contracts] for w in uu.base.type_weights()])
+    return np.array([_row_dots(contracts, w) for w in uu.base.type_weights()])
 
 
 @dataclass

@@ -9,7 +9,8 @@ and the principal's delegation income are implemented in closed form, with
 an independent Lagrange-multiplier oracle for verification. The closed
 forms take a type's `TiltedDensity`, computed once by `tilted_density`.
 Only this module reads the market document (`market_model_from_json`,
-`market_report`); non-finite numbers in it are rejected.
+`market_report`), each field through `rcl.model`'s one field reader;
+non-finite numbers and non-positive quadrature weights in it are rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .model import CARA, LOG, UtilitySpec, cara, log_utility
+from .model import CARA, LOG, UtilitySpec, _read_field, cara, log_utility
 
 MAX_NODES = 200
 BETA_MIN = 1e-3
@@ -40,28 +41,17 @@ class DriftType:
     """A market belief: drift primitive f evaluated on the terminal nodes.
 
     Only f(W_T) enters any implemented formula, so the function is carried
-    by its node values. The normalization f(0) = 0 is declared through
-    f_at_zero (exact for the parametric constructors; raw node values rely
-    on the caller's declaration since a constant shift cancels after the
-    density is normalized anyway).
+    by its node values. Nothing fixes f(0): a constant shift of f cancels
+    when the density is normalized, and shows only in the normalizer Z.
     """
 
     label: str
     values: np.ndarray
-    f_at_zero: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        violations = []
         if not np.all(np.isfinite(self.values)):
-            violations.append(f"drift type {self.label}: values must be finite")
-        if self.f_at_zero != 0.0:
-            violations.append(
-                f"drift type {self.label}: f(0) = {self.f_at_zero!r}, "
-                "normalization requires f(0) = 0"
-            )
-        if violations:
-            raise ValidationError(violations)
+            raise ValidationError([f"drift type {self.label}: values must be finite"])
 
 
 def clamped_linear_drift(label: str, nodes: np.ndarray, slope: float,
@@ -94,6 +84,8 @@ class MarketModel:
         elif not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
             violations.append("nodes and weights must be finite")
         else:
+            if np.any(self.weights <= 0.0):
+                violations.append("weights must be positive")
             if abs(self.weights.sum() - 1.0) > 1e-12:
                 violations.append("weights must sum to 1")
             scale = max(float(np.max(np.abs(self.nodes), initial=0.0)), 1.0)
@@ -111,12 +103,6 @@ class MarketModel:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    def drift(self, f_index: int) -> DriftType:
-        try:
-            return self.drift_types[f_index]
-        except IndexError:
-            raise DimensionError(f"no drift type with index {f_index}") from None
 
 
 def discretize_terminal(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +159,10 @@ class TiltedDensity:
 
 def tilted_density(model: MarketModel, f_index: int) -> TiltedDensity:
     """Density proportional to exp(f(W_T)), normalized against the quadrature."""
-    f = model.drift(f_index).values
+    try:
+        f = model.drift_types[f_index].values
+    except IndexError:
+        raise DimensionError(f"no drift type with index {f_index}") from None
     if np.max(np.abs(f)) > 700.0:
         raise RangeError("drift values beyond +-700 would overflow exp")
     ef = np.exp(f)
@@ -283,64 +272,56 @@ def delegation_value(
     return float(density.weights @ v.value(wealth))
 
 
-_REQUIRED = object()
-
-
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _read(entry: dict, key: str, convert, default=_REQUIRED, where: str = ""):
-    """entry[key], or the default, passed through convert; a missing or
-    malformed field raises ValidationError naming it."""
-    if key not in entry and default is _REQUIRED:
-        raise ValidationError([f"missing field {where}{key}"])
-    try:
-        return convert(entry.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError([f"{where}{key}: {exc}"]) from None
+def _whole_number(value) -> int:
+    """A JSON number without a fractional part (12 or 12.0), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ValueError(f"must be a whole number, not {value!r}")
+    return int(value)
 
 
 def market_model_from_json(doc) -> MarketModel:
     """Build a MarketModel from its JSON form.
 
-    The node grid comes either from an explicit "nodes"/"weights" pair or
-    from "n_nodes" Gauss-Hermite points at the given horizon. Each drift
-    type is either raw node values (plus a declared f(0)) or the named
-    clamped-linear family with slope and support parameters. A document
-    that is not an object, or a missing or malformed field, raises
-    ValidationError naming the field.
+    The node grid comes either from an explicit "nodes"/"weights" pair
+    (weights positive) or from "n_nodes" (a whole number) Gauss-Hermite
+    points at the given horizon. Each drift type is either raw node values
+    or the named clamped-linear family with slope and support parameters.
+    A document that is not an object, or a missing or malformed field,
+    raises ValidationError naming the field.
     """
     if not isinstance(doc, dict):
         raise ValidationError(
             [f"a market document must be a JSON object, not {type(doc).__name__}"]
         )
     if "nodes" in doc:
-        nodes = _read(doc, "nodes", _array)
-        weights = _read(doc, "weights", _array)
+        nodes = _read_field(doc, "nodes", _array)
+        weights = _read_field(doc, "weights", _array)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValidationError(["nodes and weights must be 1-d arrays of equal length"])
-        horizon = _read(doc, "horizon", float, weighted_moment(nodes, weights, 2))
+        horizon = _read_field(doc, "horizon", float, weighted_moment(nodes, weights, 2))
     else:
-        horizon = _read(doc, "horizon", float, 1.0)
-        nodes, weights = discretize_terminal(horizon, _read(doc, "n_nodes", int, 12))
+        horizon = _read_field(doc, "horizon", float, 1.0)
+        n_nodes = _read_field(doc, "n_nodes", _whole_number, 12)
+        nodes, weights = discretize_terminal(horizon, n_nodes)
     # the grid is checked before the drift types are evaluated on its nodes
     MarketModel(horizon=horizon, nodes=nodes, weights=weights)
-    entries = doc.get("drift_types", [])
+    entries = _read_field(doc, "drift_types", default=[])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError(["drift_types must be a list of objects"])
     drifts = []
     for i, entry in enumerate(entries):
-        label = entry.get("label", f"f{i}")
-        where = f"drift_types[{i}]."
+        label = _read_field(entry, "label", default=f"f{i}")
+        where = f"drift_types[{i}]"
         if "values" in entry:
-            values = _read(entry, "values", _array, where=where)
-            f_at_zero = _read(entry, "f_at_zero", float, 0.0, where)
-            drifts.append(DriftType(label, values, f_at_zero))
+            drifts.append(DriftType(label, _read_field(entry, "values", _array, where=where)))
         else:
-            slope = _read(entry, "slope", float, where=where)
-            support = _read(entry, "support", float,
-                            np.max(np.abs(nodes), initial=0.0), where)
+            slope = _read_field(entry, "slope", float, where=where)
+            support = _read_field(entry, "support", float,
+                                  np.max(np.abs(nodes), initial=0.0), where)
             drifts.append(clamped_linear_drift(label, nodes, slope, support))
     return MarketModel(horizon=horizon, nodes=nodes, weights=weights, drift_types=drifts)
 
@@ -402,7 +383,7 @@ def verify_budget_optimality(
 
 def _node_values(doc: dict, key: str, default: float, m: int) -> np.ndarray:
     """doc[key] as one finite value per node; a scalar is broadcast."""
-    values = np.atleast_1d(_read(doc, key, _array, default))
+    values = np.atleast_1d(_read_field(doc, key, _array, default))
     if values.size == 1:
         values = np.full(m, float(values[0]))
     if values.shape != (m,):
@@ -424,9 +405,9 @@ def market_report(doc, alpha: float | None = None,
     e_a = _node_values(doc, "e_a", 1.0, m)
     e_p = _node_values(doc, "e_p", 2.0, m)
     if alpha is None:
-        alpha = _read(doc, "alpha", float, 1.0)
+        alpha = _read_field(doc, "alpha", float, 1.0)
     if betas is None:
-        betas = tuple(_read(doc, "beta", _array, 0.5).ravel().tolist())
+        betas = tuple(_read_field(doc, "beta", _array, 0.5).ravel().tolist())
     v, zero = cara(1.0), np.zeros(m)
     types = []
     for i, drift in enumerate(model.drift_types):

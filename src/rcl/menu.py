@@ -79,6 +79,19 @@ def menu_choices(
                     contract_values(uu, menu.contracts))
 
 
+def _check_menu_cap(n_cand: int, n_types: int) -> int:
+    """The largest subset size `solve_menu` walks over n_cand candidates;
+    SizeCapError naming the count when the walk would exceed the cap."""
+    max_size = min(n_cand, 2 * n_types)
+    n_subsets = sum(math.comb(n_cand, k) for k in range(1, max_size + 1))
+    if n_subsets > MENU_SUBSET_CAP:
+        raise SizeCapError(
+            f"{n_subsets} subsets of at most {max_size} of {n_cand} candidates "
+            f"exceed the menu cap {MENU_SUBSET_CAP}"
+        )
+    return max_size
+
+
 def solve_menu(
     candidates: np.ndarray, uu: UtilityUnitsInstance
 ) -> tuple[Menu, float]:
@@ -104,13 +117,7 @@ def solve_menu(
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_cand = candidates.shape[0]
-    max_size = min(n_cand, 2 * uu.n_types)
-    n_subsets = sum(math.comb(n_cand, k) for k in range(1, max_size + 1))
-    if n_subsets > MENU_SUBSET_CAP:
-        raise SizeCapError(
-            f"{n_subsets} subsets of at most {max_size} of {n_cand} candidates "
-            f"exceed the menu cap {MENU_SUBSET_CAP}"
-        )
+    max_size = _check_menu_cap(n_cand, uu.n_types)
     if not uu.contains(candidates):
         raise ValidationError(["candidate contracts leave the transformed bounds"])
     levels = agent_levels(uu, candidates)

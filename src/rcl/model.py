@@ -6,6 +6,10 @@ expectation in the package reduces to the weighted dot product
 sum_i q_i * d_i * x_i. An Instance bundles endowments, utility functions,
 the ambiguity set over types and the contract bounds that the transform,
 constraint, solver and menu modules consume.
+
+It owns three rules the other modules share: `_read_field` reads every
+field of the instance and market documents, `UtilitySpec.floored_value`
+applies the half-line wealth floor, and `_row_dots` evaluates row by row.
 """
 
 from __future__ import annotations
@@ -46,6 +50,37 @@ def _as_float_array(x, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValidationError([f"{name} must be a one-dimensional array"])
     return arr
+
+
+def _row_dots(matrix, vector: np.ndarray) -> np.ndarray:
+    """row @ vector, one 1-d dot per row: unlike a matrix product, each entry
+    is then bitwise the same whichever rows sit beside it, so a value
+    re-evaluated on a subset of the rows reproduces exactly."""
+    return np.fromiter((np.dot(row, vector) for row in matrix), float, len(matrix))
+
+
+_REQUIRED = object()
+
+
+def _read_field(doc, key, convert=lambda value: value, default=_REQUIRED, where=""):
+    """doc[key], or the default when it is missing, passed through convert.
+    Errors name the field by its full path, `where` being doc's own: `missing
+    field X`, or `X: <reason>` for a value convert rejects with TypeError or
+    ValueError (`where: <reason>` when doc is not an object). A
+    ValidationError from convert passes through."""
+    name = f"{where}.{key}" if where else key
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ValidationError([f"missing field {name}"]) from None
+        value = default
+    except TypeError as exc:
+        raise ValidationError([f"{where}: {exc}"]) from None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError([f"{name}: {exc}"]) from None
 
 
 @dataclass
@@ -266,6 +301,10 @@ class UtilitySpec:
             )
         return out.reshape(np.shape(yy))
 
+    def floored_value(self, wealth) -> np.ndarray:
+        """u at the wealth, floored at WEALTH_FLOOR on the half line."""
+        return self.value(np.maximum(wealth, WEALTH_FLOOR) if self.domain == HALF_LINE else wealth)
+
     def domain_interval(self) -> tuple[float, float]:
         """Wealth interval on which the utility can be evaluated."""
         if self.family == TABULATED:
@@ -292,16 +331,11 @@ class UtilitySpec:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "UtilitySpec":
-        return cls(
-            family=doc["family"],
-            domain=doc.get("domain", ""),
-            gamma=doc.get("gamma"),
-            alpha=doc.get("alpha"),
-            grid=doc.get("grid"),
-            values=doc.get("values"),
-            derivs=doc.get("derivs"),
-        )
+    def from_json(cls, doc: dict, where: str = "") -> "UtilitySpec":
+        """The spec of a JSON object; `where` names the object in messages."""
+        optional = ("domain", "gamma", "alpha", "grid", "values", "derivs")
+        return cls(_read_field(doc, "family", where=where),
+                   **{key: _read_field(doc, key, default=None, where=where) for key in optional})
 
 
 def crra(gamma: float) -> UtilitySpec:
@@ -358,12 +392,10 @@ class BeliefSet:
     def robust_value(self, type_values: np.ndarray) -> tuple[float, int]:
         """min over priors of expected value plus penalty; ties -> lowest index.
 
-        Per-prior dot products are evaluated one row at a time so that
-        re-evaluating the returned worst prior reproduces the value bitwise.
+        Per-prior dot products go through `_row_dots`, so re-evaluating the
+        returned worst prior reproduces the value bitwise.
         """
-        values = np.asarray(type_values, dtype=float)
-        totals = np.array([float(np.dot(k, values)) for k in self.priors])
-        totals += self.penalties
+        totals = _row_dots(self.priors, np.asarray(type_values, dtype=float)) + self.penalties
         idx = int(np.argmin(totals))
         return float(totals[idx]), idx
 
@@ -456,8 +488,7 @@ def expectation(states: StateSpace, agent_type: AgentType, payoff) -> float:
 def _default_reservation(inst: Instance, violations: list[str]) -> np.ndarray | None:
     """Participation baseline: expected utility of the untouched endowment."""
     try:
-        wealth = np.maximum(inst.e_a, WEALTH_FLOOR) if inst.u.domain == HALF_LINE else inst.e_a
-        base = inst.u.value(wealth)
+        base = inst.u.floored_value(inst.e_a)
     except DomainError as exc:
         violations.append(f"cannot compute default reservation: {exc}")
         return None
@@ -544,8 +575,7 @@ def _check_instance(inst: Instance) -> list[str]:
     # Feasibility: the agent-best contract (upper bound) must clear every IR
     # constraint, otherwise no individually rational contract exists at all.
     try:
-        floor = np.maximum(wealth_hi, WEALTH_FLOOR) if inst.u.domain == HALF_LINE else wealth_hi
-        c_best = inst.u.value(floor)
+        c_best = inst.u.floored_value(wealth_hi)
     except DomainError as exc:
         violations.append(f"cannot evaluate agent utility at the upper contract bound: {exc}")
         return violations
@@ -566,49 +596,45 @@ def _check_instance(inst: Instance) -> list[str]:
     return violations
 
 
-def _instance_from_doc(doc: dict) -> Instance:
+def _instance_from_doc(doc) -> Instance:
+    if not isinstance(doc, dict):
+        raise ValidationError([f"an instance must be a JSON object, not {type(doc).__name__}"])
     violations: list[str] = []
 
-    def grab(builder, *keys):
-        node = doc
+    def read(key, convert, default=_REQUIRED):
         try:
-            for key in keys:
-                node = node[key]
-        except (KeyError, TypeError):
-            violations.append(f"missing field {'.'.join(keys)}")
-            return None
-        try:
-            return builder(node)
+            return _read_field(doc, key, convert, default)
         except ValidationError as exc:
             violations.extend(exc.violations)
-        except (ValueError, TypeError) as exc:
-            violations.append(f"{'.'.join(keys)}: {exc}")
-        return None
 
-    states = grab(lambda n: StateSpace(ref_prob=n["ref_prob"], atoms=list(n.get("atoms", []))),
-                  "states")
-    types = grab(
-        lambda n: [AgentType(density=t["density"], label=t.get("label", f"theta{i}"))
-                   for i, t in enumerate(n)],
-        "types",
-    )
-    belief = grab(
-        lambda n: AgentType(density=n["density"], label=n.get("label", "principal")),
-        "principal_belief",
-    )
-    beliefs = grab(lambda n: BeliefSet(priors=n["priors"], penalties=n["penalties"]), "beliefs")
-    u = grab(UtilitySpec.from_json, "u")
-    v = grab(UtilitySpec.from_json, "v")
-    e_a = grab(lambda n: _as_float_array(n, "e_a"), "e_a")
-    e_p = grab(lambda n: _as_float_array(n, "e_p"), "e_p")
-    lo = grab(lambda n: _as_float_array(n, "bounds.lo"), "bounds", "lo")
-    hi = grab(lambda n: _as_float_array(n, "bounds.hi"), "bounds", "hi")
-    reservation = None
-    if "reservation" in doc:
-        reservation = grab(lambda n: _as_float_array(n, "reservation"), "reservation")
+    def agent_type(entry, where, label):
+        return AgentType(density=_read_field(entry, "density", where=where),
+                         label=_read_field(entry, "label", default=label, where=where))
+
+    def bound(key):  # a missing `bounds` is reported as its missing lo and hi
+        return read("bounds", lambda n: _read_field(
+            n, key, lambda x: _as_float_array(x, f"bounds.{key}"), where="bounds"), {})
+
+    states = read("states", lambda n: StateSpace(
+        ref_prob=_read_field(n, "ref_prob", where="states"),
+        atoms=_read_field(n, "atoms", list, [], "states")))
+    types = read("types", lambda n: [agent_type(t, f"types[{i}]", f"theta{i}")
+                                     for i, t in enumerate(n)])
+    belief = read("principal_belief", lambda n: agent_type(n, "principal_belief", "principal"))
+    beliefs = read("beliefs", lambda n: BeliefSet(
+        priors=_read_field(n, "priors", where="beliefs"),
+        penalties=_read_field(n, "penalties", where="beliefs")))
+    u = read("u", lambda n: UtilitySpec.from_json(n, "u"))
+    v = read("v", lambda n: UtilitySpec.from_json(n, "v"))
+    e_a = read("e_a", lambda n: _as_float_array(n, "e_a"))
+    e_p = read("e_p", lambda n: _as_float_array(n, "e_p"))
+    lo, hi = bound("lo"), bound("hi")
+    reservation = (read("reservation", lambda n: _as_float_array(n, "reservation"))
+                   if "reservation" in doc else None)
 
     if violations:
-        raise ValidationError(violations)
+        # a non-object `bounds` fails its `lo` and `hi` reads alike
+        raise ValidationError(list(dict.fromkeys(violations)))
     return Instance(
         states=states, types=types, principal_belief=belief, beliefs=beliefs,
         e_a=e_a, e_p=e_p, u=u, v=v, contract_lo=lo, contract_hi=hi,

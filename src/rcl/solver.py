@@ -26,6 +26,7 @@ from .constraints import (
     check_mechanism,
 )
 from .errors import RangeError, SizeCapError, ValidationError
+from .model import _row_dots
 from .transform import UtilityUnitsInstance
 
 HARD_ASSIGNMENT_CAP = 10_000_000
@@ -82,19 +83,13 @@ class SolveResult:
         return doc
 
 
-def _rows_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # one dot per row, the idiom of constraints.agent_levels: a row's value
-    # is bitwise the same whichever rows sit beside it, so a menu's value and
-    # the value of the mechanism extracted from it agree exactly
-    return np.array([row @ weights for row in matrix])
-
-
 def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     """Principal value of each row of c: the one evaluator behind the
-    objective, the dual bound and the oracle's per-contract values."""
+    objective, the dual bound and the oracle's per-contract values; row by
+    row (`_row_dots`), so a menu and its extracted mechanism agree exactly."""
     inst = uu.base
     principal_wealth = inst.e_p + inst.e_a - inst.u.inverse(np.clip(c, uu.c_lo, uu.c_hi))
-    return _rows_dot(inst.v.value(principal_wealth), inst.principal_weights())
+    return _row_dots(inst.v.value(principal_wealth), inst.principal_weights())
 
 
 def principal_type_values(uu: UtilityUnitsInstance, mech: Mechanism) -> np.ndarray:
@@ -238,11 +233,6 @@ def _independent(index, free, a, q):
     return norm_sq - np.sum((normal @ q) ** 2) > 1e-10 * norm_sq
 
 
-def _residual(x, lo, hi, a, b):
-    return max(0.0, float((b - a @ x).max()), float((lo - x).max()),
-               float((x - hi).max()))
-
-
 def _primal_step(uu, x, value, a, b):
     """The epigraph form max t s.t. t <= kappa_k V(c) + pen_k, a c >= b and
     the box, by at most PRIMAL_ITERS SLSQP iterations from the feasible
@@ -315,7 +305,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         return SolveResult(mech, value, worst, len(trace), report, converged,
                            bound=bound, trace=trace)
 
-    if _residual(hi, lo, hi, a, b) > opts.tol:
+    if not check_mechanism(system, Mechanism(hi.reshape(n, m)), opts.tol).feasible:
         # pooling at the top gives every type its best level and zero IC
         # slack, so a participation row it misses no mechanism meets
         return result(hi, -float("inf"), [])

@@ -32,10 +32,10 @@ AE_MARGIN = 0.01
 class UtilityUnitsInstance:
     """An Instance with its contract bounds mapped into utility units.
 
-    c_lo/c_hi are the images of the payoff bounds under u(e_a + .). For
-    half-line utilities wealth at both bounds is floored at WEALTH_FLOOR so
-    the bounds stay finite; the atoms floored at the lower bound are listed
-    in clamped_atoms.
+    c_lo/c_hi are the images of the payoff bounds under u(e_a + .), through
+    `UtilitySpec.floored_value`: for half-line utilities wealth at both
+    bounds is floored at WEALTH_FLOOR so the bounds stay finite. The atoms
+    floored at the lower bound are listed in clamped_atoms.
     """
 
     base: Instance
@@ -71,17 +71,12 @@ def to_utility_units(instance: Instance) -> UtilityUnitsInstance:
     """Map the payoff-unit contract bounds into utility units, pointwise."""
     u = instance.u
     wealth_lo = instance.e_a + instance.contract_lo
-    wealth_hi = instance.e_a + instance.contract_hi
-    clamped: list[int] = []
-    if u.domain == HALF_LINE:
-        clamped = [int(i) for i in np.flatnonzero(wealth_lo < WEALTH_FLOOR)]
-        wealth_lo = np.maximum(wealth_lo, WEALTH_FLOOR)
-        wealth_hi = np.maximum(wealth_hi, WEALTH_FLOOR)
+    floored = np.flatnonzero(wealth_lo < WEALTH_FLOOR) if u.domain == HALF_LINE else []
     return UtilityUnitsInstance(
         base=instance,
-        c_lo=np.asarray(u.value(wealth_lo), dtype=float),
-        c_hi=np.asarray(u.value(wealth_hi), dtype=float),
-        clamped_atoms=clamped,
+        c_lo=np.asarray(u.floored_value(wealth_lo), dtype=float),
+        c_hi=np.asarray(u.floored_value(instance.e_a + instance.contract_hi), dtype=float),
+        clamped_atoms=[int(i) for i in floored],
     )
 
 

@@ -81,10 +81,6 @@ class TestTiltedDensity:
         with pytest.raises(RangeError):
             rcl.tilted_density(model, 0)
 
-    def test_declared_nonzero_f0_rejected(self):
-        with pytest.raises(ValidationError):
-            rcl.DriftType(label="bad", values=np.array([0.1, 0.1]), f_at_zero=0.1)
-
     def test_clamped_linear_family(self):
         nodes, weights = rcl.discretize_terminal(1.0, 8)
         drift = rcl.clamped_linear_drift("s", nodes, slope=0.5, support=0.8)
@@ -361,6 +357,13 @@ class TestModelJson:
         with pytest.raises(ValidationError, match="symmetric"):
             rcl.MarketModel(horizon=1.0, nodes=np.array([-1.0, 2.0]),
                             weights=np.array([0.5, 0.5]), drift_types=[])
+
+    def test_raw_values_with_any_f_at_zero_load(self):
+        # f(0) is not fixed: a constant shift of f cancels in the density
+        doc = {"nodes": [-1.0, 0.0, 1.0], "weights": [0.25, 0.5, 0.25],
+               "drift_types": [{"label": "r", "values": [0.1, 0.2, 0.3], "f_at_zero": 0.2}]}
+        model = rcl.market_model_from_json(doc)
+        np.testing.assert_array_equal(model.drift_types[0].values, [0.1, 0.2, 0.3])
 
     def test_mismatched_drift_rejected(self):
         nodes, weights = rcl.discretize_terminal(1.0, 4)

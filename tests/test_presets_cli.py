@@ -15,6 +15,13 @@ from rcl.presets import build_preset_bundle
 NAN = float("nan")
 
 
+def edited_instance(edit):
+    """The reinsurance_halfline instance document after `edit`."""
+    doc = rcl.build_preset("reinsurance_halfline").to_json()
+    edit(doc)
+    return doc
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", [
         "reinsurance_halfline", "reinsurance_wholeline",
@@ -273,6 +280,72 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("solve", edited_instance(lambda d: d["states"].pop("ref_prob")),
+         "missing field states.ref_prob"),
+        ("solve", edited_instance(lambda d: d["types"][0].pop("density")),
+         "missing field types[0].density"),
+        ("solve", edited_instance(lambda d: d["beliefs"].pop("priors")),
+         "missing field beliefs.priors"),
+        ("solve", edited_instance(lambda d: d["principal_belief"].pop("density")),
+         "missing field principal_belief.density"),
+        ("solve", edited_instance(lambda d: d["u"].pop("family")), "missing field u.family"),
+        ("solve", edited_instance(lambda d: d["bounds"].pop("lo")), "missing field bounds.lo"),
+        ("solve", edited_instance(lambda d: d.update(e_a="rich")),
+         "e_a: could not convert string to float: 'rich'"),
+        ("solve", edited_instance(lambda d: d.update(states=[0.5, 0.5])),
+         "states: list indices must be integers or slices, not str"),
+        ("market", {"n_nodes": 2, "drift_types": [{"label": "r", "values": [0.1, NAN]}]},
+         "drift type r: values must be finite"),
+        ("market", {"n_nodes": 2, "drift_types": [{"slope": 0.1, "support": 0.0}]},
+         "support must be positive"),
+        ("market", {"nodes": [-1.0, 0.0, 1.0], "weights": [0.5, 0.5]},
+         "nodes and weights must be 1-d arrays of equal length"),
+        ("market", {"n_nodes": 4, "e_a": [1.0, 2.0]},
+         "e_a must be a scalar or one value per node (4)"),
+        # negative weights summing to 1 gave a negative relative entropy
+        ("market", {"nodes": [-1, 1], "weights": [1.5, -0.5], "drift_types": [{"slope": 0.1}]},
+         "weights must be positive"),
+        ("market", {"nodes": [-1, 1], "weights": [1.0, 0.0]}, "weights must be positive"),
+        ("market", {"n_nodes": 12.9}, "n_nodes: must be a whole number, not 12.9"),
+        ("market", {"n_nodes": "12"}, "n_nodes: must be a whole number, not '12'"),
+        ("market", {"n_nodes": True}, "n_nodes: must be a whole number, not True"),
+    ], ids=["ref_prob", "type_density", "priors", "principal_density", "u_family",
+            "bounds_lo", "bad_e_a", "states_list", "drift_values", "support",
+            "nodes_weights", "e_a_length", "negative_weights", "zero_weight", "fractional_n_nodes",
+            "string_n_nodes", "bool_n_nodes"])
+    def test_bad_document_names_the_field(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command, "--instance", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "result.json").exists()
+
+    def test_whole_float_n_nodes_is_valid(self, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"n_nodes": 12.0, "drift_types": [{"slope": 0.1}]}))
+        out = tmp_path / "m"
+        assert main(["market", "--instance", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["n_nodes"] == 12
+
+    @pytest.mark.parametrize("command", ["menu", "equivalence"])
+    def test_menu_cap_checked_before_the_grid(self, tmp_path, capsys, monkeypatch, command):
+        # 10 ** 12 candidates: the grid alone would take 7 TiB
+        import rcl.cli as cli_mod
+
+        def no_grid(*args):
+            raise AssertionError("the candidate grid was built")
+
+        monkeypatch.setattr(cli_mod, "grid_contracts", no_grid)
+        code = main([command, "--preset", "cara_hedging", "--levels", "10",
+                     "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "of 1000000000000 candidates exceed the menu cap" in err
 
     def test_market_computes_one_density_per_type(self, tmp_path, monkeypatch):
         calls = []

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, nnls
 
 import rcl
 import rcl.solver
 from rcl.errors import SizeCapError, ValidationError
-from rcl.solver import _active_set_projection, _residual
+from rcl.solver import _active_set_projection
 
 from conftest import make_instance, make_uu
+
+
+def _residual(x, lo, hi, a, b):
+    return max(0.0, float((b - a @ x).max()), float((lo - x).max()),
+               float((x - hi).max()))
 
 
 def single_type_instance(u, v, e_a, e_p, lo, hi, reservation=None, q=None, d=None):
@@ -301,6 +306,20 @@ def outside_point(rng, lo, hi):
     return lo + (hi - lo) * rng.uniform(-0.5, 1.5, lo.size)
 
 
+def nnls_projection(y, lo, hi, a, b):
+    """Nearest point to y in {a x >= b, lo <= x <= hi}, exactly, through the
+    least-distance problem min |z| s.t. g z >= h, z = x - y, and its
+    reduction to nonnegative least squares (Lawson & Hanson, Solving Least
+    Squares Problems, ch. 23): the residual r = e u - f of the NNLS solution
+    u gives z = -r[:-1] / r[-1]."""
+    eye = np.eye(y.size)
+    g = np.vstack([a, eye, -eye])
+    h = np.concatenate([b - a @ y, lo - y, y - hi])
+    e, f = np.vstack([g.T, h]), np.r_[np.zeros(y.size), 1.0]
+    r = e @ nnls(e, f)[0] - f
+    return y - r[:-1] / r[-1]
+
+
 projection_cases = given(
     seed=st.integers(0, 2**32 - 1),
     family=st.sampled_from(["log", "crra", "cara", "linear"]),
@@ -320,6 +339,8 @@ class TestActiveSetProjection:
             y = outside_point(rng, lo, hi)
             x = _active_set_projection(y, hi, lo, hi, a, b)
             assert _residual(x, lo, hi, a, b) <= 1e-12
+            np.testing.assert_allclose(x, nnls_projection(y, lo, hi, a, b), rtol=0,
+                                       atol=1e-10 * max(1.0, float(np.abs(y).max())))
             pairs.append((y, x))
         # variational inequality against feasible points: the anchor and
         # the other projections
