@@ -12,10 +12,10 @@ iteration. Outputs are byte-identical for identical configuration and
 seed: floats are rendered via their shortest round-trip representation
 and JSON keys are sorted.
 
-Exit codes: 0 success, 1 invalid input (bad flags included) or caps
-exceeded, 2 the solve did not certify its mechanism: it is infeasible, or
-its gap is above `--tol` (for instance because `--max-iters` stopped the
-dual early).
+Exit codes: 0 success, 1 invalid input (bad flags included, and flags the
+command does not use) or caps exceeded, 2 the solve did not certify its
+mechanism: it is infeasible, or its gap is above `--tol` (for instance
+because `--max-iters` stopped the dual early).
 """
 
 from __future__ import annotations
@@ -141,6 +141,25 @@ def _load(config: RunConfig) -> Instance | dict:
     return doc
 
 
+# the commands each optional flag applies to; --preset, --instance, --out and
+# --seed apply to every command
+_FLAG_COMMANDS = {
+    "max_iters": ("solve",),
+    "tol": ("solve",),
+    "levels": ("oracle", "menu", "equivalence"),
+    "alpha": ("market",),
+    "beta": ("market",),
+}
+
+
+def _check_flags(config: RunConfig):
+    """A flag the command does not read is an input error, not a no-op."""
+    for name, commands in _FLAG_COMMANDS.items():
+        if getattr(config, name) is not None and config.command not in commands:
+            flag = "--" + name.replace("_", "-")
+            raise RclError(f"{flag} does not apply to {config.command}")
+
+
 def _levels(config: RunConfig, default: int) -> int:
     return config.levels if config.levels is not None else default
 
@@ -192,6 +211,7 @@ _MECHANISM_COMMANDS = {"solve": _solve, "oracle": _oracle, "menu": _menu,
 def run(config: RunConfig) -> int:
     out = Path(config.out)
     try:
+        _check_flags(config)
         out.mkdir(parents=True, exist_ok=True)
         uu = mech = trace = None
         code = EXIT_OK

@@ -611,6 +611,11 @@ def _instance_from_doc(doc) -> Instance:
         return AgentType(density=_read_field(entry, "density", where=where),
                          label=_read_field(entry, "label", default=label, where=where))
 
+    def agent_types(node):  # an object here would be walked by its keys
+        if not isinstance(node, list) or not all(isinstance(t, dict) for t in node):
+            raise ValidationError(["types must be a list of objects"])
+        return [agent_type(t, f"types[{i}]", f"theta{i}") for i, t in enumerate(node)]
+
     def bound(key):  # a missing `bounds` is reported as its missing lo and hi
         return read("bounds", lambda n: _read_field(
             n, key, lambda x: _as_float_array(x, f"bounds.{key}"), where="bounds"), {})
@@ -618,8 +623,7 @@ def _instance_from_doc(doc) -> Instance:
     states = read("states", lambda n: StateSpace(
         ref_prob=_read_field(n, "ref_prob", where="states"),
         atoms=_read_field(n, "atoms", list, [], "states")))
-    types = read("types", lambda n: [agent_type(t, f"types[{i}]", f"theta{i}")
-                                     for i, t in enumerate(n)])
+    types = read("types", agent_types)
     belief = read("principal_belief", lambda n: agent_type(n, "principal_belief", "principal"))
     beliefs = read("beliefs", lambda n: BeliefSet(
         priors=_read_field(n, "priors", where="beliefs"),

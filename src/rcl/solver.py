@@ -9,7 +9,10 @@ into a mechanism by the exact nearest-point projection onto the box and the
 constraint rows (a primal active-set method), and reports the gap between
 the bound and that mechanism's value. The oracle enumerates grid-level
 assignments exhaustively and is kept free of any solver machinery so the
-two can check each other.
+two can check each other: it is plain enumeration under the same IR/IC
+rows, which it applies as soon as their types are assigned, extending only
+IR-feasible, pairwise-IC assignment prefixes in blocks of at most _CHUNK
+cells.
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ def _active_set_projection(y, x, lo, hi, a, b):
     projection is cut at the first blocking constraint whose normal is
     independent of the working set, and the blocker joins it; once the step
     is taken in full, the constraint with the most negative multiplier
-    leaves it. The pivot cap bounds degenerate cycling; the caller checks
-    feasibility.
+    leaves it. When the equality projection misses its rows by more than
+    round-off, one refinement step corrects it. The pivot cap bounds
+    degenerate cycling; the caller checks feasibility.
     """
     n_rows, dim = b.size, y.size
     working = np.zeros(n_rows + 2 * dim, dtype=bool)
@@ -181,6 +185,18 @@ def _active_set_projection(y, x, lo, hi, a, b):
         lam = r_inv @ (r_inv.T @ (b[w] - a_w @ np.where(free, y, pinned)))
         pull = y + lam @ a_w
         x_target = np.where(free, pull, pinned)
+        # nearly parallel working rows leave r ill-conditioned and lam large,
+        # and the equality projection can then miss the rows by far more
+        # than round-off. One step of iterative refinement (Higham, Accuracy
+        # and Stability of Numerical Algorithms, ch. 12) solves for the
+        # rows' residual and adds the small correction to pull, since
+        # forming lam @ a_w afresh would cancel large terms again
+        miss = b[w] - a_w @ x_target
+        if np.abs(miss).max(initial=0.0) > 1e-14 * scale:
+            fix = r_inv @ (r_inv.T @ miss)
+            lam = lam + fix
+            pull = pull + fix @ a_w
+            x_target = np.where(free, pull, pinned)
         step = x_target - x
         blocker = -1
         if np.abs(step).max() > 1e-12 * scale:
@@ -223,14 +239,20 @@ def _independent(index, free, a, q):
     """Whether constraint `index` (a row, or a box face past the rows) has a
     normal, over the free coordinates, outside the span of the working rows
     (orthonormal basis q). A normal in their span has a round-off slope
-    only, and taking it in would make the Gram matrix singular."""
+    only, and taking it in would make the Gram matrix singular. A normal
+    near the span is not dependent: two nearly equal types give nearly
+    opposite IC rows, and a step that skips one violates it in earnest. So
+    the part of the normal off the span is formed explicitly, and the cut
+    at 1e-13 of its squared length keeps the Gram matrix's condition below
+    about 1e13, where one refinement step in the projection still makes
+    the rows hold to round-off."""
     if index < a.shape[0]:
         normal = a[index] * free
     else:
         normal = np.zeros(free.size)
         normal[(index - a.shape[0]) % free.size] = 1.0
-    norm_sq = normal @ normal
-    return norm_sq - np.sum((normal @ q) ** 2) > 1e-10 * norm_sq
+    off_span = normal - q @ (q.T @ normal)
+    return off_span @ off_span > 1e-13 * (normal @ normal)
 
 
 def _primal_step(uu, x, value, a, b):
@@ -380,7 +402,17 @@ def enumerate_best_assignment(
     Returns (assignment indices, robust value, number of assignments). Only
     assignments passing the IC/IR rows at `tol` count; ties resolve to the
     lexicographically smallest index tuple. Raises SizeCapError when the
-    assignment count exceeds HARD_ASSIGNMENT_CAP.
+    assignment count exceeds HARD_ASSIGNMENT_CAP, before anything is built.
+
+    Still plain enumeration under the same rows, but a row is applied as
+    soon as its two types are assigned: type j draws only from the
+    contracts passing its IR row, and a prefix takes type k's candidate
+    only if both IC rows between k and every earlier type hold, so no
+    assignment failing a row is ever built. Prefixes extend depth-first in
+    blocks of at most _CHUNK (prefix, candidate) cells, in lexicographic
+    order, and only a strictly better value replaces the incumbent. The
+    count returned is the size of the space covered, n_contracts^types, not
+    the number of assignments that survive the rows.
     """
     inst = uu.base
     n = inst.n_types
@@ -397,28 +429,43 @@ def enumerate_best_assignment(
     reservation = np.asarray(uu.reservation, dtype=float)
     priors = inst.beliefs.priors
     penalties = inst.beliefs.penalties
-    type_range = np.arange(n)
+    candidates = [np.flatnonzero(e_mat[j] >= reservation[j] - tol) for j in range(n)]
 
     best_val = -np.inf
     best_idx: np.ndarray | None = None
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        idx = np.array(
-            np.unravel_index(np.arange(start, stop), (n_contracts,) * n)
-        ).T
-        own = e_mat[type_range[None, :], idx]          # (B, n)
-        cross = e_mat.T[idx]                           # (B, n, n): [b, k, j]
-        ic_ok = np.all(own[:, None, :] >= cross - tol, axis=(1, 2))
-        ir_ok = np.all(own >= reservation[None, :] - tol, axis=1)
-        feasible = ic_ok & ir_ok
-        if not np.any(feasible):
-            continue
-        robust = (values[idx] @ priors.T + penalties).min(axis=1)
-        robust[~feasible] = -np.inf
-        local = int(np.argmax(robust))
-        if robust[local] > best_val:
-            best_val = float(robust[local])
-            best_idx = idx[local].copy()
+
+    def extend(prefix: np.ndarray) -> None:
+        # prefix: (P, k) index rows in lexicographic order, each passing the
+        # rows among types 0..k-1
+        nonlocal best_val, best_idx
+        k = prefix.shape[1]
+        if k == n:
+            # numpy hands a one-row product to BLAS's matrix-vector kernel,
+            # which can round the last bit unlike the matrix-matrix kernel
+            # that evaluates a row among others; a repeated row keeps a lone
+            # survivor of a larger space on the latter
+            idx = prefix[[0, 0]] if prefix.shape[0] == 1 and count > 1 else prefix
+            robust = (values[idx] @ priors.T + penalties).min(axis=1)
+            local = int(np.argmax(robust))
+            if robust[local] > best_val:
+                best_val = float(robust[local])
+                best_idx = idx[local].copy()
+            return
+        cand = candidates[k]
+        rows = max(1, _CHUNK // max(cand.size, 1))
+        for r0 in range(0, prefix.shape[0], rows):
+            block = prefix[r0:r0 + rows]
+            for c0 in range(0, cand.size, _CHUNK):
+                g = cand[c0:c0 + _CHUNK]
+                ok = np.ones((block.shape[0], g.size), dtype=bool)
+                for j in range(k):
+                    ok &= e_mat[j, block[:, j], None] >= e_mat[j, g] - tol
+                    ok &= e_mat[k, g] >= e_mat[k, block[:, j], None] - tol
+                r, c = ok.nonzero()
+                if r.size:
+                    extend(np.column_stack([block[r], g[c]]))
+
+    extend(np.empty((1, 0), dtype=np.intp))
     if best_idx is None:
         raise ValidationError(["no feasible assignment among the candidate contracts"])
     return best_idx, best_val, count
@@ -430,7 +477,8 @@ def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> SolveResult:
     Independent of the dual solver: plain enumeration filtered by the
     constraint rows. The assignment count levels^(atoms*types) must stay
     within HARD_ASSIGNMENT_CAP, checked before the grid is built; the error
-    carries the computed count.
+    carries the computed count. `iterations` reports that count, the space
+    covered, not the number of assignments the rows let through.
     """
     n, m = uu.n_types, uu.n_atoms
     count = levels_per_atom ** (m * n)

@@ -296,6 +296,11 @@ class TestCli:
          "e_a: could not convert string to float: 'rich'"),
         ("solve", edited_instance(lambda d: d.update(states=[0.5, 0.5])),
          "states: list indices must be integers or slices, not str"),
+        # an object was walked by its keys: `types[0]: string indices must be integers`
+        ("solve", edited_instance(lambda d: d.update(types={"a": {"density": [1.0, 1.0]}})),
+         "types must be a list of objects"),
+        ("solve", edited_instance(lambda d: d.update(types=["theta0"])),
+         "types must be a list of objects"),
         ("market", {"n_nodes": 2, "drift_types": [{"label": "r", "values": [0.1, NAN]}]},
          "drift type r: values must be finite"),
         ("market", {"n_nodes": 2, "drift_types": [{"slope": 0.1, "support": 0.0}]},
@@ -312,7 +317,8 @@ class TestCli:
         ("market", {"n_nodes": "12"}, "n_nodes: must be a whole number, not '12'"),
         ("market", {"n_nodes": True}, "n_nodes: must be a whole number, not True"),
     ], ids=["ref_prob", "type_density", "priors", "principal_density", "u_family",
-            "bounds_lo", "bad_e_a", "states_list", "drift_values", "support",
+            "bounds_lo", "bad_e_a", "states_list", "types_object", "types_strings",
+            "drift_values", "support",
             "nodes_weights", "e_a_length", "negative_weights", "zero_weight", "fractional_n_nodes",
             "string_n_nodes", "bool_n_nodes"])
     def test_bad_document_names_the_field(self, tmp_path, capsys, command, doc, message):
@@ -323,6 +329,22 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["ae-check", "--preset", "cara_hedging", "--alpha", "3"], "--alpha"),
+        (["solve", "--preset", "reinsurance_halfline", "--levels", "3"], "--levels"),
+        (["oracle", "--preset", "reinsurance_halfline", "--tol", "1e-9"], "--tol"),
+        (["menu", "--preset", "reinsurance_halfline", "--max-iters", "5"], "--max-iters"),
+        (["equivalence", "--preset", "reinsurance_halfline", "--beta", "0.5"], "--beta"),
+        (["market", "--preset", "cara_hedging", "--levels", "2"], "--levels"),
+    ], ids=["alpha_ae_check", "levels_solve", "tol_oracle", "max_iters_menu",
+            "beta_equivalence", "levels_market"])
+    def test_flag_the_command_does_not_use_is_rejected(self, tmp_path, capsys, argv, flag):
+        # an ignored flag was echoed in config as if it had been applied
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} does not apply to {argv[0]}\n"
+        assert not out.exists()
 
     def test_whole_float_n_nodes_is_valid(self, tmp_path):
         path = tmp_path / "market.json"

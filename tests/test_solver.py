@@ -1,14 +1,20 @@
 """Certified dual solver, its exact projection, and the exhaustive grid oracle."""
 
+import dataclasses
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize, nnls
 
 import rcl
 import rcl.solver
+from rcl.constraints import DEFAULT_TOL
 from rcl.errors import SizeCapError, ValidationError
+from rcl.menu import DEFAULT_TIE_TOL
 from rcl.solver import _active_set_projection
 
 from conftest import make_instance, make_uu
@@ -331,6 +337,12 @@ projection_cases = given(
 class TestActiveSetProjection:
     @settings(max_examples=40, deadline=None)
     @projection_cases
+    # nearly parallel working rows: the equality projection missed a working
+    # row by 2.6e-12 before it was refined
+    @example(seed=228118, family="log", n=3, m=2)
+    # two types 3e-6 apart: a row this near the working rows' span was
+    # skipped as dependent, and the output violated it by 5.5e-6
+    @example(seed=491401753, family="log", n=4, m=2)
     def test_output_feasible_and_optimal(self, seed, family, n, m):
         lo, hi, a, b = projection_problem(seed, family, n, m)
         rng = np.random.default_rng(seed)
@@ -446,20 +458,85 @@ class TestGridOracle:
         with pytest.raises(SizeCapError, match="10004569"):
             rcl.enumerate_best_assignment(contracts, uu)
 
-    def test_oracle_is_exact_on_tiny_grid(self, rng):
-        # cross-check the vectorized enumeration against a plain python loop
-        import itertools
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        tol=st.sampled_from([DEFAULT_TOL, DEFAULT_TIE_TOL]),
+        source=st.sampled_from(["random", "grid"]),
+        size=st.integers(1, 6),
+        duplicates=st.integers(0, 3),
+        identical_types=st.booleans(),
+    )
+    def test_enumeration_matches_product_reference(
+            self, seed, n, m, tol, source, size, duplicates, identical_types):
+        # duplicated contracts and identical types make ties, which must go
+        # to the lexicographically smallest index tuple
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, n=n, m=m, n_priors=int(rng.integers(1, 4)),
+                             random_penalties=bool(seed % 2))
+        if identical_types:
+            inst = rcl.validate_instance(dataclasses.replace(inst, reservation=None, types=[
+                rcl.AgentType(density=inst.types[0].density.copy(), label=f"theta{j}")
+                for j in range(n)]))
+        uu = rcl.to_utility_units(inst)
+        if source == "grid":
+            contracts = rcl.grid_contracts(uu, min(size, 3))
+        else:
+            contracts = rng.uniform(uu.c_lo, uu.c_hi, size=(size, m))
+        contracts = np.vstack([contracts, contracts[rng.integers(0, len(contracts), duplicates)]])
 
+        expected = product_reference(contracts, uu, tol)
+        if expected is None:
+            with pytest.raises(ValidationError, match="no feasible assignment"):
+                rcl.enumerate_best_assignment(contracts, uu, tol=tol)
+            return
+        idx, value, count = rcl.enumerate_best_assignment(contracts, uu, tol=tol)
+        assert tuple(idx.tolist()) == expected[0]
+        assert value == expected[1]  # bitwise
+        assert count == expected[2] == len(contracts) ** n
+        # the winner is feasible and worth its value by the checker's own rows
+        mech = rcl.Mechanism(contracts[idx])
+        assert rcl.check_mechanism(rcl.build_system(uu), mech, tol).feasible
+        assert rcl.principal_value(uu, mech)[0] == pytest.approx(value, abs=1e-12)
+
+    def test_worst_case_enumeration_memory_is_bounded(self, rng):
+        # every one of the 3162**2 assignments passes every row; blocks of
+        # at most _CHUNK cells keep memory near the parent loop's 7 MB
         uu = make_uu(rng, m=2, n=2)
-        levels = 3
-        contracts = rcl.grid_contracts(uu, levels)
-        system = rcl.build_system(uu)
-        best = -np.inf
-        for combo in itertools.product(range(len(contracts)), repeat=uu.n_types):
-            mech = rcl.Mechanism(contracts[list(combo)])
-            if not rcl.check_mechanism(system, mech).feasible:
-                continue
-            value, _ = rcl.principal_value(uu, mech)
-            best = max(best, value)
-        res = rcl.grid_oracle(uu, levels)
-        assert res.value == pytest.approx(best, abs=1e-12)
+        contracts = np.tile(uu.c_hi, (3162, 1))
+        tracemalloc.start()
+        try:
+            idx, _, count = rcl.enumerate_best_assignment(contracts, uu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.tolist() == [0, 0]
+        assert count == 9_998_244
+        assert peak < 32 * 2**20
+
+
+def product_reference(contracts, uu, tol):
+    """The optimum over itertools.product of contract indices, each
+    assignment's IR and IC rows checked in a plain loop. Values come from
+    the enumeration's expression over the whole space at once, so they
+    compare bitwise. Returns (index tuple, value, count), or None when no
+    assignment is feasible."""
+    inst = uu.base
+    n = inst.n_types
+    e_mat = inst.type_weights() @ contracts.T
+    combos = list(itertools.product(range(len(contracts)), repeat=n))
+    feasible = [
+        all(e_mat[j, g[j]] >= uu.reservation[j] - tol for j in range(n))
+        and all(e_mat[j, g[j]] >= e_mat[j, g[k]] - tol for j in range(n) for k in range(n))
+        for g in combos
+    ]
+    if not any(feasible):
+        return None
+    idx = np.array(combos, dtype=np.intp)
+    values = rcl.contract_values(uu, contracts)
+    robust = (values[idx] @ inst.beliefs.priors.T + inst.beliefs.penalties).min(axis=1)
+    best = max((i for i in range(len(combos)) if feasible[i]),
+               key=lambda i: (robust[i], -i))
+    return combos[best], robust[best], len(combos)
