@@ -66,6 +66,7 @@ from .model import (
 )
 from .presets import build_preset, build_preset_bundle
 from .solver import (
+    OracleResult,
     SolveOptions,
     SolveResult,
     contract_values,

@@ -8,9 +8,9 @@ the output directory; the mechanism-producing commands also write
 `rcl.market.market_report` reads the document, with `--alpha` and `--beta`
 winning over its fields. `solve` reports the certified `bound` and `gap` in
 `result.json` and writes `trace.csv` with one `iter,bound` row per dual
-iteration. Outputs are byte-identical for identical configuration and
-seed: floats are rendered via their shortest round-trip representation
-and JSON keys are sorted.
+iteration. Outputs are byte-identical for identical configuration: floats
+are rendered via their shortest round-trip representation and JSON keys
+are sorted.
 
 Exit codes: 0 success, 1 invalid input (bad flags included, and flags the
 command does not use) or caps exceeded, 2 the solve did not certify its
@@ -51,7 +51,6 @@ class RunConfig:
     preset: str | None = None
     instance: str | None = None
     out: str = "out"
-    seed: int = 42
     max_iters: int | None = None
     tol: float | None = None
     levels: int | None = None
@@ -60,7 +59,6 @@ class RunConfig:
 
     def echo(self) -> dict:
         doc = asdict(self)
-        doc["beta"] = list(self.beta) if self.beta is not None else None
         doc.pop("out")  # output location is not part of the computation
         return doc
 
@@ -141,8 +139,8 @@ def _load(config: RunConfig) -> Instance | dict:
     return doc
 
 
-# the commands each optional flag applies to; --preset, --instance, --out and
-# --seed apply to every command
+# the commands each optional flag applies to; --preset, --instance and --out
+# apply to every command
 _FLAG_COMMANDS = {
     "max_iters": ("solve",),
     "tol": ("solve",),
@@ -268,8 +266,6 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("--preset", choices=PRESET_NAMES)
     parser.add_argument("--instance", help="path to an instance JSON document")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="recorded in result.json; nothing is random")
     parser.add_argument("--max-iters", type=int, dest="max_iters",
                         help="cap on the solver's dual iterations")
     parser.add_argument("--tol", type=float,

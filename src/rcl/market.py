@@ -222,23 +222,6 @@ def log_optimal(density: TiltedDensity, e_a: np.ndarray) -> tuple[np.ndarray, fl
     return x_star, float(utility)
 
 
-def cara_indirect_utility(
-    density: TiltedDensity, e_a: np.ndarray, alpha: float, x: np.ndarray
-) -> float:
-    """CARA agent's utility after optimally trading his income e_a + x."""
-    mean_income = density.expect(np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float))
-    entropy = relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
-    return float(1.0 - np.exp(-alpha * mean_income - entropy))
-
-
-def log_indirect_utility(density: TiltedDensity, e_a: np.ndarray, x: np.ndarray) -> float:
-    """Log agent's utility after optimally trading his income e_a + x."""
-    mean_income = density.expect(np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float))
-    if mean_income <= 0.0:
-        raise DomainError("log wealth needs E_f[e_a + x] > 0")
-    return float(np.log(mean_income) + relative_entropy(density, ENTROPY_REF_GIVEN_AGENT))
-
-
 def delegation_income(
     density: TiltedDensity, x: np.ndarray, beta: float, e_a: np.ndarray
 ) -> np.ndarray:

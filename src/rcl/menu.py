@@ -24,10 +24,11 @@ from .errors import PreconditionError, SizeCapError, ValidationError
 from .solver import contract_values, enumerate_best_assignment
 from .transform import UtilityUnitsInstance
 
+# the tie window, the menu's IR floor and the row relaxation on the mechanism
+# side of `equivalence_check`: one tolerance, so both sides share one IR floor
 DEFAULT_TIE_TOL = 1e-9
 MENU_SUBSET_CAP = 2**16 - 1   # every subset of 16 candidates
 EQUIVALENCE_TOL = 1e-9
-IR_TOL = 1e-9
 DEDUP_TOL = 1e-12
 
 
@@ -122,7 +123,7 @@ def solve_menu(
         raise ValidationError(["candidate contracts leave the transformed bounds"])
     levels = agent_levels(uu, candidates)
     values = contract_values(uu, candidates)
-    floor = np.asarray(uu.reservation) - IR_TOL
+    floor = np.asarray(uu.reservation) - DEFAULT_TIE_TOL
 
     best_val = -np.inf
     best_members: list[int] | None = None
@@ -152,7 +153,7 @@ def extract_mechanism(menu: Menu, uu: UtilityUnitsInstance) -> Mechanism:
     """
     values = contract_values(uu, menu.contracts)
     best, window, favoured = _choices(agent_levels(uu, menu.contracts), values)
-    short = np.flatnonzero(best < np.asarray(uu.reservation) - IR_TOL)
+    short = np.flatnonzero(best < np.asarray(uu.reservation) - DEFAULT_TIE_TOL)
     if short.size:
         t = uu.base.types[short[0]]
         raise PreconditionError(
@@ -190,8 +191,8 @@ def equivalence_check(
 
     Both sides are exhaustive over the same candidate contracts. The
     mechanism enumeration relaxes its constraint rows by DEFAULT_TIE_TOL,
-    the menu side's indifference tolerance, so the two optima agree to
-    within EQUIVALENCE_TOL on every instance inside the caps.
+    the menu side's indifference tolerance and IR floor, so the two optima
+    agree to within EQUIVALENCE_TOL on every instance inside the caps.
     `agent_optimal_sets` lists, per type, the indices into the witness menu
     of its tie window under `menu_choices`, the rule the menu value was
     computed with, so it holds every contract that value credits the type.
@@ -219,9 +220,3 @@ def equivalence_check(
         agent_optimal_sets=phi_sets,
     )
 
-
-def mechanism_menu_value(uu: UtilityUnitsInstance, mech: Mechanism) -> float:
-    """Value of the menu formed by a mechanism's range (its offered contracts)."""
-    _, _, favoured = menu_choices(uu, Menu(mech.assignment))
-    value, _ = uu.base.beliefs.robust_value(favoured)
-    return value

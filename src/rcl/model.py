@@ -408,7 +408,7 @@ class Instance:
     they are the no-short-sale bounds -e_a <= x <= e_p. The reservation
     vector holds one outside-option utility per type and defaults to the
     expected utility of the untouched endowment. Treated as immutable after
-    validation, so instances are safe to share across threads.
+    validation.
     """
 
     states: StateSpace

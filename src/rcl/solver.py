@@ -45,7 +45,7 @@ PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
 @dataclass
 class SolveOptions:
     max_iters: int = 50_000
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         violations = []
@@ -65,25 +65,45 @@ class SolveResult:
     iterations: int
     feasibility: FeasibilityReport
     converged: bool
-    bound: float | None = None
+    bound: float
     trace: list[tuple[int, float]] = field(default_factory=list)
 
     @property
-    def gap(self) -> float | None:
-        return None if self.bound is None else self.bound - self.value
+    def gap(self) -> float:
+        return self.bound - self.value
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "value": self.value,
             "worst_prior": self.worst_prior,
             "iterations": self.iterations,
             "converged": self.converged,
             "feasibility": self.feasibility.to_json(),
             "mechanism": self.mechanism.to_json(),
+            "bound": self.bound,
+            "gap": self.gap,
         }
-        if self.bound is not None:
-            doc.update(bound=self.bound, gap=self.gap)
-        return doc
+
+
+@dataclass
+class OracleResult:
+    """The grid oracle's optimum; `assignments` is the size of the space it
+    covered, levels^(atoms*types), not the number the rows let through."""
+
+    mechanism: Mechanism
+    value: float
+    worst_prior: int
+    assignments: int
+    feasibility: FeasibilityReport
+
+    def to_json(self) -> dict:
+        return {
+            "value": self.value,
+            "worst_prior": self.worst_prior,
+            "assignments": self.assignments,
+            "feasibility": self.feasibility.to_json(),
+            "mechanism": self.mechanism.to_json(),
+        }
 
 
 def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
@@ -471,14 +491,13 @@ def enumerate_best_assignment(
     return best_idx, best_val, count
 
 
-def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> SolveResult:
+def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> OracleResult:
     """Exact robust optimum over the grid of per-atom contract levels.
 
     Independent of the dual solver: plain enumeration filtered by the
     constraint rows. The assignment count levels^(atoms*types) must stay
     within HARD_ASSIGNMENT_CAP, checked before the grid is built; the error
-    carries the computed count. `iterations` reports that count, the space
-    covered, not the number of assignments the rows let through.
+    carries the computed count, and `assignments` reports it.
     """
     n, m = uu.n_types, uu.n_atoms
     count = levels_per_atom ** (m * n)
@@ -488,16 +507,8 @@ def grid_oracle(uu: UtilityUnitsInstance, levels_per_atom: int) -> SolveResult:
             f"types={n}) exceed the cap {HARD_ASSIGNMENT_CAP}"
         )
     contracts = grid_contracts(uu, levels_per_atom)
-    best_idx, _, evaluated = enumerate_best_assignment(contracts, uu, tol=DEFAULT_TOL)
+    best_idx, _, covered = enumerate_best_assignment(contracts, uu, tol=DEFAULT_TOL)
     mech = Mechanism(contracts[best_idx])
-    system = build_system(uu)
-    report = check_mechanism(system, mech, DEFAULT_TOL)
+    report = check_mechanism(build_system(uu), mech, DEFAULT_TOL)
     value, worst = principal_value(uu, mech)
-    return SolveResult(
-        mechanism=mech,
-        value=value,
-        worst_prior=worst,
-        iterations=evaluated,
-        feasibility=report,
-        converged=True,
-    )
+    return OracleResult(mech, value, worst, covered, report)

@@ -12,8 +12,6 @@ from rcl.errors import DimensionError, DomainError, RangeError, ValidationError
 from rcl.market import (
     ENTROPY_AGENT_GIVEN_REF,
     ENTROPY_REF_GIVEN_AGENT,
-    cara_indirect_utility,
-    log_indirect_utility,
     weighted_moment,
 )
 
@@ -235,14 +233,6 @@ class TestDelegation:
             rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2), beta=1e-4,
                                   e_a=np.ones(2))
 
-    def test_log_agent_utility_independent_of_share(self):
-        # the manager's attainable utility never references the profit share:
-        # delegation reuses the log optimum unchanged for every beta
-        model = two_node_model(TILT_12_08)
-        _, base_utility = rcl.log_optimal(rcl.tilted_density(model, 0), np.ones(2))
-        got = log_indirect_utility(rcl.tilted_density(model, 0), np.ones(2), np.zeros(2))
-        assert got == pytest.approx(base_utility, abs=1e-14)
-
 
 class TestBudgetOracle:
     def test_no_tilt_cara_gap_tiny(self):
@@ -317,11 +307,10 @@ class TestMarketIncentiveRouting:
             linear_ok = report.max_ic_violation <= 1e-8
             indirect_ok = True
             for j in range(3):
-                own = cara_indirect_utility(rcl.tilted_density(model, j), e_a, alpha,
-                                            contracts[j])
+                # indirect utility: the closed form at the income e_a + x
+                own = rcl.cara_optimal(densities[j], e_a + contracts[j], alpha)[1]
                 for k in range(3):
-                    other = cara_indirect_utility(rcl.tilted_density(model, j), e_a, alpha,
-                                                  contracts[k])
+                    other = rcl.cara_optimal(densities[j], e_a + contracts[k], alpha)[1]
                     if own < other - 1e-10:
                         indirect_ok = False
             assert linear_ok == indirect_ok

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rcl
 from rcl.errors import PreconditionError, RclError, SizeCapError, ValidationError
-from rcl.menu import IR_TOL, mechanism_menu_value
+from rcl.menu import DEFAULT_TIE_TOL
 
 from conftest import make_uu, random_contracts
 
@@ -187,7 +187,7 @@ def full_walk(candidates, uu):
     """Reference optimum: every non-empty subset, by size and then
     lexicographically, scored through `menu_choices`; a strictly better
     value replaces the incumbent. (None, -inf) when no subset is IR."""
-    floor = uu.reservation - IR_TOL
+    floor = uu.reservation - DEFAULT_TIE_TOL
     best_members, best_value = None, -np.inf
     for size in range(1, len(candidates) + 1):
         for members in map(list, itertools.combinations(range(len(candidates)), size)):
@@ -416,8 +416,9 @@ class TestEquivalence:
             candidates = random_contracts(rng, uu, 4)
             candidates[0] = uu.c_hi
             _, menu_value = rcl.solve_menu(candidates, uu)
-            assignment, mech_value, _ = rcl.enumerate_best_assignment(
+            assignment, _, _ = rcl.enumerate_best_assignment(
                 candidates, uu, tol=1e-9
             )
-            mech = rcl.Mechanism(candidates[assignment])
-            assert mechanism_menu_value(uu, mech) <= menu_value + 1e-12
+            _, _, favoured = rcl.menu_choices(uu, rcl.Menu(candidates[assignment]))
+            range_value, _ = uu.base.beliefs.robust_value(favoured)
+            assert range_value <= menu_value + 1e-12

@@ -1,15 +1,16 @@
 """Preset construction and the command-line runner."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import rcl
-from rcl.cli import RunConfig, load_summary_mechanism, main, run
+from rcl.cli import _FLAG_COMMANDS, RunConfig, load_summary_mechanism, main, run
 from rcl.errors import ValidationError
-from rcl.market import cara_optimal, cara_indirect_utility, market_model_from_json
+from rcl.market import cara_optimal, market_model_from_json
 from rcl.presets import build_preset_bundle
 
 NAN = float("nan")
@@ -72,17 +73,16 @@ class TestPresets:
         model = market_model_from_json(bundle.market)
         e_a = np.full(model.n_nodes, bundle.market["e_a"])
         alpha = bundle.market["alpha"]
-        realized = cara_indirect_utility(rcl.tilted_density(model, 0), e_a, alpha,
-                                         res.mechanism.assignment[0])
-        _, benchmark = cara_optimal(rcl.tilted_density(model, 0), e_a, alpha)
+        density = rcl.tilted_density(model, 0)
+        _, realized = cara_optimal(density, e_a + res.mechanism.assignment[0], alpha)
+        _, benchmark = cara_optimal(density, e_a, alpha)
         assert realized == pytest.approx(benchmark, abs=1e-9)
 
 
 class TestCli:
     def test_solve_deterministic_and_exit_zero(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        cfg = dict(command="solve", preset="reinsurance_halfline", seed=42,
-                   max_iters=300)
+        cfg = dict(command="solve", preset="reinsurance_halfline", max_iters=300)
         assert run(RunConfig(out=str(out1), **cfg)) == 0
         assert run(RunConfig(out=str(out2), **cfg)) == 0
         assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
@@ -154,6 +154,17 @@ class TestCli:
             assert (out / "summary.csv").exists()
         eq_doc = json.loads((tmp_path / "equivalence" / "result.json").read_text())
         assert eq_doc["report"]["equal"] is True
+
+    def test_oracle_result_body(self, tmp_path):
+        # the space the oracle covered, not a solver's iterations or a
+        # constant convergence flag (test_trace_schema pins solve's body)
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--preset", "reinsurance_halfline", "--levels", "2",
+                     "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert set(result) == {"value", "worst_prior", "assignments", "feasibility",
+                               "mechanism"}
+        assert result["assignments"] == 2 ** (2 * 2)  # levels^(atoms*types)
 
     def test_equivalence_on_instance_file(self, tmp_path, rng):
         from conftest import make_instance
@@ -345,6 +356,20 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {flag} does not apply to {argv[0]}\n"
         assert not out.exists()
+
+    def test_every_optional_flag_is_checked(self):
+        # a flag missing from _FLAG_COMMANDS would bypass _check_flags
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert fields - {"command", "preset", "instance", "out"} == set(_FLAG_COMMANDS)
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # no command is random, so no flag pretends to seed one
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--preset", "reinsurance_halfline", "--seed", "1",
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_whole_float_n_nodes_is_valid(self, tmp_path):
         path = tmp_path / "market.json"
