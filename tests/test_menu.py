@@ -185,15 +185,23 @@ class TestSolveMenu:
 
 def full_walk(candidates, uu):
     """Reference optimum: every non-empty subset, by size and then
-    lexicographically, scored through `menu_choices`; a strictly better
+    lexicographically, scored by the menu-choice rule written out here (best
+    level, IR floor, tie window, favoured value) on column slices of the
+    levels and values of all candidates, which `agent_levels` and
+    `contract_values` give bitwise as for the subset alone; a strictly better
     value replaces the incumbent. (None, -inf) when no subset is IR."""
+    levels = rcl.agent_levels(uu, candidates)
+    values = rcl.contract_values(uu, candidates)
     floor = uu.reservation - DEFAULT_TIE_TOL
     best_members, best_value = None, -np.inf
     for size in range(1, len(candidates) + 1):
         for members in map(list, itertools.combinations(range(len(candidates)), size)):
-            level, _, favoured = rcl.menu_choices(uu, rcl.Menu(candidates[members]))
-            if np.any(level < floor):
+            level = levels[:, members]
+            best = level.max(axis=1)
+            if np.any(best < floor):
                 continue
+            window = level >= best[:, None] - DEFAULT_TIE_TOL
+            favoured = np.where(window, values[members], -np.inf).max(axis=1)
             value, _ = uu.base.beliefs.robust_value(favoured)
             if value > best_value:
                 best_members, best_value = members, value

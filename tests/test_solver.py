@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize, nnls
 
 import rcl
+import rcl.cli
 import rcl.solver
 from rcl.constraints import DEFAULT_TOL
 from rcl.errors import SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
-from rcl.solver import _active_set_projection
+from rcl.solver import _projection
 
 from conftest import make_instance, make_uu
 
@@ -189,6 +190,26 @@ class TestSolveMechanism:
         assert not res.converged
         assert not res.feasibility.feasible
 
+    def test_nnls_iteration_cap_exits_unconverged(self, tmp_path, monkeypatch):
+        # nnls raises RuntimeError at its iteration cap; the projection then
+        # falls back to the pooling point, so the solve ends feasible and
+        # unconverged and `rcl solve` exits 2 rather than with a traceback.
+        # The market preset's c* is infeasible, so its projection calls nnls
+        calls = []
+
+        def capped(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr("scipy.optimize.nnls", capped)
+        uu = rcl.to_utility_units(rcl.build_preset("cara_hedging"))
+        res = rcl.solve_mechanism(uu)
+        assert calls
+        assert not res.converged
+        assert res.feasibility.feasible
+        assert rcl.cli.main(["solve", "--preset", "cara_hedging",
+                             "--out", str(tmp_path / "capped")]) == 2
+
     def test_robustness_monotone_in_ambiguity(self, rng):
         # enlarging the prior set can only lower the maxmin optimum
         for _ in range(4):
@@ -349,7 +370,7 @@ class TestActiveSetProjection:
         pairs = []
         for _ in range(8):
             y = outside_point(rng, lo, hi)
-            x = _active_set_projection(y, hi, lo, hi, a, b)
+            x = _projection(y, lo, hi, a, b)
             assert _residual(x, lo, hi, a, b) <= 1e-12
             np.testing.assert_allclose(x, nnls_projection(y, lo, hi, a, b), rtol=0,
                                        atol=1e-10 * max(1.0, float(np.abs(y).max())))
@@ -377,10 +398,10 @@ class TestActiveSetProjection:
     def test_feasible_point_is_fixed(self, seed, family, n, m):
         lo, hi, a, b = projection_problem(seed, family, n, m)
         rng = np.random.default_rng(seed)
-        z = _active_set_projection(outside_point(rng, lo, hi), hi, lo, hi, a, b)
-        np.testing.assert_allclose(_active_set_projection(z, hi, lo, hi, a, b), z,
+        z = _projection(outside_point(rng, lo, hi), lo, hi, a, b)
+        np.testing.assert_allclose(_projection(z, lo, hi, a, b), z,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(_active_set_projection(hi, hi, lo, hi, a, b), hi)
+        np.testing.assert_array_equal(_projection(hi, lo, hi, a, b), hi)
 
 
 class TestTabulatedAgent:
