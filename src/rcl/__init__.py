@@ -73,7 +73,6 @@ from .solver import (
     enumerate_best_assignment,
     grid_contracts,
     grid_oracle,
-    principal_type_values,
     principal_value,
     solve_mechanism,
 )

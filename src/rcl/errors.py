@@ -13,8 +13,6 @@ class ValidationError(RclError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

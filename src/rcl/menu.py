@@ -51,10 +51,6 @@ class Menu:
                 keep.append(i)
         self.contracts = arr[keep]
 
-    @property
-    def size(self) -> int:
-        return self.contracts.shape[0]
-
 
 def _choices(levels: np.ndarray, values: np.ndarray):
     """The menu-choice rule over a level matrix (types x contracts) and the

@@ -385,10 +385,6 @@ class BeliefSet:
         if violations:
             raise ValidationError(violations)
 
-    @property
-    def n_priors(self) -> int:
-        return self.priors.shape[0]
-
     def robust_value(self, type_values: np.ndarray) -> tuple[float, int]:
         """min over priors of expected value plus penalty; ties -> lowest index.
 

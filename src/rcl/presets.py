@@ -1,23 +1,24 @@
 """Preset problem instances realizing the package's four applications.
 
-Two reinsurance settings (agent utility on the half line with a bounded
-principal, and on the whole line behind the asymptotic-elasticity screen)
-and two financial-market settings. A market preset is a market document:
-`PresetBundle.market` is in the README market schema, and the `market`
-command reads it with `rcl.market.market_report` exactly as it reads a
-`--instance` file. The market presets also encode the agents' indirect
-preferences: after optimal trading, both the CARA and the log agent rank
-transfer contracts by E_f[x], so the solver sees a linear agent utility
-with zero instance endowment and zero reservation, which reproduces
-exactly the linear participation and truth-telling characterization of the
-market applications. That makes `cara_hedging` and `log_delegation` build
+Two reinsurance settings from one builder (a log agent on the half line
+with a bounded principal, and a fixed CRRA(0.5) agent on the whole line,
+which passes the asymptotic-elasticity screen) and two financial-market
+settings. A market preset is a market document: `PresetBundle.market` is
+in the README market schema, and the `market` command reads it with
+`rcl.market.market_report` exactly as it reads a `--instance` file. The
+market presets also encode the agents' indirect preferences: after optimal
+trading, both the CARA and the log agent rank transfer contracts by
+E_f[x], so the solver sees a linear agent utility with zero instance
+endowment and zero reservation, which reproduces exactly the linear
+participation and truth-telling characterization of the market
+applications. That makes `cara_hedging` and `log_delegation` build
 byte-identical documents and solver instances: only the `market` command
 tells the two agents apart, and it reports the CARA and the log closed
 forms for either name.
 
 Parameters: `n_atoms`, `n_types`, `tilt`, `n_priors`, `penalty` (halfline);
-`gamma`, `agent_family` (wholeline); `n_nodes`, `slopes`, `n_priors`
-(market). Everything else is a constant; an unknown name is rejected.
+`n_nodes`, `slopes` (market); none (wholeline). Everything else is a
+constant; an unknown name is rejected.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ from .model import (
     log_utility,
     validate_instance,
 )
-from .transform import ae_check
-
-PRESET_NAMES = (
-    "reinsurance_halfline",
-    "reinsurance_wholeline",
-    "cara_hedging",
-    "log_delegation",
-)
 
 
 @dataclass
@@ -62,8 +55,6 @@ class PresetBundle:
 def _merge_params(defaults: dict, params: dict | None, name: str) -> dict:
     merged = dict(defaults)
     for key, value in (params or {}).items():
-        if value is None:
-            continue
         if key not in defaults:
             raise ValidationError([f"preset {name} has no parameter {key!r}"])
         merged[key] = value
@@ -94,75 +85,46 @@ def _ambiguity(n_types: int, n_priors: int, penalty: float) -> BeliefSet:
     return BeliefSet(priors=np.stack(priors), penalties=np.array(penalties))
 
 
+def _reinsurance(m: int, n: int, tilt: float, n_priors: int, penalty: float,
+                 e_p: np.ndarray, u, v, hi_scale: float) -> PresetBundle:
+    """Uniform atoms, tilted types and endowment e_a = 1 + 0.25 i; the
+    agent may give up all of e_a and receive up to hi_scale * e_p."""
+    q = np.full(m, 1.0 / m)
+    e_a = 1.0 + 0.25 * np.arange(m)
+    inst = Instance(
+        states=StateSpace(ref_prob=q),
+        types=_tilt_types(q, n, tilt),
+        principal_belief=AgentType(density=np.ones(m), label="principal"),
+        beliefs=_ambiguity(n, n_priors, penalty),
+        e_a=e_a,
+        e_p=e_p,
+        u=u,
+        v=v,
+        contract_lo=-e_a,
+        contract_hi=hi_scale * e_p,
+    )
+    return PresetBundle(instance=validate_instance(inst))
+
+
 def _reinsurance_halfline(params: dict | None) -> PresetBundle:
     p = _merge_params(
         {"n_atoms": 2, "n_types": 2, "tilt": 0.4, "n_priors": 2, "penalty": 0.0},
         params, "reinsurance_halfline",
     )
-    m, n = int(p["n_atoms"]), int(p["n_types"])
-    q = np.full(m, 1.0 / m)
-    states = StateSpace(ref_prob=q)
-    e_a = 1.0 + 0.25 * np.arange(m)
-    e_p = 2.0 - 0.8 * np.arange(m) / max(m, 2)
-    inst = Instance(
-        states=states,
-        types=_tilt_types(q, n, float(p["tilt"])),
-        principal_belief=AgentType(density=np.ones(m), label="principal"),
-        beliefs=_ambiguity(n, int(p["n_priors"]), float(p["penalty"])),
-        e_a=e_a,
-        e_p=e_p,
-        u=log_utility(),
-        v=cara(1.0, HALF_LINE),
-        contract_lo=-e_a,
-        contract_hi=e_p,
-    )
-    return PresetBundle(instance=validate_instance(inst))
+    m = int(p["n_atoms"])
+    return _reinsurance(m, int(p["n_types"]), float(p["tilt"]), int(p["n_priors"]),
+                        float(p["penalty"]), 2.0 - 0.8 * np.arange(m) / max(m, 2),
+                        log_utility(), cara(1.0, HALF_LINE), 1.0)
 
 
 def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
-    p = _merge_params({"gamma": 0.5, "agent_family": "crra"}, params,
-                      "reinsurance_wholeline")
-    family = str(p["agent_family"]).lower()
-    if family == "crra":
-        u = crra(float(p["gamma"]))
-    elif family == "log":
-        u = log_utility()
-    elif family == "linear":
-        u = linear(HALF_LINE)
-    elif family == "cara":
-        u = cara(1.0, HALF_LINE)
-    else:
-        raise ValidationError([f"unknown agent_family {family!r}"])
-
-    report = ae_check(u)
-    if not report.passed:
-        raise ValidationError(
-            [
-                "whole-line preset refused: asymptotic elasticity estimate "
-                f"{report.estimate:.6f} is not below 1 - margin"
-            ]
-        )
-    q = np.full(2, 0.5)
-    e_a = np.array([1.0, 1.25])
-    e_p = np.array([2.0, 2.5])
-    inst = Instance(
-        states=StateSpace(ref_prob=q),
-        types=_tilt_types(q, 2, 0.4),
-        principal_belief=AgentType(density=np.ones(2), label="principal"),
-        beliefs=_ambiguity(2, 2, 0.0),
-        e_a=e_a,
-        e_p=e_p,
-        u=u,
-        v=cara(0.5, WHOLE_LINE),
-        contract_lo=-e_a,
-        contract_hi=2.0 * e_p,
-    )
-    return PresetBundle(instance=validate_instance(inst))
+    _merge_params({}, params, "reinsurance_wholeline")
+    return _reinsurance(2, 2, 0.4, 2, 0.0, np.array([2.0, 2.5]), crra(0.5),
+                        cara(0.5, WHOLE_LINE), 2.0)
 
 
 def _market_bundle(params: dict | None, name: str) -> PresetBundle:
-    p = _merge_params({"n_nodes": 12, "slopes": (0.0, 0.35, -0.35), "n_priors": 2},
-                      params, name)
+    p = _merge_params({"n_nodes": 12, "slopes": (0.0, 0.35, -0.35)}, params, name)
     market = {
         "horizon": 1.0,
         "n_nodes": int(p["n_nodes"]),
@@ -189,7 +151,7 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
         states=StateSpace(ref_prob=model.weights, atoms=[f"w={w:+.4f}" for w in nodes]),
         types=types,
         principal_belief=AgentType(density=np.ones(m), label="reference"),
-        beliefs=_ambiguity(n, int(p["n_priors"]), 0.0),
+        beliefs=_ambiguity(n, 2, 0.0),
         e_a=np.zeros(m),
         e_p=e_p,
         u=linear(WHOLE_LINE),
@@ -201,18 +163,21 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
     return PresetBundle(instance=validate_instance(inst), market=market)
 
 
+_BUILDERS = {
+    "reinsurance_halfline": _reinsurance_halfline,
+    "reinsurance_wholeline": _reinsurance_wholeline,
+    "cara_hedging": lambda params: _market_bundle(params, "cara_hedging"),
+    "log_delegation": lambda params: _market_bundle(params, "log_delegation"),
+}
+PRESET_NAMES = tuple(_BUILDERS)
+
+
 def build_preset_bundle(name: str, params: dict | None = None) -> PresetBundle:
-    if name == "reinsurance_halfline":
-        return _reinsurance_halfline(params)
-    if name == "reinsurance_wholeline":
-        return _reinsurance_wholeline(params)
-    if name == "cara_hedging":
-        return _market_bundle(params, "cara_hedging")
-    if name == "log_delegation":
-        return _market_bundle(params, "log_delegation")
-    raise ValidationError(
-        [f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"]
-    )
+    if name not in _BUILDERS:
+        raise ValidationError(
+            [f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"]
+        )
+    return _BUILDERS[name](params)
 
 
 def build_preset(name: str, params: dict | None = None) -> Instance:

@@ -35,8 +35,8 @@ from .transform import UtilityUnitsInstance
 HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
 # bisection rounds of the dual's inner maximum: c* lands within 2^-35 of its
-# bound range, and the bound's error is quadratic in that distance; each
-# round evaluates u^-1, u' and v' once. The count also steers SLSQP's path:
+# bound range, and the reported bound adds the slack left (`_bisection_slack`);
+# each round evaluates u^-1, u' and v' once. The count also steers SLSQP's path:
 # at 45 the halfline preset already needs the primal step
 HALVINGS = 35
 PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
@@ -115,17 +115,12 @@ def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     return _row_dots(inst.v.value(principal_wealth), inst.principal_weights())
 
 
-def principal_type_values(uu: UtilityUnitsInstance, mech: Mechanism) -> np.ndarray:
-    """Principal's expected utility per reported type, under her own belief."""
-    if not uu.contains(mech.assignment, tol=1e-6):
-        raise RangeError("mechanism leaves the transformed contract bounds")
-    return _evaluate(uu, mech.assignment)
-
-
 def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, int]:
     """Robust objective of a mechanism: worst prior (plus penalty) applied
-    to the per-type values; ties resolve to the lowest prior index."""
-    return uu.base.beliefs.robust_value(principal_type_values(uu, mech))
+    to the principal's per-type values; ties resolve to the lowest prior index."""
+    if not uu.contains(mech.assignment, tol=1e-6):
+        raise RangeError("mechanism leaves the transformed contract bounds")
+    return uu.base.beliefs.robust_value(_evaluate(uu, mech.assignment))
 
 
 def _marginal(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
@@ -139,6 +134,12 @@ def _marginal(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(slope), 0.0, slope)
 
 
+def _slope(uu, weight, g, c) -> np.ndarray:
+    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c."""
+    with np.errstate(invalid="ignore"):
+        return g + np.where(weight > 0.0, weight * _marginal(uu, c), 0.0)
+
+
 def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The maximizer over the box of s_j w_i phi_i(c) + g_ji c, entry by entry.
 
@@ -148,24 +149,27 @@ def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.nda
     of bisection over all entries at once (skipped when no entry is inside).
     """
     weight = s[:, None] * uu.base.principal_weights()
-
-    def slope(c):
-        with np.errstate(invalid="ignore"):
-            return g + np.where(weight > 0.0, weight * _marginal(uu, c), 0.0)
-
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
-    at_lo = slope(lo) <= 0.0
-    inside = ~at_lo & (slope(hi) < 0.0)
+    at_lo = _slope(uu, weight, g, lo) <= 0.0
+    inside = ~at_lo & (_slope(uu, weight, g, hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
         left, right = lo, hi
         for _ in range(HALVINGS):
             mid = 0.5 * (left + right)
-            up = slope(mid) > 0.0
+            up = _slope(uu, weight, g, mid) > 0.0
             left, right = np.where(up, mid, left), np.where(up, right, mid)
         c = np.where(inside, 0.5 * (left + right), c)
     return c
+
+
+def _bisection_slack(uu, s, g, c) -> float:
+    """What the concave inner objective f can gain on the box over f(c):
+    sum_ji max(f'(c)(lo - c), f'(c)(hi - c)); an infinite slope on a face adds 0."""
+    slope = _slope(uu, s[:, None] * uu.base.principal_weights(), g, c)
+    with np.errstate(invalid="ignore"):
+        return float(np.nansum(np.maximum(slope * (uu.c_lo - c), slope * (uu.c_hi - c))))
 
 
 def _projection(y, lo, hi, a, b):
@@ -252,14 +256,15 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     mu >= 0, where s = lam^T kappa and phi_i(c) = v(e_p,i + e_a,i - u^-1(c)).
     SLSQP minimizes D for at most `opts.max_iters` iterations, with the
     gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
-    (`_inner_max`). The mechanism is the exact projection of c* onto the
-    constraints (`_projection`), or the pooling point at the upper contract
-    bound should nnls reach its iteration cap; only while the bound exceeds
-    its value by more than `opts.tol` does `_primal_step` run, and its
-    projected point replaces that mechanism if it is worth more.
+    (`_inner_max`); the bound adds `_bisection_slack` at the last c*, so it
+    holds however coarse the bisection. The mechanism is the exact projection
+    of c* onto the constraints (`_projection`), or the pooling point at the
+    upper contract bound should nnls reach its iteration cap; only while the
+    bound exceeds its value by more than `opts.tol` does `_primal_step` run,
+    and its projected point replaces that mechanism if it is worth more.
     `converged` means the mechanism is feasible within `opts.tol` and `gap`
-    = bound - value is at most `opts.tol`; the `trace` holds (iteration,
-    bound) per dual iteration. A solve is single-threaded and deterministic.
+    = bound - value is at most `opts.tol`; the `trace` holds (iteration, D)
+    per dual iteration. A solve is single-threaded and deterministic.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize
@@ -303,7 +308,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         c = _inner_max(uu, s, g)
         values = _evaluate(uu, c)
         bound = float(lam @ penalties - mu @ b + s @ values + np.sum(g * c))
-        last.update(z=z.copy(), bound=bound, c=c.ravel())
+        last.update(z=z.copy(), bound=bound, s=s, g=g, c=c)
         return bound, np.concatenate([penalties + priors @ values, a @ c.ravel() - b])
 
     def at(z):
@@ -322,7 +327,8 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )
     final = at(res.x)
-    bound, x = final["bound"], project(final["c"])
+    bound = final["bound"] + _bisection_slack(uu, final["s"], final["g"], final["c"])
+    x = project(final["c"].ravel())
     value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
     if bound - value > opts.tol:
         polished = project(_primal_step(uu, x, value, a, b))

@@ -39,7 +39,7 @@ def two_atom_uu(densities, reservation=None, e_p=3.0):
 class TestMenuBasics:
     def test_dedup_and_nonempty(self):
         menu = rcl.Menu(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-        assert menu.size == 2
+        assert len(menu.contracts) == 2
         with pytest.raises(ValidationError):
             rcl.Menu(np.empty((0, 2)))
 
@@ -112,7 +112,7 @@ class TestPrincipalMenuValue:
     def test_singleton(self):
         uu = two_atom_uu([(1.2, 0.8)])
         menu = rcl.Menu(np.array([[0.1, 0.2]]))
-        direct = rcl.principal_type_values(uu, rcl.Mechanism(menu.contracts))[0]
+        direct = rcl.contract_values(uu, menu.contracts)[0]
         _, _, favoured = rcl.menu_choices(uu, menu)
         assert favoured[0] == direct
 
@@ -137,7 +137,7 @@ class TestSolveMenu:
         uu = make_uu(rng, m=2, n=2)
         candidates = np.array([uu.c_hi])
         menu, value = rcl.solve_menu(candidates, uu)
-        assert menu.size == 1
+        assert len(menu.contracts) == 1
         _, _, per_type = rcl.menu_choices(uu, menu)
         expected, _ = uu.base.beliefs.robust_value(per_type)
         assert value == expected
@@ -149,7 +149,7 @@ class TestSolveMenu:
         menu, value = rcl.solve_menu(np.array([good, dominated]), uu)
         menu_only, value_only = rcl.solve_menu(np.array([good]), uu)
         assert value == value_only
-        assert menu.size == 1
+        assert len(menu.contracts) == 1
         np.testing.assert_array_equal(menu.contracts, menu_only.contracts)
 
     def test_candidate_cap(self, rng):
@@ -164,7 +164,7 @@ class TestSolveMenu:
         candidates = random_contracts(rng, uu, 17)
         candidates[0] = uu.c_hi
         menu, _ = rcl.solve_menu(candidates, uu)
-        assert 1 <= menu.size <= 4
+        assert 1 <= len(menu.contracts) <= 4
 
     def test_out_of_bounds_candidates_rejected(self, rng):
         uu = make_uu(rng, m=2, n=2)
@@ -268,7 +268,7 @@ class TestPrunedWalk:
         uu.base.reservation = np.array([w @ a + 0.8e-9])
         candidates = np.stack([g, a])
         menu, value = rcl.solve_menu(candidates, uu)
-        assert menu.size == 2
+        assert len(menu.contracts) == 2
         with pytest.raises(ValidationError, match="individually rational"):
             rcl.solve_menu(candidates[:1], uu)
         _, singleton = rcl.solve_menu(candidates[1:], uu)

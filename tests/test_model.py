@@ -1,5 +1,7 @@
 """Model layer: expectations, utility specs, instance validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,8 @@ import rcl
 from rcl.errors import DimensionError, DomainError, ValidationError
 
 from conftest import make_instance
+
+LOG_GRID = np.geomspace(0.05, 10.0, 40)
 
 
 def two_state(q=(0.5, 0.5)):
@@ -128,6 +132,18 @@ class TestUtilitySpec:
         np.testing.assert_allclose(u.value(z), np.log(z), atol=1e-6)
         np.testing.assert_allclose(u.inverse(u.value(z)), z, atol=1e-9)
 
+    @pytest.mark.parametrize("start, domain", [(0.1, "half-line"), (-1.0, "whole-line")])
+    def test_tabulated_without_derivs_is_monotone_cubic(self, start, domain):
+        # no derivs: a shape-preserving PCHIP cubic through the values; a
+        # grid reaching below 0 puts the utility on the whole line
+        grid = np.linspace(start, 3.0, 9)
+        u = rcl.UtilitySpec("tabulated", grid=grid, values=1.0 - np.exp(-grid))
+        assert u.domain == domain
+        np.testing.assert_allclose(u.value(grid), 1.0 - np.exp(-grid), rtol=1e-14)
+        z = np.linspace(start, 3.0, 31)
+        assert np.all(np.diff(u.value(z)) > 0.0) and np.all(u.deriv(z) > 0.0)
+        np.testing.assert_allclose(u.inverse(u.value(z)), z, atol=1e-9)
+
 
 class TestValidateInstance:
     def test_preset_zero_transfer_is_feasible(self, rng):
@@ -190,7 +206,8 @@ class TestValidateInstance:
         (("states", "ref_prob", 0), "reference probabilities must be finite"),
         (("beliefs", "priors", 0, 0), "prior weights must be finite"),
         (("reservation", 0), "reservation contains non-finite entries"),
-    ], ids=["ref_prob", "prior", "reservation"])
+        (("e_a", 0), "e_a contains non-finite entries"),
+    ], ids=["ref_prob", "prior", "reservation", "e_a"])
     def test_rejects_nan_entry(self, rng, path, message):
         # NaN slips past checks like `<= 0` and `abs(s - 1) > tol`
         doc = make_instance(rng).to_json()
@@ -198,6 +215,18 @@ class TestValidateInstance:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = float("nan")
+        with pytest.raises(ValidationError, match=message):
+            rcl.validate_instance(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("beliefs", {"priors": [[1.0]], "penalties": [0.0]}, "prior length"),
+        ("reservation", [0.0], "reservation length"),
+        ("e_a", [1.0, 1.0, 1.0], "e_a length 3 does not match 2 atoms"),
+        ("e_a", [[1.0, 1.0]], "e_a must be a one-dimensional array"),
+    ], ids=["prior_length", "reservation_length", "e_a_length", "e_a_2d"])
+    def test_rejects_misshapen_field(self, rng, key, value, message):
+        doc = make_instance(rng, m=2, n=2).to_json()
+        doc[key] = value
         with pytest.raises(ValidationError, match=message):
             rcl.validate_instance(doc)
 
@@ -214,6 +243,20 @@ class TestValidateInstance:
         np.testing.assert_allclose(back.e_a, inst.e_a, atol=0)
         np.testing.assert_allclose(back.reservation, inst.reservation, atol=0)
         assert back.u.family == inst.u.family
+
+    @pytest.mark.parametrize("u", [
+        rcl.crra(0.4),
+        rcl.UtilitySpec("tabulated", grid=LOG_GRID, values=np.log(LOG_GRID),
+                        derivs=1.0 / LOG_GRID),
+    ], ids=["crra", "tabulated"])
+    def test_json_roundtrip_keeps_agent_utility(self, rng, tmp_path, u):
+        inst = make_instance(rng, m=3, n=2)
+        inst = rcl.validate_instance(dataclasses.replace(inst, u=u, reservation=None))
+        path = tmp_path / "inst.json"
+        rcl.save_instance(inst, path)
+        back = rcl.load_instance(path)
+        assert back.u.to_json() == u.to_json()
+        assert back.to_json() == inst.to_json()
 
     def test_default_reservation_is_endowment_utility(self, rng):
         inst = make_instance(rng)
@@ -235,3 +278,9 @@ class TestBeliefSet:
             rcl.BeliefSet(priors=[[0.6, 0.6]], penalties=[0.0])
         with pytest.raises(ValidationError):
             rcl.BeliefSet(priors=[[0.5, 0.5]], penalties=[np.inf])
+        with pytest.raises(ValidationError, match="at least one prior"):
+            rcl.BeliefSet(priors=np.empty((0, 2)), penalties=[])
+        with pytest.raises(ValidationError, match="one penalty per prior"):
+            rcl.BeliefSet(priors=[[0.5, 0.5]], penalties=[0.0, 0.0])
+        with pytest.raises(ValidationError, match="prior weights must be >= 0"):
+            rcl.BeliefSet(priors=[[1.5, -0.5]], penalties=[0.0])

@@ -37,13 +37,19 @@ class TestPresets:
         np.testing.assert_array_equal(inst.contract_lo, -inst.e_a)
         np.testing.assert_array_equal(inst.contract_hi, inst.e_p)
 
-    def test_wholeline_refuses_linear_agent(self):
-        with pytest.raises(ValidationError, match="asymptotic elasticity"):
-            rcl.build_preset("reinsurance_wholeline", {"agent_family": "linear"})
+    @pytest.mark.parametrize("name, param", [
+        ("reinsurance_wholeline", "gamma"),
+        ("reinsurance_wholeline", "agent_family"),
+        ("cara_hedging", "n_priors"),
+    ])
+    def test_fixed_settings_are_not_parameters(self, name, param):
+        with pytest.raises(ValidationError, match=f"no parameter '{param}'"):
+            rcl.build_preset(name, {param: 1})
 
     def test_wholeline_crra_passes_screen(self):
-        build_preset_bundle("reinsurance_wholeline", {"gamma": 0.5})
-        assert rcl.ae_check(rcl.crra(0.5)).estimate == pytest.approx(0.5, abs=1e-3)
+        inst = build_preset_bundle("reinsurance_wholeline").instance
+        assert (inst.u.family, inst.u.gamma) == ("crra", 0.5)
+        assert rcl.ae_check(inst.u).estimate == pytest.approx(0.5, abs=1e-3)
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="unknown preset"):
@@ -66,7 +72,7 @@ class TestPresets:
     def test_cara_hedging_solver_reproduces_closed_form_benchmark(self):
         # one flat type: the optimum binds participation, so the agent's
         # indirect utility equals the no-trade closed form
-        bundle = build_preset_bundle("cara_hedging", {"slopes": (0.0,), "n_priors": 1})
+        bundle = build_preset_bundle("cara_hedging", {"slopes": (0.0,)})
         uu = rcl.to_utility_units(bundle.instance)
         res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=1500))
         assert res.converged
@@ -133,6 +139,8 @@ class TestCli:
         assert run(RunConfig(command="solve", instance=str(bad),
                              out=str(tmp_path / "z"))) == 1
         assert "invalid JSON" in capsys.readouterr().err
+        assert main(["market", "--instance", str(bad), "--out", str(tmp_path / "m")]) == 1
+        assert "error: invalid JSON" in capsys.readouterr().err
         missing = tmp_path / "missing.json"
         assert run(RunConfig(command="solve", instance=str(missing),
                              out=str(tmp_path / "w"))) == 1

@@ -14,7 +14,7 @@ import rcl
 import rcl.cli
 import rcl.solver
 from rcl.constraints import DEFAULT_TOL
-from rcl.errors import SizeCapError, ValidationError
+from rcl.errors import RangeError, SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
 from rcl.solver import _projection
 
@@ -59,7 +59,7 @@ class TestPrincipalValue:
     def test_degenerate_ambiguity(self, rng):
         uu = make_uu(rng, n=1, n_priors=1)
         mech = rcl.Mechanism(np.tile(uu.c_hi, (1, 1)))
-        values = rcl.principal_type_values(uu, mech)
+        values = rcl.contract_values(uu, mech.assignment)
         value, worst = rcl.principal_value(uu, mech)
         assert worst == 0
         assert value == pytest.approx(values[0], abs=0)
@@ -78,7 +78,7 @@ class TestPrincipalValue:
         for _ in range(20):
             uu = make_uu(rng, n=3, m=2, n_priors=3, random_penalties=True)
             mech = self_selected(rng, uu, 1)[0]
-            values = rcl.principal_type_values(uu, mech)
+            values = rcl.contract_values(uu, mech.assignment)
             value, worst = rcl.principal_value(uu, mech)
             replay = float(np.dot(uu.base.beliefs.priors[worst], values))
             replay += uu.base.beliefs.penalties[worst]
@@ -105,6 +105,12 @@ class TestPrincipalValue:
         with pytest.raises(DomainError):
             rcl.principal_value(uu, rcl.Mechanism(np.tile(uu.c_hi, (1, 1))))
 
+    def test_rejects_mechanism_outside_the_box(self, rng):
+        uu = make_uu(rng)
+        outside = rcl.Mechanism(np.tile(uu.c_hi + 1.0, (uu.n_types, 1)))
+        with pytest.raises(RangeError, match="leaves the transformed contract bounds"):
+            rcl.principal_value(uu, outside)
+
     def test_concavity_certificate(self, rng):
         for _ in range(25):
             uu = make_uu(rng, n=2, m=2)
@@ -123,6 +129,10 @@ class TestSolveMechanism:
     def test_options_reject_bad_tol(self, tol):
         with pytest.raises(ValidationError, match="tol must be positive and finite"):
             rcl.SolveOptions(tol=tol)
+
+    def test_options_reject_nonpositive_max_iters(self):
+        with pytest.raises(ValidationError, match="max_iters must be positive"):
+            rcl.SolveOptions(max_iters=0)
 
     def test_binding_reservation_single_atom(self):
         # risk transfer is costly to the principal, so participation binds
@@ -209,6 +219,18 @@ class TestSolveMechanism:
         assert res.feasibility.feasible
         assert rcl.cli.main(["solve", "--preset", "cara_hedging",
                              "--out", str(tmp_path / "capped")]) == 2
+
+    def test_bound_holds_at_coarse_bisection(self, monkeypatch):
+        # six halvings leave c* far from the dual's inner maximizer, so the
+        # dual value there falls below D(lam, mu); the bisection slack keeps
+        # the reported bound above the optimum, and the gap it shows is too
+        # wide to certify
+        monkeypatch.setattr(rcl.solver, "HALVINGS", 6)
+        uu = rcl.to_utility_units(rcl.build_preset("reinsurance_halfline"))
+        res = rcl.solve_mechanism(uu)
+        assert res.bound >= res.value - 1e-12
+        assert res.bound >= rcl.grid_oracle(uu, 4).value - 1e-12
+        assert not res.converged
 
     def test_robustness_monotone_in_ambiguity(self, rng):
         # enlarging the prior set can only lower the maxmin optimum
@@ -462,7 +484,7 @@ class TestGridOracle:
         uu = make_uu(rng, m=2, n=2)
         res = rcl.grid_oracle(uu, 4)
         assert res.feasibility.feasible
-        values = rcl.principal_type_values(uu, res.mechanism)
+        values = rcl.contract_values(uu, res.mechanism.assignment)
         value, worst = uu.base.beliefs.robust_value(values)
         assert (value, worst) == (res.value, res.worst_prior)
 
