@@ -213,8 +213,9 @@ class UtilitySpec:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, z: np.ndarray) -> np.ndarray:
-        """Reject out-of-domain wealth; boundary noise within 1e-12 is clipped."""
+    def _check_domain(self, z: np.ndarray) -> None:
+        """Reject out-of-domain wealth; boundary noise within 1e-12 passes,
+        and `_clip` takes it to 0 on the half line."""
         if self.family == LOG:
             if np.any(z <= 0.0):
                 raise DomainError(f"log utility undefined at wealth {float(z.min())!r}")
@@ -229,11 +230,17 @@ class UtilitySpec:
                 raise DomainError(
                     f"{self.family} utility on the half line undefined at {float(z.min())!r}"
                 )
+
+    def _clip(self, z: np.ndarray) -> np.ndarray:
+        """Wealth as the closed forms take it: half-line noise below 0 at 0."""
+        if self.domain == HALF_LINE and self.family not in (LOG, TABULATED):
             return np.maximum(z, 0.0)
         return z
 
     def value(self, z):
-        zz = self._check_domain(np.asarray(z, dtype=float))
+        zz = np.asarray(z, dtype=float)
+        self._check_domain(zz)
+        zz = self._clip(zz)
         if self.family == CRRA:
             out = np.power(zz, self.gamma) / self.gamma
         elif self.family == LOG:
@@ -248,48 +255,55 @@ class UtilitySpec:
         return float(out) if np.ndim(z) == 0 else out
 
     def deriv(self, z):
-        zz = self._check_domain(np.asarray(z, dtype=float))
-        if self.family == CRRA:
-            with np.errstate(divide="ignore"):
-                out = np.power(zz, self.gamma - 1.0)
-        elif self.family == LOG:
-            out = 1.0 / zz
-        elif self.family == CARA:
-            out = self.alpha * np.exp(-self.alpha * zz)
-        elif self.family == LINEAR:
-            out = np.ones_like(zz)
-        else:
-            lo, hi = self.grid[0], self.grid[-1]
-            out = self._fwd_deriv(np.clip(zz, lo, hi))
+        zz = np.asarray(z, dtype=float)
+        self._check_domain(zz)
+        with np.errstate(divide="ignore"):
+            out = self._deriv(zz)
         return float(out) if np.ndim(z) == 0 else out
+
+    def _deriv(self, z: np.ndarray) -> np.ndarray:
+        """`deriv` without the domain check, for wealth between two wealths
+        that passed it; CRRA's u'(0) = inf warns unless the caller silences it."""
+        zz = self._clip(z)
+        if self.family == CRRA:
+            return np.power(zz, self.gamma - 1.0)
+        if self.family == LOG:
+            return 1.0 / zz
+        if self.family == CARA:
+            return self.alpha * np.exp(-self.alpha * zz)
+        if self.family == LINEAR:
+            return np.ones_like(zz)
+        return self._fwd_deriv(np.clip(zz, self.grid[0], self.grid[-1]))
 
     def inverse(self, y):
         """Wealth level attaining utility y; exact for the closed families."""
         yy = np.asarray(y, dtype=float)
-        if self.family == CRRA:
-            if np.any(yy < 0.0):
-                raise DomainError("crra utility level must be >= 0")
-            out = np.power(self.gamma * yy, 1.0 / self.gamma)
-        elif self.family == LOG:
-            out = np.exp(yy)
-        elif self.family == CARA:
-            if np.any(yy >= 1.0):
-                raise DomainError("cara utility level must be < 1")
-            out = -np.log1p(-yy) / self.alpha
-        elif self.family == LINEAR:
-            out = yy.copy()
-        else:
-            out = self._inverse_tabulated(yy)
+        if self.family == CRRA and np.any(yy < 0.0):
+            raise DomainError("crra utility level must be >= 0")
+        if self.family == CARA and np.any(yy >= 1.0):
+            raise DomainError("cara utility level must be < 1")
+        if self.family == TABULATED:
+            v_lo, v_hi = self.values[0], self.values[-1]
+            pad = 1e-9 * max(v_hi - v_lo, 1.0)
+            if np.any(yy < v_lo - pad) or np.any(yy > v_hi + pad):
+                raise DomainError("tabulated utility level outside the tabulated range")
+        out = self._inverse(yy)
         return float(out) if np.ndim(y) == 0 else out
 
-    def _inverse_tabulated(self, yy: np.ndarray) -> np.ndarray:
+    def _inverse(self, yy: np.ndarray) -> np.ndarray:
+        """`inverse` without the level check, for levels between two that
+        passed it: u^-1 is increasing, so their wealth lies between too."""
+        if self.family == CRRA:
+            return np.power(self.gamma * yy, 1.0 / self.gamma)
+        if self.family == LOG:
+            return np.exp(yy)
+        if self.family == CARA:
+            return -np.log1p(-yy) / self.alpha
+        if self.family == LINEAR:
+            return yy.copy()
         from scipy.optimize import brentq
 
-        v_lo, v_hi = self.values[0], self.values[-1]
-        pad = 1e-9 * max(v_hi - v_lo, 1.0)
-        if np.any(yy < v_lo - pad) or np.any(yy > v_hi + pad):
-            raise DomainError("tabulated utility level outside the tabulated range")
-        flat = np.clip(np.ravel(yy), v_lo, v_hi)
+        flat = np.clip(np.ravel(yy), self.values[0], self.values[-1])
         out = np.empty_like(flat)
         for i, target in enumerate(flat):
             out[i] = brentq(

@@ -36,8 +36,9 @@ HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
 # bisection rounds of the dual's inner maximum: c* lands within 2^-35 of its
 # bound range, and the reported bound adds the slack left (`_bisection_slack`);
-# each round evaluates u^-1, u' and v' once. The count also steers SLSQP's path:
-# at 45 the halfline preset already needs the primal step
+# each round evaluates u^-1, u' and v' once on the entries inside the box. The
+# count also steers SLSQP's path: at 45 the halfline preset already needs the
+# primal step
 HALVINGS = 35
 PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
 
@@ -128,9 +129,15 @@ def _marginal(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     principal's marginal value of agent utility at each atom. It falls in c
     and may be -inf where her wealth reaches a singular point."""
     inst = uu.base
-    agent_wealth = inst.u.inverse(c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = -inst.v.deriv(inst.e_p + inst.e_a - agent_wealth) / inst.u.deriv(agent_wealth)
+        return _phi_prime(inst.u.inverse, inst.u.deriv, inst.v.deriv, inst.e_p + inst.e_a, c)
+
+
+def _phi_prime(inverse, u_deriv, v_deriv, wealth, c):
+    """`_marginal` from the given u^-1, u' and v' and the joint wealth
+    e_p + e_a, under the caller's errstate; nan (0/0, inf/inf) counts as 0."""
+    agent_wealth = inverse(c)
+    slope = -v_deriv(wealth - agent_wealth) / u_deriv(agent_wealth)
     return np.where(np.isnan(slope), 0.0, slope)
 
 
@@ -146,21 +153,35 @@ def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.nda
     The objective is concave in c, so its slope falls: an entry sits on the
     lower face when the slope is <= 0 there, on the upper face when it is
     >= 0 there, and otherwise at the sign change, found by HALVINGS rounds
-    of bisection over all entries at once (skipped when no entry is inside).
+    of bisection over the entries strictly inside (skipped when there are
+    none). The slopes at the faces go through the checked utilities, which
+    raise on wealth or levels outside their domains; the halvings use the
+    unchecked cores (`UtilitySpec._inverse`, `_deriv`). That skips no error:
+    u^-1 is increasing, so the agent's and the principal's wealth at every
+    midpoint lie between their values at the faces, which passed. Each
+    entry's c is bitwise what bisecting all entries with the checked slope
+    gives.
     """
-    weight = s[:, None] * uu.base.principal_weights()
+    inst = uu.base
+    weight = s[:, None] * inst.principal_weights()
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
     at_lo = _slope(uu, weight, g, lo) <= 0.0
     inside = ~at_lo & (_slope(uu, weight, g, hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
-        left, right = lo, hi
-        for _ in range(HALVINGS):
-            mid = 0.5 * (left + right)
-            up = _slope(uu, weight, g, mid) > 0.0
-            left, right = np.where(up, mid, left), np.where(up, right, mid)
-        c = np.where(inside, 0.5 * (left + right), c)
+        u, v = inst.u, inst.v
+        wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
+        w, gi = weight[inside], g[inside]
+        positive = w > 0.0
+        left, right = lo[inside], hi[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(HALVINGS):
+                mid = 0.5 * (left + right)
+                marginal = _phi_prime(u._inverse, u._deriv, v._deriv, wealth, mid)
+                up = (gi + np.where(positive, w * marginal, 0.0)) > 0.0
+                left, right = np.where(up, mid, left), np.where(up, right, mid)
+        c[inside] = 0.5 * (left + right)
     return c
 
 
@@ -264,7 +285,10 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     and its projected point replaces that mechanism if it is worth more.
     `converged` means the mechanism is feasible within `opts.tol` and `gap`
     = bound - value is at most `opts.tol`; the `trace` holds (iteration, D)
-    per dual iteration. A solve is single-threaded and deterministic.
+    per dual iteration. Two solves of the same instance with the same options
+    agree bitwise only under the same BLAS thread setting: the dual's matrix
+    products may round differently with another thread count, and SLSQP's
+    path with them.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize

@@ -14,7 +14,7 @@ import rcl
 import rcl.cli
 import rcl.solver
 from rcl.constraints import DEFAULT_TOL
-from rcl.errors import RangeError, SizeCapError, ValidationError
+from rcl.errors import DomainError, RangeError, SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
 from rcl.solver import _projection
 
@@ -100,10 +100,11 @@ class TestPrincipalValue:
             contract_lo=args["lo"], contract_hi=args["hi"],
         )
         uu = rcl.to_utility_units(inst)
-        from rcl.errors import DomainError
-
         with pytest.raises(DomainError):
             rcl.principal_value(uu, rcl.Mechanism(np.tile(uu.c_hi, (1, 1))))
+        # the dual's inner maximizer checks the same wealth at the upper face
+        with pytest.raises(DomainError, match="half line undefined"):
+            rcl.solver._inner_max(uu, np.ones(1), np.zeros((1, 1)))
 
     def test_rejects_mechanism_outside_the_box(self, rng):
         uu = make_uu(rng)
@@ -264,6 +265,100 @@ class TestSolveMechanism:
         iters, bounds = zip(*res.trace)
         assert list(iters) == list(range(1, res.iterations + 1))
         assert min(bounds + (res.bound,)) >= res.value - 1e-12
+
+
+TAB_GRID = np.geomspace(0.05, 6.0, 9)
+UTILITIES = {
+    "crra": lambda: rcl.crra(0.5),
+    "log": rcl.log_utility,
+    "cara_half": lambda: rcl.cara(1.0, "half-line"),
+    "cara_whole": lambda: rcl.cara(1.0, "whole-line"),
+    "linear": rcl.linear,
+    "tabulated": lambda: rcl.UtilitySpec("tabulated", grid=TAB_GRID, values=np.log(TAB_GRID)),
+    "tabulated_derivs": lambda: rcl.UtilitySpec(
+        "tabulated", grid=TAB_GRID, values=np.log(TAB_GRID), derivs=1.0 / TAB_GRID),
+}
+
+
+def reference_inner_max(uu, s, g):
+    """The inner maximizer by the plain rule: HALVINGS rounds of the
+    checked `_slope` over every entry, faces included."""
+    slope = rcl.solver._slope
+    weight = s[:, None] * uu.base.principal_weights()
+    lo = np.broadcast_to(uu.c_lo, g.shape)
+    hi = np.broadcast_to(uu.c_hi, g.shape)
+    at_lo = slope(uu, weight, g, lo) <= 0.0
+    inside = ~at_lo & (slope(uu, weight, g, hi) < 0.0)
+    c = np.where(at_lo, lo, hi)
+    if inside.any():
+        left, right = lo, hi
+        for _ in range(rcl.solver.HALVINGS):
+            mid = 0.5 * (left + right)
+            up = slope(uu, weight, g, mid) > 0.0
+            left, right = np.where(up, mid, left), np.where(up, right, mid)
+        c = np.where(inside, 0.5 * (left + right), c)
+    return c
+
+
+class TestInnerMax:
+    def test_agent_inverse_refuses_a_face_level(self):
+        # a CRRA agent has no wealth at a negative utility level, so a lower
+        # face there raises before any halving
+        inst = single_type_instance(rcl.crra(0.5), rcl.cara(1.0, "half-line"),
+                                    e_a=[1.0], e_p=[2.0], lo=[-0.5], hi=[1.0])
+        uu = dataclasses.replace(rcl.to_utility_units(inst), c_lo=np.array([-0.1]))
+        with pytest.raises(DomainError, match="crra utility level must be >= 0"):
+            rcl.solver._inner_max(uu, np.ones(1), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("halvings", [None, 6, 45], ids=["default", "6", "45"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u_name=st.sampled_from(sorted(UTILITIES)),
+        v_name=st.sampled_from(sorted(UTILITIES)),
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        full_box=st.booleans(),
+    )
+    def test_bitwise_equal_to_full_bisection(self, halvings, seed, u_name, v_name, n, m,
+                                             full_box):
+        # every family and domain for both parties, one type with weight 0
+        # in the prior mixture, and g spread so that entries land on both
+        # faces and strictly inside. The full box (the no-short-sale limits)
+        # floors the agent's wealth at the lower face and gives a CRRA
+        # principal a slope of -inf at the upper; it needs a closed-form
+        # agent and a principal defined at wealth 0
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, m=m, n=n)
+        full_box &= not u_name.startswith("tabulated") and v_name not in (
+            "log", "tabulated", "tabulated_derivs")
+        bounds = dict(contract_lo=-inst.e_a, contract_hi=inst.e_p) if full_box else {}
+        inst = rcl.validate_instance(dataclasses.replace(
+            inst, u=UTILITIES[u_name](), v=UTILITIES[v_name](), **bounds))
+        uu = rcl.to_utility_units(inst)
+        s = rng.dirichlet(np.ones(n))
+        s[rng.integers(n)] = 0.0
+        weight = s[:, None] * inst.principal_weights()
+        lo = np.broadcast_to(uu.c_lo, (n, m))
+        hi = np.broadcast_to(uu.c_hi, (n, m))
+        zero = np.zeros((n, m))
+        at_lo, at_hi = (rcl.solver._slope(uu, weight, zero, face) for face in (lo, hi))
+        # g = -slope term at a point t of the way from lo to hi: t < 0 puts
+        # the entry on the lower face, t > 1 on the upper, t in (0, 1) inside;
+        # the entries of positive weight take inside, lower, upper in turn,
+        # and a -inf slope at the upper face stands for a span of 1
+        turn = (np.cumsum(weight > 0.0) - 1).reshape(n, m) % 3
+        t = np.array([rng.uniform(0.05, 0.95), -0.5, 1.5])[turn]
+        g = -(at_lo + t * np.where(np.isfinite(at_hi), at_hi - at_lo, -1.0))
+        g = np.where(weight > 0.0, g, rng.normal(size=(n, m)))
+        with pytest.MonkeyPatch.context() as mp:
+            if halvings is not None:
+                mp.setattr(rcl.solver, "HALVINGS", halvings)
+            c = rcl.solver._inner_max(uu, s, g)
+            np.testing.assert_array_equal(c, reference_inner_max(uu, s, g))
+        assert ((c == lo) | (c == hi)).any()
+        if not u_name == v_name == "linear":
+            assert ((lo < c) & (c < hi)).any()
 
 
 def linear_lp_optimum(uu):
