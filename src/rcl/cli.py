@@ -223,9 +223,9 @@ def run(config: RunConfig) -> int:
             doc = market_report(_load(config), config.alpha, config.beta)
         else:
             raise RclError(f"unknown command {config.command!r}")
-        with open(out / "result.json", "w") as fh:
-            json.dump({"config": config.echo(), **doc}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # encoded whole before the file is opened, and written in one call
+        text = json.dumps({"config": config.echo(), **doc}, indent=2, sort_keys=True)
+        (out / "result.json").write_text(text + "\n")
         if trace is not None:
             _write_csv(out / "trace.csv", ["iter", "bound"], trace)
         if mech is not None:

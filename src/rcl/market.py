@@ -7,7 +7,9 @@ reported so the unnormalized identities can be audited). The CARA and log
 budget-constrained optima, their utilities in terms of relative entropies,
 and the principal's delegation income are implemented in closed form, with
 an independent Lagrange-multiplier oracle for verification. The closed
-forms take a type's `TiltedDensity`, computed once by `tilted_density`.
+forms take a type's `TiltedDensity`, computed once by `tilted_density`;
+the oracle takes the densities of all types and bisects their budget
+multipliers together, row by row on one (types, nodes) array.
 Only this module reads the market document (`market_model_from_json`,
 `market_report`), each field through `rcl.model`'s one field reader;
 non-finite numbers and non-positive quadrature weights in it are rejected.
@@ -33,7 +35,7 @@ MAX_NODES = 200
 BETA_MIN = 1e-3
 ENTROPY_AGENT_GIVEN_REF = "P||Q"
 ENTROPY_REF_GIVEN_AGENT = "Q||P"
-ORACLE_STEPS = 200  # cap on each bracketing and bisection loop of the budget oracle
+ORACLE_STEPS = 200  # cap on each bracketing and bisection loop of each oracle row
 
 
 @dataclass
@@ -309,59 +311,83 @@ def market_model_from_json(doc) -> MarketModel:
     return MarketModel(horizon=horizon, nodes=nodes, weights=weights, drift_types=drifts)
 
 
-def _multiplier_payoff(u: UtilitySpec, density: np.ndarray, lam: float) -> np.ndarray:
-    """Pointwise first-order condition u'(x_i) = lam * d_i, inverted for x."""
+def _multiplier_payoff(u: UtilitySpec, density: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Pointwise first-order condition u'(x_i) = lam * d_i, inverted for x;
+    one multiplier per row of `density`, broadcast as a (types, 1) column."""
     if u.family == CARA:
         return -np.log(lam * density / u.alpha) / u.alpha
     return 1.0 / (lam * density)  # log case
 
 
+def _expect_rows(weights: np.ndarray, density: np.ndarray, payoff: np.ndarray) -> np.ndarray:
+    """`TiltedDensity.expect` of every row at once: the same products, and the
+    same pairwise sum over each C-contiguous row."""
+    return np.sum(weights * density * payoff, axis=1)
+
+
 def verify_budget_optimality(
-    density: TiltedDensity, e_a: np.ndarray, u: UtilitySpec
-) -> float:
-    """Gap between the closed-form utility and an independent oracle.
+    densities: list[TiltedDensity], e_a: np.ndarray, u: UtilitySpec
+) -> np.ndarray:
+    """Gap between the closed-form utility and an independent oracle, one
+    per density (all on one node grid).
 
     The oracle maximizes E_Q[u(x)] subject to E_f[x - e_a] <= 0 by bisecting
     on the Lagrange multiplier of the (binding) budget, with the pointwise
-    first-order condition inverted per node. Returns the absolute utility gap.
+    first-order condition inverted per node. It runs on all densities at
+    once as a (types, nodes) array: each row steps as a lone bisection
+    would, and freezes where that one would stop. ORACLE_STEPS caps each
+    loop of every row; a row that cannot be bracketed raises
+    NonConvergenceError. Returns the absolute utility gaps.
     """
     if u.family not in (CARA, LOG):
         raise RangeError("oracle supports cara and log utilities only")
     e_a = np.asarray(e_a, dtype=float)
-    target = density.expect(e_a)
-    if u.family == LOG and target <= 0.0:
+    if not densities:
+        return np.zeros(0)
+    if any(d.values.shape != densities[0].values.shape for d in densities):
+        raise DimensionError("densities must share one node grid")
+    if e_a.shape != densities[0].values.shape:
+        raise DimensionError("payoff length does not match the node grid")
+    weights = np.stack([d.weights for d in densities])
+    values = np.stack([d.values for d in densities])
+    target = _expect_rows(weights, values, e_a)
+    if u.family == LOG and np.any(target <= 0.0):
         raise DomainError("log wealth needs E_f[e_a] > 0")
 
-    def excess(lam: float) -> float:
-        return density.expect(_multiplier_payoff(u, density.values, lam)) - target
+    def excess(lam: np.ndarray) -> np.ndarray:
+        payoff = _multiplier_payoff(u, values, lam[:, None])
+        return _expect_rows(weights, values, payoff) - target
 
-    lam_lo = lam_hi = 1.0
-    for _ in range(ORACLE_STEPS):
-        if excess(lam_lo) > 0.0:
-            break
-        lam_lo /= 4.0
-    for _ in range(ORACLE_STEPS):
-        if excess(lam_hi) < 0.0:
-            break
-        lam_hi *= 4.0
-    if excess(lam_lo) <= 0.0 or excess(lam_hi) >= 0.0:
+    lam_lo, lam_hi = np.ones(len(densities)), np.ones(len(densities))
+    for lam, bracketed, step in ((lam_lo, np.greater, np.divide),
+                                 (lam_hi, np.less, np.multiply)):
+        moving = np.ones(lam.size, dtype=bool)
+        for _ in range(ORACLE_STEPS):
+            moving &= ~bracketed(excess(lam), 0.0)
+            if not moving.any():
+                break
+            step(lam, 4.0, out=lam, where=moving)
+    if np.any(excess(lam_lo) <= 0.0) or np.any(excess(lam_hi) >= 0.0):
         raise NonConvergenceError("could not bracket the budget multiplier")
+    moving = np.ones(lam_lo.size, dtype=bool)
     for _ in range(ORACLE_STEPS):
         lam_mid = 0.5 * (lam_lo + lam_hi)
-        if excess(lam_mid) > 0.0:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-        if (lam_hi - lam_lo) <= 1e-15 * lam_hi:
+        up = excess(lam_mid) > 0.0
+        np.copyto(lam_lo, lam_mid, where=moving & up)
+        np.copyto(lam_hi, lam_mid, where=moving & ~up)
+        moving &= ~((lam_hi - lam_lo) <= 1e-15 * lam_hi)
+        if not moving.any():
             break
-    lam = 0.5 * (lam_lo + lam_hi)
-    oracle_payoff = _multiplier_payoff(u, density.values, lam)
-    oracle_utility = float(density.weights @ u.value(oracle_payoff))
-    if u.family == CARA:
-        _, closed = cara_optimal(density, e_a, u.alpha)
-    else:
-        _, closed = log_optimal(density, e_a)
-    return abs(oracle_utility - closed)
+    oracle_payoff = _multiplier_payoff(u, values, 0.5 * (lam_lo + lam_hi)[:, None])
+    gaps = np.empty(len(densities))
+    for k, density in enumerate(densities):
+        oracle_utility = float(density.weights @ u.value(oracle_payoff[k]))
+        if u.family == CARA:
+            _, closed = cara_optimal(density, e_a, u.alpha)
+        else:
+            _, closed = log_optimal(density, e_a)
+        gaps[k] = abs(oracle_utility - closed)
+    return gaps
 
 
 def _node_values(doc: dict, key: str, default: float, m: int) -> np.ndarray:
@@ -392,22 +418,27 @@ def market_report(doc, alpha: float | None = None,
     if betas is None:
         betas = tuple(_read_field(doc, "beta", _array, 0.5).ravel().tolist())
     v, zero = cara(1.0), np.zeros(m)
-    types = []
+    densities, types = [], []
     for i, drift in enumerate(model.drift_types):
         density = tilted_density(model, i)
         x_cara, u_cara = cara_optimal(density, e_a, alpha)
-        cara_gap = verify_budget_optimality(density, e_a, cara(alpha))
         x_log, u_log = log_optimal(density, e_a)
-        log_gap = verify_budget_optimality(density, e_a, log_utility())
+        densities.append(density)
         types.append({
             "label": drift.label,
             "normalizer": density.normalizer,
             "normalizer_gap": abs(density.normalizer - 1.0),
             "entropy_agent_ref": relative_entropy(density, ENTROPY_AGENT_GIVEN_REF),
             "entropy_ref_agent": relative_entropy(density, ENTROPY_REF_GIVEN_AGENT),
-            "cara": {"utility": u_cara, "oracle_gap": cara_gap, "payoff": x_cara.tolist()},
-            "log": {"utility": u_log, "oracle_gap": log_gap, "payoff": x_log.tolist()},
+            "cara": {"utility": u_cara, "payoff": x_cara.tolist()},
+            "log": {"utility": u_log, "payoff": x_log.tolist()},
             "delegation": {repr(float(beta)): delegation_value(density, zero, beta, e_a, e_p, v)
                            for beta in betas},
         })
+    # one oracle run per utility over all types; cara(alpha) is built only
+    # after cara_optimal has checked alpha, and not at all without types
+    oracles = {"cara": cara(alpha), "log": log_utility()} if types else {}
+    for form, u in oracles.items():
+        for entry, gap in zip(types, verify_budget_optimality(densities, e_a, u).tolist()):
+            entry[form]["oracle_gap"] = gap
     return {"horizon": model.horizon, "n_nodes": m, "types": types}

@@ -56,7 +56,8 @@ def test_criterion_2_cara_closed_form():
     for k in range(20):
         e_a = rng.uniform(0.5, 1.5, 20)
         alpha = float(rng.uniform(0.5, 3.0))
-        gap = rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a, rcl.cara(alpha))
+        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, k)], e_a,
+                                             rcl.cara(alpha))
         assert gap <= 1e-7
         worst = max(worst, gap)
     _report(2, "cara closed form vs multiplier oracle", f"worst gap {worst:.2e}")
@@ -68,8 +69,8 @@ def test_criterion_3_log_closed_form():
     worst = 0.0
     for k in range(20):
         e_a = rng.uniform(0.5, 1.5, 20)
-        gap = rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a,
-                                           rcl.log_utility())
+        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, k)], e_a,
+                                             rcl.log_utility())
         assert gap <= 1e-7
         worst = max(worst, gap)
         x_star, utility = rcl.log_optimal(rcl.tilted_density(model, k), e_a)

@@ -4,16 +4,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcl
-from rcl.errors import DimensionError, DomainError, RangeError, ValidationError
+from rcl.errors import (
+    DimensionError,
+    DomainError,
+    NonConvergenceError,
+    RangeError,
+    ValidationError,
+)
 from rcl.market import (
     ENTROPY_AGENT_GIVEN_REF,
     ENTROPY_REF_GIVEN_AGENT,
+    ORACLE_STEPS,
     weighted_moment,
 )
+from rcl.model import CARA, LOG
 
 
 def two_node_model(f_values=(0.0, 0.0), label="f"):
@@ -234,40 +242,119 @@ class TestDelegation:
                                   e_a=np.ones(2))
 
 
+def reference_budget_gap(density, e_a, u):
+    """The budget oracle for one density, as a lone scalar bisection: the
+    batched oracle must step each of its rows exactly like this."""
+    target = density.expect(e_a)
+
+    def payoff(lam):
+        if u.family == CARA:
+            return -np.log(lam * density.values / u.alpha) / u.alpha
+        return 1.0 / (lam * density.values)
+
+    def excess(lam):
+        return density.expect(payoff(lam)) - target
+
+    lam_lo = lam_hi = 1.0
+    for _ in range(ORACLE_STEPS):
+        if excess(lam_lo) > 0.0:
+            break
+        lam_lo /= 4.0
+    for _ in range(ORACLE_STEPS):
+        if excess(lam_hi) < 0.0:
+            break
+        lam_hi *= 4.0
+    assert excess(lam_lo) > 0.0 and excess(lam_hi) < 0.0
+    for _ in range(ORACLE_STEPS):
+        lam_mid = 0.5 * (lam_lo + lam_hi)
+        if excess(lam_mid) > 0.0:
+            lam_lo = lam_mid
+        else:
+            lam_hi = lam_mid
+        if (lam_hi - lam_lo) <= 1e-15 * lam_hi:
+            break
+    oracle_utility = float(density.weights @ u.value(payoff(0.5 * (lam_lo + lam_hi))))
+    if u.family == CARA:
+        _, closed = rcl.cara_optimal(density, e_a, u.alpha)
+    else:
+        _, closed = rcl.log_optimal(density, e_a)
+    return abs(oracle_utility - closed)
+
+
+def random_densities(rng, n_drifts, n_nodes=20, spread=1.5):
+    nodes, weights = rcl.discretize_terminal(1.0, n_nodes)
+    drifts = [rcl.DriftType(label=f"t{k}", values=rng.uniform(-spread, spread, n_nodes))
+              for k in range(n_drifts)]
+    model = rcl.MarketModel(horizon=1.0, nodes=nodes, weights=weights,
+                            drift_types=drifts)
+    return [rcl.tilted_density(model, k) for k in range(n_drifts)]
+
+
 class TestBudgetOracle:
     def test_no_tilt_cara_gap_tiny(self):
         model = two_node_model((0.0, 0.0))
-        gap = rcl.verify_budget_optimality(rcl.tilted_density(model, 0), np.ones(2),
-                                           rcl.cara(1.0))
+        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, 0)], np.ones(2),
+                                             rcl.cara(1.0))
         assert gap <= 1e-10
 
     def test_random_tilts_log(self, rng):
-        nodes, weights = rcl.discretize_terminal(1.0, 20)
-        drifts = [rcl.DriftType(label=f"t{k}", values=rng.uniform(-1.5, 1.5, 20))
-                  for k in range(5)]
-        model = rcl.MarketModel(horizon=1.0, nodes=nodes, weights=weights,
-                                drift_types=drifts)
-        e_a = rng.uniform(0.5, 1.5, 20)
-        for k in range(5):
-            assert rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a,
-                                                rcl.log_utility()) <= 1e-7
+        densities = random_densities(rng, 5)
+        gaps = rcl.verify_budget_optimality(densities, rng.uniform(0.5, 1.5, 20),
+                                            rcl.log_utility())
+        assert gaps.shape == (5,) and np.all(gaps <= 1e-7)
 
     def test_random_tilts_cara(self, rng):
-        nodes, weights = rcl.discretize_terminal(1.0, 20)
-        drifts = [rcl.DriftType(label=f"t{k}", values=rng.uniform(-1.5, 1.5, 20))
-                  for k in range(5)]
-        model = rcl.MarketModel(horizon=1.0, nodes=nodes, weights=weights,
-                                drift_types=drifts)
-        e_a = rng.uniform(0.5, 1.5, 20)
-        for k in range(5):
-            assert rcl.verify_budget_optimality(rcl.tilted_density(model, k), e_a,
-                                                rcl.cara(2.0)) <= 1e-7
+        densities = random_densities(rng, 5)
+        gaps = rcl.verify_budget_optimality(densities, rng.uniform(0.5, 1.5, 20),
+                                            rcl.cara(2.0))
+        assert gaps.shape == (5,) and np.all(gaps <= 1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_drifts=st.integers(1, 16),
+           n_nodes=st.integers(2, 200), family=st.sampled_from([CARA, LOG]),
+           spread=st.floats(0.01, 3.0), alpha=st.floats(0.1, 5.0))
+    def test_bitwise_equal_to_scalar_bisection(self, seed, n_drifts, n_nodes, family,
+                                               spread, alpha):
+        rng = np.random.default_rng(seed)
+        densities = random_densities(rng, n_drifts, n_nodes, spread)
+        e_a = rng.uniform(0.1, 3.0, n_nodes)
+        u = rcl.cara(alpha) if family == CARA else rcl.log_utility()
+        np.testing.assert_array_equal(
+            rcl.verify_budget_optimality(densities, e_a, u),
+            [reference_budget_gap(d, e_a, u) for d in densities])
+
+    def test_no_densities_give_no_gaps(self):
+        gaps = rcl.verify_budget_optimality([], np.ones(2), rcl.cara(1.0))
+        assert gaps.shape == (0,)
 
     def test_rejects_unsupported_family(self):
         model = two_node_model()
         with pytest.raises(RangeError):
-            rcl.verify_budget_optimality(rcl.tilted_density(model, 0), np.ones(2),
+            rcl.verify_budget_optimality([rcl.tilted_density(model, 0)], np.ones(2),
                                          rcl.crra(0.5))
+
+    def test_rejects_densities_on_different_grids(self, rng):
+        densities = [*random_densities(rng, 1, 4), *random_densities(rng, 1, 6)]
+        with pytest.raises(DimensionError):
+            rcl.verify_budget_optimality(densities, np.ones(4), rcl.log_utility())
+
+    def test_rejects_endowment_off_the_grid(self, rng):
+        with pytest.raises(DimensionError):
+            rcl.verify_budget_optimality(random_densities(rng, 2, 4), np.ones(5),
+                                         rcl.cara(1.0))
+
+    def test_log_rejects_non_positive_mean_endowment(self, rng):
+        e_a = np.full(4, 1.0)
+        e_a[0] = -50.0
+        with pytest.raises(DomainError):
+            rcl.verify_budget_optimality(random_densities(rng, 3, 4), e_a,
+                                         rcl.log_utility())
+
+    @pytest.mark.parametrize("u", [rcl.log_utility(), rcl.cara(1.0)], ids=["log", "cara"])
+    def test_no_bracketing_steps_is_non_convergence(self, rng, monkeypatch, u):
+        monkeypatch.setattr(rcl.market, "ORACLE_STEPS", 0)
+        with pytest.raises(NonConvergenceError, match="could not bracket"):
+            rcl.verify_budget_optimality(random_densities(rng, 3, 4), np.ones(4), u)
 
 
 class TestMarketIncentiveRouting:

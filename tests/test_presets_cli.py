@@ -251,6 +251,22 @@ class TestCli:
         assert "alpha must be positive" in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
+    def test_market_document_without_drift_types(self, tmp_path):
+        # no type reaches a closed form or the oracle, so alpha goes unchecked
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"n_nodes": 4, "alpha": -1.0}))
+        out = tmp_path / "mkt"
+        assert main(["market", "--instance", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["types"] == []
+
+    def test_market_oracle_non_convergence_is_input_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(rcl.market, "ORACLE_STEPS", 0)
+        out = tmp_path / "mkt"
+        assert main(["market", "--preset", "log_delegation", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: could not bracket the budget multiplier\n"
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("command", ["oracle", "menu", "equivalence"])
     def test_explicit_zero_levels_is_rejected(self, tmp_path, capsys, command):
         code = run(RunConfig(command=command, preset="reinsurance_halfline",
