@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check the certified solver against the exhaustive grid oracle.
 
-The oracle is exact on its grid and the solver's dual bound, bisection
+The oracle is exact on its grid and the solver's dual bound, inner
 slack included, holds over the full box, so the oracle value never exceeds
 the bound, and the solver's value sits within its certified gap of the
 bound. The excess column is oracle minus bound (at most 1e-12); the gap

@@ -110,12 +110,23 @@ def load_summary_mechanism(path) -> Mechanism:
 
 
 def _warn_clamps(uu):
-    if uu.clamped_atoms:
-        print(
-            f"warning: wealth floored at {WEALTH_FLOOR:g} on atoms "
-            f"{uu.clamped_atoms} when transforming the lower contract bound",
-            file=sys.stderr,
-        )
+    """Warn of floored wealth through this module's logger, which shows the
+    message on the stderr of the moment and passes it on to any handler a
+    caller set up."""
+    if not uu.clamped_atoms:
+        return
+    # imported here: only this warning needs logging, which adds 3% to the
+    # import of rcl.cli
+    import logging
+
+    log = logging.getLogger(__name__)
+    handler = logging.StreamHandler(sys.stderr)
+    log.addHandler(handler)
+    try:
+        log.warning("warning: wealth floored at %g on atoms %s when transforming the "
+                    "lower contract bound", WEALTH_FLOOR, uu.clamped_atoms)
+    finally:
+        log.removeHandler(handler)
 
 
 def _load(config: RunConfig) -> Instance | dict:

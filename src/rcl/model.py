@@ -209,6 +209,7 @@ class UtilitySpec:
         else:
             self._fwd = PchipInterpolator(self.grid, self.values)
         self._fwd_deriv = self._fwd.derivative()
+        self._fwd_curvature = self._fwd.derivative(2)
         return out
 
     # -- evaluation ---------------------------------------------------------
@@ -274,6 +275,21 @@ class UtilitySpec:
         if self.family == LINEAR:
             return np.ones_like(zz)
         return self._fwd_deriv(np.clip(zz, self.grid[0], self.grid[-1]))
+
+    def _risk_aversion(self, z: np.ndarray) -> np.ndarray:
+        """Absolute risk aversion -u''/u' at z, unchecked like `_deriv`; CRRA
+        and log give inf at wealth 0 unless the caller silences the warning."""
+        zz = self._clip(z)
+        if self.family == CRRA:
+            return (1.0 - self.gamma) / zz
+        if self.family == LOG:
+            return 1.0 / zz
+        if self.family == CARA:
+            return np.full_like(zz, self.alpha)
+        if self.family == LINEAR:
+            return np.zeros_like(zz)
+        zz = np.clip(zz, self.grid[0], self.grid[-1])
+        return -self._fwd_curvature(zz) / self._fwd_deriv(zz)
 
     def inverse(self, y):
         """Wealth level attaining utility y; exact for the closed families."""

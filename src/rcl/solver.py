@@ -34,12 +34,7 @@ from .transform import UtilityUnitsInstance
 
 HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
-# bisection rounds of the dual's inner maximum: c* lands within 2^-35 of its
-# bound range, and the reported bound adds the slack left (`_bisection_slack`);
-# each round evaluates u^-1, u' and v' once on the entries inside the box. The
-# count also steers SLSQP's path: at 45 the halfline preset already needs the
-# primal step
-HALVINGS = 35
+NEWTON_ITERS = 60    # cap on the safeguarded Newton steps of the dual's inner maximum
 PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
 
 
@@ -152,15 +147,14 @@ def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.nda
 
     The objective is concave in c, so its slope falls: an entry sits on the
     lower face when the slope is <= 0 there, on the upper face when it is
-    >= 0 there, and otherwise at the sign change, found by HALVINGS rounds
-    of bisection over the entries strictly inside (skipped when there are
-    none). The slopes at the faces go through the checked utilities, which
-    raise on wealth or levels outside their domains; the halvings use the
-    unchecked cores (`UtilitySpec._inverse`, `_deriv`). That skips no error:
-    u^-1 is increasing, so the agent's and the principal's wealth at every
-    midpoint lie between their values at the faces, which passed. Each
-    entry's c is bitwise what bisecting all entries with the checked slope
-    gives.
+    >= 0 there, and otherwise at the sign change, found by `_newton_root`
+    over the entries strictly inside (skipped when there are none). The
+    slopes at the faces go through the checked utilities, which raise on
+    wealth or levels outside their domains; the iteration uses the unchecked
+    cores (`UtilitySpec._inverse`, `_deriv`, `_risk_aversion`). That skips
+    no error: u^-1 is increasing, so the agent's and the principal's wealth
+    at every point inside the box lie between their values at the faces,
+    which passed.
     """
     inst = uu.base
     weight = s[:, None] * inst.principal_weights()
@@ -170,27 +164,85 @@ def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.nda
     inside = ~at_lo & (_slope(uu, weight, g, hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
-        u, v = inst.u, inst.v
         wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
-        w, gi = weight[inside], g[inside]
-        positive = w > 0.0
-        left, right = lo[inside], hi[inside]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(HALVINGS):
-                mid = 0.5 * (left + right)
-                marginal = _phi_prime(u._inverse, u._deriv, v._deriv, wealth, mid)
-                up = (gi + np.where(positive, w * marginal, 0.0)) > 0.0
-                left, right = np.where(up, mid, left), np.where(up, right, mid)
-        c[inside] = 0.5 * (left + right)
+        # an entry strictly inside has w > 0 and g > 0: the slope g - w v'/u'
+        # is g at w = 0, and is positive at the lower face
+        c[inside] = _newton_root(inst.u, inst.v, wealth, weight[inside], g[inside],
+                                 lo[inside], hi[inside])
     return c
 
 
-def _bisection_slack(uu, s, g, c) -> float:
-    """What the concave inner objective f can gain on the box over f(c):
-    sum_ji max(f'(c)(lo - c), f'(c)(hi - c)); an infinite slope on a face adds 0."""
+def _newton_root(u, v, wealth, w, g, lo, hi) -> np.ndarray:
+    """The sign change of the slope g - w v'(W - x) / u'(x), x = u^-1(c), on
+    each (lo, hi) whose slope is positive at lo and negative at hi.
+
+    Safeguarded Newton (Numerical Recipes' rtsafe) on the log first-order
+    condition psi(c) = log(w v'(W - x) / (g u'(x))), which rises in c with
+    psi' = (A_v(W - x) + A_u(x)) / u'(x), A = -U''/U' the absolute risk
+    aversion: linear for a linear agent and a CARA principal, where one
+    step is exact. The sign of psi moves the bracket (nan counts as "move
+    up", as a nan marginal counts as 0 in `_slope`); the next point is the
+    Newton point when it lies strictly inside the bracket, else its midpoint.
+    An entry stops at |psi| <= 1e-13. Where psi is too steep for that within
+    float resolution, the bracket collapses to adjacent floats, and the
+    entry stops at the bracket end that leaves the smaller `_gains`, as it
+    does at the NEWTON_ITERS cap; the bound adds that slack however the
+    iteration ends.
+    """
+    out = np.empty_like(lo)
+    todo = np.arange(lo.size)
+    ratio = w / g
+    left, right = lo, hi
+    c = 0.5 * (left + right)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(NEWTON_ITERS):
+            x = u._inverse(c)
+            du = u._deriv(x)
+            psi = np.log(ratio * (v._deriv(wealth - x) / du))
+            up = ~(psi >= 0.0)
+            left, right = np.where(up, c, left), np.where(psi > 0.0, c, right)
+            newton = c - psi * du / (v._risk_aversion(wealth - x) + u._risk_aversion(x))
+            mid = 0.5 * (left + right)
+            found = np.abs(psi) <= 1e-13
+            done = found | (mid <= left) | (mid >= right)
+            if done.any():
+                out[todo[found]] = c[found]
+                ends = done & ~found
+                if ends.any():
+                    out[todo[ends]] = _better_end(u, v, wealth[ends], w[ends], g[ends],
+                                                  lo[ends], hi[ends], left[ends], right[ends])
+                keep = ~done
+                todo, left, right = todo[keep], left[keep], right[keep]
+                wealth, w, g, ratio, lo, hi = (a[keep] for a in (wealth, w, g, ratio, lo, hi))
+                if not todo.size:
+                    return out
+                newton, mid = newton[keep], mid[keep]
+            c = np.where((left < newton) & (newton < right), newton, mid)
+        out[todo] = _better_end(u, v, wealth, w, g, lo, hi, left, right)
+    return out
+
+
+def _better_end(u, v, wealth, w, g, lo, hi, left, right):
+    """Of each bracket's two ends, the one the concave objective can gain
+    less over on the box (see `_gains`)."""
+    gain = [_gains(g + w * _phi_prime(u._inverse, u._deriv, v._deriv, wealth, end),
+                   end, lo, hi) for end in (left, right)]
+    return np.where(gain[0] <= gain[1], left, right)
+
+
+def _gains(slope, c, lo, hi):
+    """What the concave inner objective can gain on [lo, hi] over c, entry by
+    entry: its tangent's rise at c toward the face its slope points to. An
+    infinite slope at its own face gives nan, a gain of 0."""
+    return np.where(slope > 0.0, slope * (hi - c), slope * (lo - c))
+
+
+def _inner_slack(uu, s, g, c) -> float:
+    """What the inner objective can gain on the box over its value at c, the
+    sum of `_gains`: the bound adds it, so it holds at any c."""
     slope = _slope(uu, s[:, None] * uu.base.principal_weights(), g, c)
     with np.errstate(invalid="ignore"):
-        return float(np.nansum(np.maximum(slope * (uu.c_lo - c), slope * (uu.c_hi - c))))
+        return float(np.nansum(_gains(slope, c, uu.c_lo, uu.c_hi)))
 
 
 def _projection(y, lo, hi, a, b):
@@ -277,18 +329,20 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     mu >= 0, where s = lam^T kappa and phi_i(c) = v(e_p,i + e_a,i - u^-1(c)).
     SLSQP minimizes D for at most `opts.max_iters` iterations, with the
     gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
-    (`_inner_max`); the bound adds `_bisection_slack` at the last c*, so it
-    holds however coarse the bisection. The mechanism is the exact projection
-    of c* onto the constraints (`_projection`), or the pooling point at the
-    upper contract bound should nnls reach its iteration cap; only while the
-    bound exceeds its value by more than `opts.tol` does `_primal_step` run,
-    and its projected point replaces that mechanism if it is worth more.
-    `converged` means the mechanism is feasible within `opts.tol` and `gap`
-    = bound - value is at most `opts.tol`; the `trace` holds (iteration, D)
-    per dual iteration. Two solves of the same instance with the same options
-    agree bitwise only under the same BLAS thread setting: the dual's matrix
-    products may round differently with another thread count, and SLSQP's
-    path with them.
+    (`_inner_max`); the bound adds `_inner_slack` at the last c*, so it
+    holds however the inner iteration ended. The mechanism is the exact
+    projection of c* onto the constraints (`_projection`), or the pooling
+    point at the upper contract bound should nnls reach its iteration cap;
+    only while the bound exceeds its value by more than `opts.tol` does
+    `_primal_step` run, and its projected point replaces that mechanism if
+    it is worth more. `converged` means the mechanism is feasible within
+    `opts.tol` and `gap` = bound - value is at most `opts.tol`; the `trace`
+    holds (iteration, D) per dual iteration. Two solves of the same instance
+    with the same options agree bitwise only under the same BLAS thread
+    setting: SLSQP's own BLAS calls go through scipy's bundled OpenBLAS (a
+    library apart from numpy's), whose thread count can round its steps
+    differently and so change its path; pinning that pool alone to one
+    thread reproduces a single-thread solve.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize
@@ -351,7 +405,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )
     final = at(res.x)
-    bound = final["bound"] + _bisection_slack(uu, final["s"], final["g"], final["c"])
+    bound = final["bound"] + _inner_slack(uu, final["s"], final["g"], final["c"])
     x = project(final["c"].ravel())
     value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
     if bound - value > opts.tol:

@@ -145,6 +145,31 @@ class TestUtilitySpec:
         np.testing.assert_allclose(u.inverse(u.value(z)), z, atol=1e-9)
 
 
+    @pytest.mark.parametrize("u, z", [
+        (rcl.crra(0.4), np.linspace(0.1, 5.0, 9)),
+        (rcl.log_utility(), np.linspace(0.1, 5.0, 9)),
+        (rcl.cara(1.5, "half-line"), np.linspace(0.1, 5.0, 9)),
+        (rcl.cara(1.5, "whole-line"), np.linspace(-3.0, 3.0, 9)),
+        (rcl.linear("half-line"), np.linspace(0.1, 5.0, 9)),
+        (rcl.linear("whole-line"), np.linspace(-3.0, 3.0, 9)),
+        # knots at the grid points: the interval midpoints keep z +- h on
+        # one cubic piece
+        (rcl.UtilitySpec("tabulated", grid=LOG_GRID, values=np.log(LOG_GRID)),
+         np.sqrt(LOG_GRID[1:] * LOG_GRID[:-1])),
+        (rcl.UtilitySpec("tabulated", grid=LOG_GRID, values=np.log(LOG_GRID),
+                         derivs=1.0 / LOG_GRID), np.sqrt(LOG_GRID[1:] * LOG_GRID[:-1])),
+        (rcl.UtilitySpec("tabulated", grid=np.linspace(-1.0, 3.0, 9),
+                         values=1.0 - np.exp(-np.linspace(-1.0, 3.0, 9))),
+         np.linspace(-0.75, 2.75, 8)),
+    ], ids=["crra", "log", "cara_half", "cara_whole", "linear_half", "linear_whole",
+            "tabulated", "tabulated_derivs", "tabulated_whole"])
+    def test_risk_aversion_matches_central_differences(self, u, z):
+        # -u''/u' against -(u'(z + h) - u'(z - h)) / (2 h u'(z))
+        h = 1e-5 * np.maximum(np.abs(z), 0.1)
+        numeric = -(u.deriv(z + h) - u.deriv(z - h)) / (2.0 * h * u.deriv(z))
+        np.testing.assert_allclose(u._risk_aversion(z), numeric, rtol=1e-6, atol=1e-9)
+
+
 class TestValidateInstance:
     def test_preset_zero_transfer_is_feasible(self, rng):
         inst = make_instance(rng)
