@@ -26,6 +26,7 @@ PROB_TOL = 1e-12       # reference probabilities must sum to 1 this tightly
 DENSITY_TOL = 1e-10    # densities are user-entered decimals; looser on purpose
 FEAS_TOL = 1e-9
 WEALTH_FLOOR = 1e-8    # half-line wealth is floored here so utilities stay finite
+INVERSE_ITERS = 100    # cap on the Newton steps of a tabulated utility's inverse
 
 HALF_LINE = "half-line"
 WHOLE_LINE = "whole-line"
@@ -317,19 +318,44 @@ class UtilitySpec:
             return -np.log1p(-yy) / self.alpha
         if self.family == LINEAR:
             return yy.copy()
-        from scipy.optimize import brentq
+        return self._spline_inverse(np.clip(yy, self.values[0], self.values[-1]))
 
-        flat = np.clip(np.ravel(yy), self.values[0], self.values[-1])
+    def _spline_inverse(self, y: np.ndarray) -> np.ndarray:
+        """The root of f(z) = y for the tabulated spline f, entry by entry,
+        for levels within the tabulated values.
+
+        Each level lies between the values at two adjacent knots, which
+        bracket its root. Safeguarded Newton (Numerical Recipes' rtsafe) on
+        all entries at once: the sign of f(z) - y moves the bracket, and the
+        next point is the Newton point when it lies strictly inside, else
+        the midpoint. An entry stops once its Newton step is within brentq's
+        tolerance 1e-13 + 4 eps |z|, taking that step clipped to its bracket,
+        so its root does not depend on the entries beside it; at the
+        INVERSE_ITERS cap it keeps its last point.
+        """
+        flat = np.ravel(y)
         out = np.empty_like(flat)
-        for i, target in enumerate(flat):
-            out[i] = brentq(
-                lambda zz: self._fwd(zz) - target,
-                self.grid[0],
-                self.grid[-1],
-                xtol=1e-13,
-                rtol=8.9e-16,
-            )
-        return out.reshape(np.shape(yy))
+        todo = np.arange(flat.size)
+        knot = np.clip(np.searchsorted(self.values, flat), 1, self.values.size - 1)
+        left, right = self.grid[knot - 1], self.grid[knot]
+        v_left, v_right = self.values[knot - 1], self.values[knot]
+        z = left + (flat - v_left) * ((right - left) / (v_right - v_left))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(INVERSE_ITERS):
+                if not todo.size:
+                    break
+                miss = self._fwd(z) - flat
+                left, right = np.where(miss < 0.0, z, left), np.where(miss > 0.0, z, right)
+                newton = z - miss / self._fwd_deriv(z)
+                done = np.abs(newton - z) <= 1e-13 + 8.9e-16 * np.abs(z)
+                if done.any():
+                    out[todo[done]] = np.clip(newton[done], left[done], right[done])
+                    keep = ~done
+                    todo, flat, z, left, right, newton = (
+                        a[keep] for a in (todo, flat, z, left, right, newton))
+                z = np.where((left < newton) & (newton < right), newton, 0.5 * (left + right))
+        out[todo] = z
+        return out.reshape(np.shape(y))
 
     def floored_value(self, wealth) -> np.ndarray:
         """u at the wealth, floored at WEALTH_FLOOR on the half line."""

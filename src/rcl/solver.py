@@ -29,7 +29,7 @@ from .constraints import (
     check_mechanism,
 )
 from .errors import RangeError, SizeCapError, ValidationError
-from .model import _row_dots
+from .model import UtilitySpec, _row_dots
 from .transform import UtilityUnitsInstance
 
 HARD_ASSIGNMENT_CAP = 10_000_000
@@ -138,37 +138,70 @@ def _phi_prime(inverse, u_deriv, v_deriv, wealth, c):
 
 def _slope(uu, weight, g, c) -> np.ndarray:
     """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c."""
+    return _slope_from(weight, g, _marginal(uu, c))
+
+
+def _slope_from(weight, g, marginal) -> np.ndarray:
+    """`_slope` from phi' at the point; a type of weight 0 has slope g."""
     with np.errstate(invalid="ignore"):
-        return g + np.where(weight > 0.0, weight * _marginal(uu, c), 0.0)
+        return g + np.where(weight > 0.0, weight * marginal, 0.0)
 
 
-def _inner_max(uu: UtilityUnitsInstance, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _DualFaces:
+    """What the dual's inner maximum reads of the instance, on the (n, m)
+    grid of type by atom: the principal's weights w, the box faces, the
+    joint wealth e_p + e_a, and phi' at both faces (`_marginal`)."""
+
+    u: UtilitySpec
+    v: UtilitySpec
+    weights: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    wealth: np.ndarray
+    marginal_lo: np.ndarray
+    marginal_hi: np.ndarray
+
+
+def _dual_faces(uu: UtilityUnitsInstance) -> _DualFaces:
+    """The instance's `_DualFaces`, for every dual evaluation of one solve.
+
+    phi' at the faces goes through the checked utilities, which raise on
+    wealth or levels outside their domains; this is where a solve meets
+    such an instance.
+    """
+    inst = uu.base
+    shape = (uu.n_types, uu.n_atoms)
+    lo, hi = np.broadcast_to(uu.c_lo, shape), np.broadcast_to(uu.c_hi, shape)
+    return _DualFaces(inst.u, inst.v, inst.principal_weights(), lo, hi,
+                      np.broadcast_to(inst.e_p + inst.e_a, shape),
+                      _marginal(uu, lo), _marginal(uu, hi))
+
+
+def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The maximizer over the box of s_j w_i phi_i(c) + g_ji c, entry by entry.
 
     The objective is concave in c, so its slope falls: an entry sits on the
     lower face when the slope is <= 0 there, on the upper face when it is
     >= 0 there, and otherwise at the sign change, found by `_newton_root`
-    over the entries strictly inside (skipped when there are none). The
-    slopes at the faces go through the checked utilities, which raise on
-    wealth or levels outside their domains; the iteration uses the unchecked
-    cores (`UtilitySpec._inverse`, `_deriv`, `_risk_aversion`). That skips
-    no error: u^-1 is increasing, so the agent's and the principal's wealth
-    at every point inside the box lie between their values at the faces,
-    which passed.
+    over the entries strictly inside (skipped when there are none). phi' at
+    the faces comes from `faces`, computed once per solve through the
+    checked utilities; the iteration uses the unchecked cores
+    (`UtilitySpec._inverse`, `_deriv`, `_risk_aversion`). That skips no
+    error: u^-1 is increasing, so the agent's and the principal's wealth at
+    every point inside the box lie between their values at the faces, which
+    passed.
     """
-    inst = uu.base
-    weight = s[:, None] * inst.principal_weights()
-    lo = np.broadcast_to(uu.c_lo, g.shape)
-    hi = np.broadcast_to(uu.c_hi, g.shape)
-    at_lo = _slope(uu, weight, g, lo) <= 0.0
-    inside = ~at_lo & (_slope(uu, weight, g, hi) < 0.0)
+    weight = s[:, None] * faces.weights
+    lo, hi = faces.lo, faces.hi
+    at_lo = _slope_from(weight, g, faces.marginal_lo) <= 0.0
+    inside = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
-        wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
         # an entry strictly inside has w > 0 and g > 0: the slope g - w v'/u'
         # is g at w = 0, and is positive at the lower face
-        c[inside] = _newton_root(inst.u, inst.v, wealth, weight[inside], g[inside],
-                                 lo[inside], hi[inside])
+        c[inside] = _newton_root(faces.u, faces.v, faces.wealth[inside], weight[inside],
+                                 g[inside], lo[inside], hi[inside])
     return c
 
 
@@ -197,11 +230,11 @@ def _newton_root(u, v, wealth, w, g, lo, hi) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(NEWTON_ITERS):
             x = u._inverse(c)
-            du = u._deriv(x)
-            psi = np.log(ratio * (v._deriv(wealth - x) / du))
+            du, rest = u._deriv(x), wealth - x
+            psi = np.log(ratio * (v._deriv(rest) / du))
             up = ~(psi >= 0.0)
             left, right = np.where(up, c, left), np.where(psi > 0.0, c, right)
-            newton = c - psi * du / (v._risk_aversion(wealth - x) + u._risk_aversion(x))
+            newton = c - psi * du / (v._risk_aversion(rest) + u._risk_aversion(x))
             mid = 0.5 * (left + right)
             found = np.abs(psi) <= 1e-13
             done = found | (mid <= left) | (mid >= right)
@@ -260,8 +293,8 @@ def _projection(y, lo, hi, a, b):
     rounds end. A least-norm correction from the NNLS point makes the
     binding constraints (those with u > 0) hold to round-off.
     """
-    # scipy's lstsq: numpy's woke numpy's BLAS thread pool, whose spinning
-    # slowed the rest of a 40 x 8 market solve by 25-40% on a 2-core host
+    # scipy's lstsq: numpy's lstsq woke numpy's BLAS thread pool, whose
+    # spinning slowed the rest of a 40 x 8 market solve by 25-40% on a 2-core host
     from scipy.linalg import lstsq
     from scipy.optimize import nnls
 
@@ -329,7 +362,10 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     mu >= 0, where s = lam^T kappa and phi_i(c) = v(e_p,i + e_a,i - u^-1(c)).
     SLSQP minimizes D for at most `opts.max_iters` iterations, with the
     gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
-    (`_inner_max`); the bound adds `_inner_slack` at the last c*, so it
+    (`_inner_max`), which reads what it needs of the instance from
+    `_dual_faces`, prepared once per solve after the pooling check (a
+    wealth or level outside a utility's domain at a box face raises
+    there); the bound adds `_inner_slack` at the last c*, so it
     holds however the inner iteration ended. The mechanism is the exact
     projection of c* onto the constraints (`_projection`), or the pooling
     point at the upper contract bound should nnls reach its iteration cap;
@@ -368,6 +404,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         # slack, so a participation row it misses no mechanism meets
         return result(hi, -float("inf"), [])
 
+    faces = _dual_faces(uu)
     relaxed = np.minimum(b, a @ hi)
 
     def project(y):
@@ -383,7 +420,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         lam = np.maximum(z[:k], 0.0)
         lam, mu = lam / lam.sum(), np.maximum(z[k:], 0.0)
         s, g = lam @ priors, (mu @ a).reshape(n, m)
-        c = _inner_max(uu, s, g)
+        c = _inner_max(faces, s, g)
         values = _evaluate(uu, c)
         bound = float(lam @ penalties - mu @ b + s @ values + np.sum(g * c))
         last.update(z=z.copy(), bound=bound, s=s, g=g, c=c)
@@ -396,11 +433,12 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
 
     last: dict = {}
     trace: list[tuple[int, float]] = []
+    simplex = np.r_[np.ones(k), np.zeros(b.size)]
     res = minimize(
         dual, np.concatenate([np.full(k, 1.0 / k), np.zeros(b.size)]), jac=True,
         method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b.size,
         constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
-                      "jac": lambda z: np.r_[np.ones(k), np.zeros(b.size)]}],
+                      "jac": lambda z: simplex}],
         callback=lambda z: trace.append((len(trace) + 1, at(z)["bound"])),
         options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )

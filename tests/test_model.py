@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import rcl
 from rcl.errors import DimensionError, DomainError, ValidationError
@@ -13,6 +14,7 @@ from rcl.errors import DimensionError, DomainError, ValidationError
 from conftest import make_instance
 
 LOG_GRID = np.geomspace(0.05, 10.0, 40)
+TAB_GRID = np.geomspace(0.05, 6.0, 9)
 
 
 def two_state(q=(0.5, 0.5)):
@@ -144,6 +146,39 @@ class TestUtilitySpec:
         assert np.all(np.diff(u.value(z)) > 0.0) and np.all(u.deriv(z) > 0.0)
         np.testing.assert_allclose(u.inverse(u.value(z)), z, atol=1e-9)
 
+    @pytest.mark.parametrize("grid, values, derivs", [
+        (TAB_GRID, np.log(TAB_GRID), 1.0 / TAB_GRID),
+        (TAB_GRID, np.log(TAB_GRID), None),
+        (np.linspace(-1.0, 3.0, 9), 1.0 - np.exp(-np.linspace(-1.0, 3.0, 9)), None),
+        (np.geomspace(0.05, 6.0, 400), np.log(np.geomspace(0.05, 6.0, 400)),
+         1.0 / np.geomspace(0.05, 6.0, 400)),
+    ], ids=["derivs", "pchip", "whole_line", "400_knots"])
+    def test_tabulated_inverse_matches_brentq(self, grid, values, derivs):
+        # the one-interval Newton against brentq over the whole grid, both
+        # to within brentq's tolerance 1e-13 + 4 eps |z| of the root, on
+        # random levels, every knot's value and both table ends
+        u = rcl.UtilitySpec("tabulated", grid=grid, values=values, derivs=derivs)
+        rng = np.random.default_rng(3)
+        levels = np.concatenate([rng.uniform(values[0], values[-1], 200), values])
+
+        def brentq_inverse(y):
+            # with derivs, the spline can end a rounding below the top
+            # value, where f(z) = y has no root on the grid and brentq
+            # refuses the bracket: the nearest wealth is the grid's end
+            if u._fwd(grid[-1]) - y <= 0.0:
+                return grid[-1]
+            return brentq(lambda z: u._fwd(z) - y, grid[0], grid[-1],
+                          xtol=1e-13, rtol=8.9e-16)
+
+        expected = np.array([brentq_inverse(y) for y in levels])
+        found = u.inverse(levels)
+        np.testing.assert_allclose(found, expected, rtol=2 * 8.9e-16, atol=2e-13)
+        assert u.inverse(values[0]) == grid[0]
+        assert u.inverse(values[-1]) == pytest.approx(grid[-1], rel=0, abs=1e-13)
+        # each root is the same whichever levels sit beside it
+        assert [u.inverse(y) for y in levels[:20]] == found[:20].tolist()
+        np.testing.assert_array_equal(u.inverse(levels[:200].reshape(4, 50)),
+                                      found[:200].reshape(4, 50))
 
     @pytest.mark.parametrize("u, z", [
         (rcl.crra(0.4), np.linspace(0.1, 5.0, 9)),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -102,9 +103,10 @@ class TestPrincipalValue:
         uu = rcl.to_utility_units(inst)
         with pytest.raises(DomainError):
             rcl.principal_value(uu, rcl.Mechanism(np.tile(uu.c_hi, (1, 1))))
-        # the dual's inner maximizer checks the same wealth at the upper face
+        # the dual's faces, prepared once per solve, check the same wealth at
+        # the upper face
         with pytest.raises(DomainError, match="half line undefined"):
-            rcl.solver._inner_max(uu, np.ones(1), np.zeros((1, 1)))
+            rcl.solver._dual_faces(uu)
 
     def test_rejects_mechanism_outside_the_box(self, rng):
         uu = make_uu(rng)
@@ -337,11 +339,29 @@ def inner_max_case(seed, u_name, v_name, n, m, full_box, scale=1.0):
     return uu, s, g
 
 
+def per_call_inner_max(uu, s, g):
+    """The inner maximizer with phi' at the faces taken through the checked
+    utilities on every call: what `_dual_faces` must reproduce bitwise."""
+    inst = uu.base
+    slope = rcl.solver._slope
+    weight = s[:, None] * inst.principal_weights()
+    lo = np.broadcast_to(uu.c_lo, g.shape)
+    hi = np.broadcast_to(uu.c_hi, g.shape)
+    at_lo = slope(uu, weight, g, lo) <= 0.0
+    inside = ~at_lo & (slope(uu, weight, g, hi) < 0.0)
+    c = np.where(at_lo, lo, hi)
+    if inside.any():
+        wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
+        c[inside] = rcl.solver._newton_root(inst.u, inst.v, wealth, weight[inside],
+                                            g[inside], lo[inside], hi[inside])
+    return c
+
+
 def assert_matches_bisection(uu, s, g):
     """Face entries bitwise those of bisection, interior entries within
     1e-10 of the box width of 60 halvings, and no more slack than 35
     halvings leave (the bisection this iteration replaced)."""
-    c = rcl.solver._inner_max(uu, s, g)
+    c = rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
     fine, inside = reference_inner_max(uu, s, g, 60)
     np.testing.assert_array_equal(c[~inside], fine[~inside])
     width = np.broadcast_to(uu.c_hi - uu.c_lo, g.shape)
@@ -355,12 +375,35 @@ def assert_matches_bisection(uu, s, g):
 class TestInnerMax:
     def test_agent_inverse_refuses_a_face_level(self):
         # a CRRA agent has no wealth at a negative utility level, so a lower
-        # face there raises before any Newton step
+        # face there raises when the faces are prepared, before any Newton step
         inst = single_type_instance(rcl.crra(0.5), rcl.cara(1.0, "half-line"),
                                     e_a=[1.0], e_p=[2.0], lo=[-0.5], hi=[1.0])
         uu = dataclasses.replace(rcl.to_utility_units(inst), c_lo=np.array([-0.1]))
         with pytest.raises(DomainError, match="crra utility level must be >= 0"):
-            rcl.solver._inner_max(uu, np.ones(1), np.zeros((1, 1)))
+            rcl.solver._dual_faces(uu)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u_name=st.sampled_from(sorted(UTILITIES)),
+        v_name=st.sampled_from(sorted(UTILITIES)),
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        full_box=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-300, 1e-310]),
+        unpriced=st.booleans(),
+    )
+    def test_prepared_faces_match_per_call_faces(self, seed, u_name, v_name, n, m,
+                                                 full_box, scale, unpriced):
+        # faces prepared once per solve give every c* bitwise, weight-0
+        # types, -inf slopes and subnormal weights included; an unpriced
+        # type of weight 0 (as at the dual's start, mu = 0) has slope 0 on
+        # the lower face and sits there
+        uu, s, g = inner_max_case(seed, u_name, v_name, n, m, full_box, scale)
+        if unpriced:
+            g = np.where(s[:, None] > 0.0, g, 0.0)
+        np.testing.assert_array_equal(rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g),
+                                      per_call_inner_max(uu, s, g))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -439,9 +482,9 @@ class TestCertificate:
         mixtures = []
         inner_max = rcl.solver._inner_max
 
-        def recorded(uu, s, g):
+        def recorded(faces, s, g):
             mixtures.append(s)
-            return inner_max(uu, s, g)
+            return inner_max(faces, s, g)
 
         monkeypatch.setattr(rcl.solver, "_inner_max", recorded)
         uu = rcl.to_utility_units(rcl.build_preset("reinsurance_halfline"))
@@ -449,6 +492,21 @@ class TestCertificate:
         assert mixtures[-1].min() < 1e-9
         assert res.converged
         assert -1e-12 <= res.gap <= 1e-8
+
+    def test_no_state_carries_between_solves(self):
+        # the dual's faces are prepared per solve: solving A, B, A in one
+        # process gives A twice bitwise, and B as when it is solved first.
+        # Both presets are 2 x 2, so faces carried over would not raise
+        def solve(name):
+            res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name)))
+            return json.dumps(res.to_json()), res.trace
+
+        alone = solve("reinsurance_wholeline")
+        first, between, again = (solve(name) for name in (
+            "reinsurance_halfline", "reinsurance_wholeline", "reinsurance_halfline"))
+        assert again == first
+        assert between == alone
+        assert first != between
 
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
     def test_linear_linear_matches_linprog(self, n, m):
@@ -486,7 +544,7 @@ def dual_bound(uu, lam, mu):
     a, b = rcl.build_system(uu).matrix_form()
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     s, g = lam @ priors, (mu @ a).reshape(uu.n_types, uu.n_atoms)
-    c = rcl.solver._inner_max(uu, s, g)
+    c = rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
     return (lam @ penalties - mu @ b + s @ rcl.solver._evaluate(uu, c) + np.sum(g * c)
             + rcl.solver._inner_slack(uu, s, g, c))
 
