@@ -6,7 +6,8 @@ optimal contracts the principal's value is evaluated optimistically (that is
 the definition of her indirect utility over menus, not a heuristic). Menu
 optimization is exact: some optimal menu has at most 2·n_types contracts
 (see `solve_menu`), so it enumerates every candidate subset of at most that
-size. `equivalence_check` certifies numerically that optimizing over menus
+size, scoring them in batches and re-scoring the near-best exactly.
+`equivalence_check` certifies numerically that optimizing over menus
 and optimizing over direct incentive-compatible mechanisms give the same
 value on the same candidates.
 """
@@ -21,15 +22,14 @@ import numpy as np
 
 from .constraints import Mechanism, agent_levels
 from .errors import PreconditionError, SizeCapError, ValidationError
-from .solver import contract_values, enumerate_best_assignment
+from .solver import _CHUNK, contract_values, enumerate_best_assignment
 from .transform import UtilityUnitsInstance
 
 # the tie window, the menu's IR floor and the row relaxation on the mechanism
 # side of `equivalence_check`: one tolerance, so both sides share one IR floor
 DEFAULT_TIE_TOL = 1e-9
-MENU_SUBSET_CAP = 2**16 - 1   # every subset of 16 candidates
+MENU_SUBSET_CAP = 2**16 - 1   # on Σ_{k≤2n} C(G, k), the subsets walked
 EQUIVALENCE_TOL = 1e-9
-DEDUP_TOL = 1e-12
 
 
 @dataclass
@@ -43,23 +43,24 @@ class Menu:
         if arr.shape[0] == 0:
             raise ValidationError(["a menu must contain at least one contract"])
         if not np.all(np.isfinite(arr)):
-            # a NaN row would compare as a duplicate of every other row
+            # no level or value is defined for a NaN or infinite entry
             raise ValidationError(["menu contracts must be finite"])
-        keep: list[int] = []
-        for i in range(arr.shape[0]):
-            if all(np.max(np.abs(arr[i] - arr[k])) > DEDUP_TOL for k in keep):
-                keep.append(i)
-        self.contracts = arr[keep]
+        # only exact duplicates go, the first of each kept in order: a
+        # merge of distinct rows would change the menu's choices
+        _, first = np.unique(arr, axis=0, return_index=True)
+        self.contracts = arr[np.sort(first)]
 
 
 def _choices(levels: np.ndarray, values: np.ndarray):
-    """The menu-choice rule over a level matrix (types x contracts) and the
-    principal's value of each contract. Per type: the best level, the tie
-    window (contracts within DEFAULT_TIE_TOL of it) and the principal's most
-    favourable value inside the window."""
-    best = levels.max(axis=1)
-    window = levels >= best[:, None] - DEFAULT_TIE_TOL
-    return best, window, np.where(window, values, -np.inf).max(axis=1)
+    """The menu-choice rule over levels (contracts first, types last, any
+    batch of menus between) and the principal's value of each contract
+    (broadcast against the levels). Per type: the best level, the tie window
+    (contracts within DEFAULT_TIE_TOL of it) and the principal's most
+    favourable value inside the window. Max, compare and select round
+    nothing, so a menu's choices are bitwise the same in any batch."""
+    best = levels.max(axis=0)
+    window = levels >= best - DEFAULT_TIE_TOL
+    return best, window, np.where(window, values, -np.inf).max(axis=0)
 
 
 def menu_choices(
@@ -72,8 +73,9 @@ def menu_choices(
     principal's best value inside it (ties resolve in her favour by
     definition of her indirect utility over menus).
     """
-    return _choices(agent_levels(uu, menu.contracts),
-                    contract_values(uu, menu.contracts))
+    best, window, favoured = _choices(agent_levels(uu, menu.contracts).T,
+                                      contract_values(uu, menu.contracts)[:, None])
+    return best, window.T, favoured
 
 
 def _check_menu_cap(n_cand: int, n_types: int) -> int:
@@ -111,26 +113,70 @@ def solve_menu(
     window, a type may need a strictly best contract that clears its
     reservation and a second one just inside its window that the principal
     prefers.
+
+    Subsets of one size are scored in blocks of at most _CHUNK level cells
+    (types × subsets × size, or one subset if it alone has more), the
+    incumbent carried from block to block. The menu-choice rule (max,
+    compare, select) rounds nothing, so each subset's favoured values F
+    are bitwise those `menu_choices` gives it. One matrix product
+    F Pᵀ + pen screens the IR subsets' robust values: it and the row-by-row
+    dots of `robust_value` each round within (n_types + 1)·eps·(|F| |P|ᵀ +
+    |pen|) of the exact sum (twice the classic bound, which covers the
+    rounding of the bound itself), so twice that, plus `tiny` for
+    underflow, brackets the value `robust_value` returns. A subset can win
+    only if its upper bound reaches the block's best lower bound and the
+    incumbent. Only those subsets are re-scored by `robust_value`, in walk
+    order under the strict rule above, and of those with bitwise equal
+    favoured values only the first in the block, since the rest have its
+    value. So the menu and its value are bitwise those of the one-subset
+    walk, whatever the matrix product rounds.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_cand = candidates.shape[0]
-    max_size = _check_menu_cap(n_cand, uu.n_types)
+    n_types = uu.n_types
+    max_size = _check_menu_cap(n_cand, n_types)
     if not uu.contains(candidates):
         raise ValidationError(["candidate contracts leave the transformed bounds"])
-    levels = agent_levels(uu, candidates)
+    levels_t = agent_levels(uu, candidates).T      # (candidates, types)
     values = contract_values(uu, candidates)
     floor = np.asarray(uu.reservation) - DEFAULT_TIE_TOL
+    beliefs = uu.base.beliefs
+    priors, penalties = beliefs.priors, beliefs.penalties
+    gamma = 2 * (n_types + 1) * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
 
     best_val = -np.inf
-    best_members: list[int] | None = None
+    best_members: np.ndarray | None = None
     for size in range(1, max_size + 1):
-        for members in map(list, itertools.combinations(range(n_cand), size)):
-            best, _, favoured = _choices(levels[:, members], values[members])
-            if np.any(best < floor):
-                continue
-            robust, _ = uu.base.beliefs.robust_value(favoured)
-            if robust > best_val:
-                best_val, best_members = robust, members
+        walk = itertools.combinations(range(n_cand), size)
+        remaining = math.comb(n_cand, size)
+        per_block = max(1, _CHUNK // (n_types * size))
+        while remaining:
+            rows = min(per_block, remaining)
+            remaining -= rows
+            members = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(walk, rows)),
+                np.intp, rows * size,
+            ).reshape(rows, size)
+            # (subsets, types) rows, each C-contiguous as `robust_value` is
+            # handed a menu's favoured values by `menu_choices`
+            best, _, favoured = _choices(levels_t[members.T], values[members.T][:, :, None])
+            ir = ~np.any(best < floor, axis=1)
+            members, favoured = members[ir], favoured[ir]
+            totals = favoured @ priors.T + penalties
+            slack = gamma * (np.abs(favoured) @ np.abs(priors).T + np.abs(penalties)) + tiny
+            lower = (totals - slack).min(axis=1)
+            upper = (totals + slack).min(axis=1)
+            reach = np.fmax.reduce(lower, initial=best_val)
+            seen = set()   # favoured values already re-scored in this block
+            for s in np.flatnonzero(~(upper < reach)):   # a NaN bound is re-scored
+                key = favoured[s].tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                robust, _ = beliefs.robust_value(favoured[s])
+                if robust > best_val:
+                    best_val, best_members = robust, members[s]
     if best_members is None:
         raise ValidationError(
             ["no individually rational menu among the candidate subsets"]
@@ -148,7 +194,7 @@ def extract_mechanism(menu: Menu, uu: UtilityUnitsInstance) -> Mechanism:
     construction and individually rational because the menu is.
     """
     values = contract_values(uu, menu.contracts)
-    best, window, favoured = _choices(agent_levels(uu, menu.contracts), values)
+    best, window, favoured = _choices(agent_levels(uu, menu.contracts).T, values[:, None])
     short = np.flatnonzero(best < np.asarray(uu.reservation) - DEFAULT_TIE_TOL)
     if short.size:
         t = uu.base.types[short[0]]
@@ -157,7 +203,7 @@ def extract_mechanism(menu: Menu, uu: UtilityUnitsInstance) -> Mechanism:
         )
     rows = []
     for j in range(uu.n_types):
-        ties = [g for g in np.flatnonzero(window[j]) if values[g] == favoured[j]]
+        ties = [g for g in np.flatnonzero(window[:, j]) if values[g] == favoured[j]]
         rows.append(menu.contracts[min(ties, key=lambda g: tuple(menu.contracts[g]))])
     return Mechanism(np.stack(rows))
 

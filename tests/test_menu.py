@@ -1,13 +1,16 @@
 """Menus, self-selection, menu optimization and the equivalence certificate."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcl
+import rcl.menu as menu_module
 from rcl.errors import PreconditionError, RclError, SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
 
@@ -38,10 +41,25 @@ def two_atom_uu(densities, reservation=None, e_p=3.0):
 
 class TestMenuBasics:
     def test_dedup_and_nonempty(self):
-        menu = rcl.Menu(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-        assert len(menu.contracts) == 2
+        menu = rcl.Menu(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.5, 0.5]]))
+        np.testing.assert_array_equal(menu.contracts, [[1.0, 2.0], [0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValidationError):
             rcl.Menu(np.empty((0, 2)))
+
+    def test_distinct_rows_kept_however_close(self):
+        # rows 5.8e-13 apart that solve_menu scores as a pair: merging them
+        # left a menu that is not IR, and extraction then failed
+        uu = two_atom_uu([(1.2, 0.8)])
+        w = uu.base.type_weights()[0]
+        g = 0.5 * (uu.c_lo + uu.c_hi)
+        a = g + 5e-13 * w / (w @ w)
+        uu.base.reservation = np.array([w @ a + 1e-9 - 2.5e-13])
+        menu, value = rcl.solve_menu(np.stack([g, a]), uu)
+        np.testing.assert_array_equal(menu.contracts, [g, a])
+        mech = rcl.extract_mechanism(menu, uu)
+        assert rcl.principal_value(uu, mech)[0] == value
+        report = rcl.equivalence_check(np.stack([g, a]), uu)
+        assert report.agent_optimal_sets["theta0"] == [0, 1]
 
     def test_nan_contract_rejected(self):
         # NaN is no duplicate of anything: it must not swallow the other rows
@@ -183,18 +201,19 @@ class TestSolveMenu:
             rcl.solve_menu(np.array([[0.0, 0.0], [0.2, 0.2]]), uu)
 
 
-def full_walk(candidates, uu):
-    """Reference optimum: every non-empty subset, by size and then
-    lexicographically, scored by the menu-choice rule written out here (best
-    level, IR floor, tie window, favoured value) on column slices of the
-    levels and values of all candidates, which `agent_levels` and
-    `contract_values` give bitwise as for the subset alone; a strictly better
-    value replaces the incumbent. (None, -inf) when no subset is IR."""
+def full_walk(candidates, uu, max_size=None):
+    """Reference optimum: every non-empty subset (of at most max_size
+    contracts), by size and then lexicographically, one at a time, scored by
+    the menu-choice rule written out here (best level, IR floor, tie window,
+    favoured value) on column slices of the levels and values of all
+    candidates, which `agent_levels` and `contract_values` give bitwise as
+    for the subset alone; a strictly better value replaces the incumbent.
+    (None, -inf) when no subset is IR."""
     levels = rcl.agent_levels(uu, candidates)
     values = rcl.contract_values(uu, candidates)
     floor = uu.reservation - DEFAULT_TIE_TOL
     best_members, best_value = None, -np.inf
-    for size in range(1, len(candidates) + 1):
+    for size in range(1, (max_size or len(candidates)) + 1):
         for members in map(list, itertools.combinations(range(len(candidates)), size)):
             level = levels[:, members]
             best = level.max(axis=1)
@@ -206,6 +225,12 @@ def full_walk(candidates, uu):
             if value > best_value:
                 best_members, best_value = members, value
     return best_members, best_value
+
+
+def reference_walk(candidates, uu):
+    """The pruned one-subset-at-a-time walk: `full_walk` over the subsets of
+    at most 2·n_types contracts, which `solve_menu` must match bitwise."""
+    return full_walk(candidates, uu, min(len(candidates), 2 * uu.n_types))
 
 
 def near_tie_case(seed, family, n, count):
@@ -273,6 +298,130 @@ class TestPrunedWalk:
             rcl.solve_menu(candidates[:1], uu)
         _, singleton = rcl.solve_menu(candidates[1:], uu)
         assert value > singleton
+
+
+def exact_tie_case(seed, n, count):
+    """Candidates drawn with repetition from a few contracts and their mirror
+    images, on a two-atom instance symmetric under swapping the atoms whose
+    types come in mirrored pairs: many subsets have bitwise equal favoured
+    values, or robust values, so size and then lexicographic order decide."""
+    rng = np.random.default_rng(seed)
+    tilts = np.repeat(rng.uniform(0.05, 0.4, (n + 1) // 2), 2)[:n]
+    uu = two_atom_uu([(1 + t, 1 - t) if j % 2 else (1 - t, 1 + t)
+                      for j, t in enumerate(tilts)])
+    pool = rng.uniform(uu.c_lo, uu.c_hi, (int(rng.integers(1, 4)), 2))
+    pool = np.vstack([pool, pool[:, ::-1], uu.c_hi])
+    levels = rcl.agent_levels(uu, pool)
+    share = np.repeat(rng.uniform(0.0, 1.0, (n + 1) // 2), 2)[:n]
+    uu.base.reservation = levels.min(axis=1) + share * np.ptp(levels, axis=1)
+    return uu, pool[rng.integers(0, len(pool), count)]
+
+
+def one_ulp_case(seed, n, count):
+    """Each candidate a copy of the one before, nudged ulp by ulp until the
+    principal's value moves, up or down, mostly by one ulp. Every type clears
+    a low reservation with every contract and one prior carries no penalty,
+    so a menu's robust value is P·(v, ..., v) for its best value v: with one
+    type (n = 1) exactly v, so robust values one ulp apart; with 8·n types,
+    a sum the matrix product and the row dot may round apart."""
+    rng = np.random.default_rng(seed)
+    uu = make_uu(rng, m=2, n=1 if n == 1 else 8 * n, n_priors=1)
+    uu.base.reservation = np.full(uu.n_types, -10.0)
+    rows = [0.5 * (uu.c_lo + uu.c_hi) + 0.1 * (uu.c_hi - uu.c_lo) * rng.uniform(-1, 1, 2)]
+    for _ in range(count - 1):
+        c = rows[-1].copy()
+        value = rcl.contract_values(uu, c[None])[0]
+        # the principal's value falls as the contract rises
+        direction = np.inf if rng.random() < 0.5 else -np.inf
+        for _ in range(64):
+            c[0] = np.nextafter(c[0], direction)
+            if rcl.contract_values(uu, c[None])[0] != value:
+                break
+        rows.append(c)
+    return uu, np.array(rows)
+
+
+def with_priors(uu, rng, n_priors):
+    """Replace the belief set by n_priors random priors, with penalties of
+    either sign from 1e-3 to 1e6 in size, or zero."""
+    penalties = rng.choice([-1.0, 1.0], n_priors) * 10.0 ** rng.uniform(-3, 6, n_priors)
+    penalties[rng.random(n_priors) < 0.3] = 0.0
+    uu.base.beliefs = rcl.BeliefSet(
+        priors=rng.dirichlet(np.ones(uu.n_types), n_priors), penalties=penalties)
+
+
+FAMILIES = ["log", "crra", "cara", "linear"]
+WALK_CASES = {
+    "near_tie": lambda seed, n, count: near_tie_case(seed, FAMILIES[seed % 4], n, count),
+    "exact_tie": exact_tie_case,
+    "one_ulp": one_ulp_case,
+}
+
+
+class TestBatchedWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(WALK_CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        count=st.integers(1, 10),
+        n_priors=st.integers(0, 4),
+        chunk=st.sampled_from([1, 7, 64, None]),
+    )
+    @example(case="exact_tie", seed=3, n=2, count=10, n_priors=0, chunk=1)
+    @example(case="near_tie", seed=5, n=3, count=10, n_priors=4, chunk=7)
+    @example(case="one_ulp", seed=1, n=1, count=10, n_priors=0, chunk=1)
+    @example(case="one_ulp", seed=2, n=3, count=10, n_priors=0, chunk=None)
+    def test_matches_reference_walk(self, case, seed, n, count, n_priors, chunk):
+        # batched scoring returns the one-subset walk's menu and value to the
+        # last bit, also when a size spans several blocks of `chunk` cells;
+        # n_priors > 0 swaps in 1-4 priors with penalties up to 1e6 in size
+        uu, candidates = WALK_CASES[case](seed, n, count)
+        if n_priors and case != "one_ulp":
+            with_priors(uu, np.random.default_rng(seed), n_priors)
+        members, value = reference_walk(candidates, uu)
+        with mock.patch.object(menu_module, "_CHUNK", chunk or menu_module._CHUNK):
+            if members is None:
+                with pytest.raises(ValidationError, match="individually rational"):
+                    rcl.solve_menu(candidates, uu)
+                return
+            menu, got = rcl.solve_menu(candidates, uu)
+        assert got == value
+        np.testing.assert_array_equal(menu.contracts, rcl.Menu(candidates[members]).contracts)
+
+    def test_many_types_memory_is_bounded(self, rng):
+        # 65,535 subsets of 16 candidates at 128 types; one batch per size
+        # would hold 128 x 12,870 x 8 level cells (100 MiB) at size 8
+        uu = make_uu(rng, m=2, n=128)
+        candidates = random_contracts(rng, uu, 16)
+        candidates[0] = uu.c_hi
+        tracemalloc.start()
+        try:
+            menu, value = rcl.solve_menu(candidates, uu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert rcl.principal_value(uu, rcl.extract_mechanism(menu, uu))[0] == value
+
+    def test_one_type_many_candidates(self, rng):
+        # 361 + C(361, 2) = 65,341 subsets, inside the cap
+        uu = make_uu(rng, m=2, n=1)
+        candidates = random_contracts(rng, uu, 361)
+        candidates[0] = uu.c_hi
+        members, value = reference_walk(candidates, uu)
+        menu, got = rcl.solve_menu(candidates, uu)
+        assert got == value
+        np.testing.assert_array_equal(menu.contracts, candidates[members])
+
+    def test_cap_checked_before_any_subset_is_built(self, rng, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("subsets built before the cap check")
+        monkeypatch.setattr(itertools, "combinations", unreachable)
+        monkeypatch.setattr(menu_module, "agent_levels", unreachable)
+        uu = make_uu(rng, m=2, n=2)
+        with pytest.raises(SizeCapError, match="66018450"):
+            rcl.solve_menu(random_contracts(rng, uu, 200), uu)
 
 
 class TestExtractMechanism:
