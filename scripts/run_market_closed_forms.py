@@ -37,17 +37,18 @@ def main() -> int:
     print(f"{'drift':>6} {'|Z-1|':>9} {'H(P|Q)':>9} {'H(Q|P)':>9} "
           f"{'cara util':>10} {'cara gap':>9} {'log util':>10} {'log gap':>9}")
     densities = [rcl.tilted_density(model, k) for k in range(args.drifts)]
-    gaps_cara = rcl.verify_budget_optimality(densities, e_a, rcl.cara(args.alpha))
-    gaps_log = rcl.verify_budget_optimality(densities, e_a, rcl.log_utility())
+    u_cara = np.array([rcl.cara_optimal(d, e_a, args.alpha)[1] for d in densities])
+    u_log = np.array([rcl.log_optimal(d, e_a)[1] for d in densities])
+    gaps_cara = np.abs(rcl.verify_budget_optimality(densities, e_a, rcl.cara(args.alpha))
+                       - u_cara)
+    gaps_log = np.abs(rcl.verify_budget_optimality(densities, e_a, rcl.log_utility()) - u_log)
     worst = float(max(gaps_cara.max(initial=0.0), gaps_log.max(initial=0.0)))
     for k, density in enumerate(densities):
         h_pq = rcl.relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
         h_qp = rcl.relative_entropy(density, ENTROPY_REF_GIVEN_AGENT)
-        _, u_cara = rcl.cara_optimal(density, e_a, args.alpha)
-        _, u_log = rcl.log_optimal(density, e_a)
         print(f"{k:>6} {abs(density.normalizer - 1):>9.2e} {h_pq:>9.5f} "
-              f"{h_qp:>9.5f} {u_cara:>10.6f} {gaps_cara[k]:>9.2e} "
-              f"{u_log:>10.6f} {gaps_log[k]:>9.2e}")
+              f"{h_qp:>9.5f} {u_cara[k]:>10.6f} {gaps_cara[k]:>9.2e} "
+              f"{u_log[k]:>10.6f} {gaps_log[k]:>9.2e}")
     print(f"\nworst oracle gap: {worst:.2e}")
     return 0 if worst <= 1e-7 else 1
 

@@ -328,8 +328,9 @@ def _expect_rows(weights: np.ndarray, density: np.ndarray, payoff: np.ndarray) -
 def verify_budget_optimality(
     densities: list[TiltedDensity], e_a: np.ndarray, u: UtilitySpec
 ) -> np.ndarray:
-    """Gap between the closed-form utility and an independent oracle, one
-    per density (all on one node grid).
+    """The budget-optimal utility by an oracle independent of the closed
+    forms, one per density (all on one node grid); a caller checks
+    `cara_optimal` or `log_optimal` by its gap to this.
 
     The oracle maximizes E_Q[u(x)] subject to E_f[x - e_a] <= 0 by bisecting
     on the Lagrange multiplier of the (binding) budget, with the pointwise
@@ -337,7 +338,7 @@ def verify_budget_optimality(
     once as a (types, nodes) array: each row steps as a lone bisection
     would, and freezes where that one would stop. ORACLE_STEPS caps each
     loop of every row; a row that cannot be bracketed raises
-    NonConvergenceError. Returns the absolute utility gaps.
+    NonConvergenceError.
     """
     if u.family not in (CARA, LOG):
         raise RangeError("oracle supports cara and log utilities only")
@@ -378,16 +379,8 @@ def verify_budget_optimality(
         moving &= ~((lam_hi - lam_lo) <= 1e-15 * lam_hi)
         if not moving.any():
             break
-    oracle_payoff = _multiplier_payoff(u, values, 0.5 * (lam_lo + lam_hi)[:, None])
-    gaps = np.empty(len(densities))
-    for k, density in enumerate(densities):
-        oracle_utility = float(density.weights @ u.value(oracle_payoff[k]))
-        if u.family == CARA:
-            _, closed = cara_optimal(density, e_a, u.alpha)
-        else:
-            _, closed = log_optimal(density, e_a)
-        gaps[k] = abs(oracle_utility - closed)
-    return gaps
+    utility = u.value(_multiplier_payoff(u, values, 0.5 * (lam_lo + lam_hi)[:, None]))
+    return np.array([w @ row for w, row in zip(weights, utility)])
 
 
 def _node_values(doc: dict, key: str, default: float, m: int) -> np.ndarray:
@@ -439,6 +432,8 @@ def market_report(doc, alpha: float | None = None,
     # after cara_optimal has checked alpha, and not at all without types
     oracles = {"cara": cara(alpha), "log": log_utility()} if types else {}
     for form, u in oracles.items():
-        for entry, gap in zip(types, verify_budget_optimality(densities, e_a, u).tolist()):
+        closed = [entry[form]["utility"] for entry in types]
+        gaps = np.abs(verify_budget_optimality(densities, e_a, u) - closed)
+        for entry, gap in zip(types, gaps.tolist()):
             entry[form]["oracle_gap"] = gap
     return {"horizon": model.horizon, "n_nodes": m, "types": types}

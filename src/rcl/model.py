@@ -242,19 +242,22 @@ class UtilitySpec:
     def value(self, z):
         zz = np.asarray(z, dtype=float)
         self._check_domain(zz)
-        zz = self._clip(zz)
-        if self.family == CRRA:
-            out = np.power(zz, self.gamma) / self.gamma
-        elif self.family == LOG:
-            out = np.log(zz)
-        elif self.family == CARA:
-            out = 1.0 - np.exp(-self.alpha * zz)
-        elif self.family == LINEAR:
-            out = zz.copy()
-        else:
-            lo, hi = self.grid[0], self.grid[-1]
-            out = self._fwd(np.clip(zz, lo, hi))
+        out = self._value(zz)
         return float(out) if np.ndim(z) == 0 else out
+
+    def _value(self, z: np.ndarray) -> np.ndarray:
+        """`value` without the domain check, for wealth between two wealths
+        that passed it."""
+        zz = self._clip(z)
+        if self.family == CRRA:
+            return np.power(zz, self.gamma) / self.gamma
+        if self.family == LOG:
+            return np.log(zz)
+        if self.family == CARA:
+            return 1.0 - np.exp(-self.alpha * zz)
+        if self.family == LINEAR:
+            return zz.copy()
+        return self._fwd(np.clip(zz, self.grid[0], self.grid[-1]))
 
     def deriv(self, z):
         zz = np.asarray(z, dtype=float)
@@ -309,7 +312,7 @@ class UtilitySpec:
 
     def _inverse(self, yy: np.ndarray) -> np.ndarray:
         """`inverse` without the level check, for levels between two that
-        passed it: u^-1 is increasing, so their wealth lies between too."""
+        passed it."""
         if self.family == CRRA:
             return np.power(self.gamma * yy, 1.0 / self.gamma)
         if self.family == LOG:

@@ -105,10 +105,11 @@ class OracleResult:
 def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     """Principal value of each row of c: the one evaluator behind the
     objective, the dual bound and the oracle's per-contract values; row by
-    row (`_row_dots`), so a menu and its extracted mechanism agree exactly."""
+    row (`_row_dots`), so a menu and its extracted mechanism agree exactly.
+    c is clipped to the box, where the unchecked cores are safe."""
     inst = uu.base
-    principal_wealth = inst.e_p + inst.e_a - inst.u.inverse(np.clip(c, uu.c_lo, uu.c_hi))
-    return _row_dots(inst.v.value(principal_wealth), inst.principal_weights())
+    principal_wealth = inst.e_p + inst.e_a - inst.u._inverse(np.clip(c, uu.c_lo, uu.c_hi))
+    return _row_dots(inst.v._value(principal_wealth), inst.principal_weights())
 
 
 def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, int]:
@@ -119,30 +120,20 @@ def principal_value(uu: UtilityUnitsInstance, mech: Mechanism) -> tuple[float, i
     return uu.base.beliefs.robust_value(_evaluate(uu, mech.assignment))
 
 
-def _marginal(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
-    """phi'(c) = -v'(e_p + e_a - u^-1(c)) / u'(u^-1(c)) entry by entry: the
-    principal's marginal value of agent utility at each atom. It falls in c
-    and may be -inf where her wealth reaches a singular point."""
-    inst = uu.base
+def _marginal(u: UtilitySpec, v: UtilitySpec, wealth, c: np.ndarray) -> np.ndarray:
+    """phi'(c) = -v'(W - u^-1(c)) / u'(u^-1(c)) entry by entry for c in the
+    box, W the joint wealth e_p + e_a: the principal's marginal value of
+    agent utility at each atom. It falls in c and may be -inf where her
+    wealth reaches a singular point; nan (0/0, inf/inf) counts as 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _phi_prime(inst.u.inverse, inst.u.deriv, inst.v.deriv, inst.e_p + inst.e_a, c)
-
-
-def _phi_prime(inverse, u_deriv, v_deriv, wealth, c):
-    """`_marginal` from the given u^-1, u' and v' and the joint wealth
-    e_p + e_a, under the caller's errstate; nan (0/0, inf/inf) counts as 0."""
-    agent_wealth = inverse(c)
-    slope = -v_deriv(wealth - agent_wealth) / u_deriv(agent_wealth)
-    return np.where(np.isnan(slope), 0.0, slope)
-
-
-def _slope(uu, weight, g, c) -> np.ndarray:
-    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c."""
-    return _slope_from(weight, g, _marginal(uu, c))
+        agent_wealth = u._inverse(c)
+        slope = -v._deriv(wealth - agent_wealth) / u._deriv(agent_wealth)
+        return np.where(np.isnan(slope), 0.0, slope)
 
 
 def _slope_from(weight, g, marginal) -> np.ndarray:
-    """`_slope` from phi' at the point; a type of weight 0 has slope g."""
+    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
+    from phi' at the point (`_marginal`); a type of weight 0 has slope g."""
     with np.errstate(invalid="ignore"):
         return g + np.where(weight > 0.0, weight * marginal, 0.0)
 
@@ -164,18 +155,14 @@ class _DualFaces:
 
 
 def _dual_faces(uu: UtilityUnitsInstance) -> _DualFaces:
-    """The instance's `_DualFaces`, for every dual evaluation of one solve.
-
-    phi' at the faces goes through the checked utilities, which raise on
-    wealth or levels outside their domains; this is where a solve meets
-    such an instance.
-    """
+    """The instance's `_DualFaces`, for every dual evaluation of one solve."""
     inst = uu.base
     shape = (uu.n_types, uu.n_atoms)
     lo, hi = np.broadcast_to(uu.c_lo, shape), np.broadcast_to(uu.c_hi, shape)
-    return _DualFaces(inst.u, inst.v, inst.principal_weights(), lo, hi,
-                      np.broadcast_to(inst.e_p + inst.e_a, shape),
-                      _marginal(uu, lo), _marginal(uu, hi))
+    wealth = np.broadcast_to(inst.e_p + inst.e_a, shape)
+    return _DualFaces(inst.u, inst.v, inst.principal_weights(), lo, hi, wealth,
+                      _marginal(inst.u, inst.v, wealth, lo),
+                      _marginal(inst.u, inst.v, wealth, hi))
 
 
 def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -185,12 +172,7 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     lower face when the slope is <= 0 there, on the upper face when it is
     >= 0 there, and otherwise at the sign change, found by `_newton_root`
     over the entries strictly inside (skipped when there are none). phi' at
-    the faces comes from `faces`, computed once per solve through the
-    checked utilities; the iteration uses the unchecked cores
-    (`UtilitySpec._inverse`, `_deriv`, `_risk_aversion`). That skips no
-    error: u^-1 is increasing, so the agent's and the principal's wealth at
-    every point inside the box lie between their values at the faces, which
-    passed.
+    the faces comes from `faces`, computed once per solve.
     """
     weight = s[:, None] * faces.weights
     lo, hi = faces.lo, faces.hi
@@ -214,7 +196,7 @@ def _newton_root(u, v, wealth, w, g, lo, hi) -> np.ndarray:
     psi' = (A_v(W - x) + A_u(x)) / u'(x), A = -U''/U' the absolute risk
     aversion: linear for a linear agent and a CARA principal, where one
     step is exact. The sign of psi moves the bracket (nan counts as "move
-    up", as a nan marginal counts as 0 in `_slope`); the next point is the
+    up", as a nan marginal counts as 0 in `_marginal`); the next point is the
     Newton point when it lies strictly inside the bracket, else its midpoint.
     An entry stops at |psi| <= 1e-13. Where psi is too steep for that within
     float resolution, the bracket collapses to adjacent floats, and the
@@ -258,8 +240,8 @@ def _newton_root(u, v, wealth, w, g, lo, hi) -> np.ndarray:
 def _better_end(u, v, wealth, w, g, lo, hi, left, right):
     """Of each bracket's two ends, the one the concave objective can gain
     less over on the box (see `_gains`)."""
-    gain = [_gains(g + w * _phi_prime(u._inverse, u._deriv, v._deriv, wealth, end),
-                   end, lo, hi) for end in (left, right)]
+    gain = [_gains(g + w * _marginal(u, v, wealth, end), end, lo, hi)
+            for end in (left, right)]
     return np.where(gain[0] <= gain[1], left, right)
 
 
@@ -270,12 +252,13 @@ def _gains(slope, c, lo, hi):
     return np.where(slope > 0.0, slope * (hi - c), slope * (lo - c))
 
 
-def _inner_slack(uu, s, g, c) -> float:
+def _inner_slack(faces: _DualFaces, s, g, c) -> float:
     """What the inner objective can gain on the box over its value at c, the
     sum of `_gains`: the bound adds it, so it holds at any c."""
-    slope = _slope(uu, s[:, None] * uu.base.principal_weights(), g, c)
+    slope = _slope_from(s[:, None] * faces.weights, g,
+                        _marginal(faces.u, faces.v, faces.wealth, c))
     with np.errstate(invalid="ignore"):
-        return float(np.nansum(_gains(slope, c, uu.c_lo, uu.c_hi)))
+        return float(np.nansum(_gains(slope, c, faces.lo, faces.hi)))
 
 
 def _projection(y, lo, hi, a, b):
@@ -331,7 +314,8 @@ def _primal_step(uu, x, value, a, b):
     weights = uu.base.principal_weights()
 
     def epigraph_jac(z):
-        marginal = _marginal(uu, z[:-1].reshape(n, m))
+        c = np.clip(z[:-1].reshape(n, m), uu.c_lo, uu.c_hi)
+        marginal = _marginal(uu.base.u, uu.base.v, uu.base.e_p + uu.base.e_a, c)
         grad = weights * np.where(np.isfinite(marginal), marginal, 0.0)
         jac = (priors[:, :, None] * grad).reshape(len(priors), n * m)
         return np.hstack([jac, -np.ones((len(priors), 1))])
@@ -363,12 +347,11 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     SLSQP minimizes D for at most `opts.max_iters` iterations, with the
     gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
     (`_inner_max`), which reads what it needs of the instance from
-    `_dual_faces`, prepared once per solve after the pooling check (a
-    wealth or level outside a utility's domain at a box face raises
-    there); the bound adds `_inner_slack` at the last c*, so it
-    holds however the inner iteration ended. The mechanism is the exact
-    projection of c* onto the constraints (`_projection`), or the pooling
-    point at the upper contract bound should nnls reach its iteration cap;
+    `_dual_faces`, prepared once per solve after the pooling check; the
+    bound adds `_inner_slack` at the last c*, so it holds however the inner
+    iteration ended. The mechanism is the exact projection of c* onto the
+    constraints (`_projection`), or the pooling point at the upper contract
+    bound should nnls reach its iteration cap;
     only while the bound exceeds its value by more than `opts.tol` does
     `_primal_step` run, and its projected point replaces that mechanism if
     it is worth more. `converged` means the mechanism is feasible within
@@ -443,7 +426,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )
     final = at(res.x)
-    bound = final["bound"] + _inner_slack(uu, final["s"], final["g"], final["c"])
+    bound = final["bound"] + _inner_slack(faces, final["s"], final["g"], final["c"])
     x = project(final["c"].ravel())
     value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
     if bound - value > opts.tol:

@@ -36,12 +36,25 @@ class UtilityUnitsInstance:
     `UtilitySpec.floored_value`: for half-line utilities wealth at both
     bounds is floored at WEALTH_FLOOR so the bounds stay finite. The atoms
     floored at the lower bound are listed in clamped_atoms.
+
+    Construction (`to_utility_units`, `dataclasses.replace`) raises
+    DomainError unless both utilities are defined on the whole box, checked
+    at its two faces: u^-1 is increasing, so the agent's wealth u^-1(c) and
+    the principal's e_p + e_a - u^-1(c) at every c in the box lie between
+    their values there. Everything inside the box is then evaluated through
+    the unchecked cores (`UtilitySpec._inverse`, `_value`, `_deriv`).
     """
 
     base: Instance
     c_lo: np.ndarray
     c_hi: np.ndarray
     clamped_atoms: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        inst = self.base
+        agent = inst.u.inverse(np.stack([self.c_lo, self.c_hi]))
+        inst.u.deriv(agent)
+        inst.v.value(inst.e_p + inst.e_a - agent)  # `value` and `deriv` share one check
 
     @property
     def states(self) -> StateSpace:
@@ -88,7 +101,7 @@ def from_utility_units(uu: UtilityUnitsInstance, c) -> np.ndarray:
     if not uu.contains(cc):
         raise RangeError("utility-level contract outside the transformed bounds")
     cc = np.clip(cc, uu.c_lo, uu.c_hi)
-    return uu.base.u.inverse(cc) - uu.base.e_a
+    return uu.base.u._inverse(cc) - uu.base.e_a
 
 
 @dataclass

@@ -56,8 +56,9 @@ def test_criterion_2_cara_closed_form():
     for k in range(20):
         e_a = rng.uniform(0.5, 1.5, 20)
         alpha = float(rng.uniform(0.5, 3.0))
-        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, k)], e_a,
-                                             rcl.cara(alpha))
+        density = rcl.tilted_density(model, k)
+        [oracle] = rcl.verify_budget_optimality([density], e_a, rcl.cara(alpha))
+        gap = abs(oracle - rcl.cara_optimal(density, e_a, alpha)[1])
         assert gap <= 1e-7
         worst = max(worst, gap)
     _report(2, "cara closed form vs multiplier oracle", f"worst gap {worst:.2e}")
@@ -69,12 +70,12 @@ def test_criterion_3_log_closed_form():
     worst = 0.0
     for k in range(20):
         e_a = rng.uniform(0.5, 1.5, 20)
-        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, k)], e_a,
-                                             rcl.log_utility())
+        density = rcl.tilted_density(model, k)
+        x_star, utility = rcl.log_optimal(density, e_a)
+        [oracle] = rcl.verify_budget_optimality([density], e_a, rcl.log_utility())
+        gap = abs(oracle - utility)
         assert gap <= 1e-7
         worst = max(worst, gap)
-        x_star, utility = rcl.log_optimal(rcl.tilted_density(model, k), e_a)
-        density = rcl.tilted_density(model, k)
         lhs = float(model.weights @ np.log(x_star))
         rhs = math.log(density.expect(e_a)) + rcl.relative_entropy(
             density, ENTROPY_REF_GIVEN_AGENT

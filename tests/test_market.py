@@ -242,7 +242,7 @@ class TestDelegation:
                                   e_a=np.ones(2))
 
 
-def reference_budget_gap(density, e_a, u):
+def reference_budget_utility(density, e_a, u):
     """The budget oracle for one density, as a lone scalar bisection: the
     batched oracle must step each of its rows exactly like this."""
     target = density.expect(e_a)
@@ -273,12 +273,14 @@ def reference_budget_gap(density, e_a, u):
             lam_hi = lam_mid
         if (lam_hi - lam_lo) <= 1e-15 * lam_hi:
             break
-    oracle_utility = float(density.weights @ u.value(payoff(0.5 * (lam_lo + lam_hi))))
-    if u.family == CARA:
-        _, closed = rcl.cara_optimal(density, e_a, u.alpha)
-    else:
-        _, closed = rcl.log_optimal(density, e_a)
-    return abs(oracle_utility - closed)
+    return float(density.weights @ u.value(payoff(0.5 * (lam_lo + lam_hi))))
+
+
+def closed_form_gaps(densities, e_a, u):
+    """|oracle - closed form| per density, the gap `market_report` reports."""
+    closed = [rcl.cara_optimal(d, e_a, u.alpha)[1] if u.family == CARA
+              else rcl.log_optimal(d, e_a)[1] for d in densities]
+    return np.abs(rcl.verify_budget_optimality(densities, e_a, u) - closed)
 
 
 def random_densities(rng, n_drifts, n_nodes=20, spread=1.5):
@@ -293,20 +295,17 @@ def random_densities(rng, n_drifts, n_nodes=20, spread=1.5):
 class TestBudgetOracle:
     def test_no_tilt_cara_gap_tiny(self):
         model = two_node_model((0.0, 0.0))
-        [gap] = rcl.verify_budget_optimality([rcl.tilted_density(model, 0)], np.ones(2),
-                                             rcl.cara(1.0))
+        [gap] = closed_form_gaps([rcl.tilted_density(model, 0)], np.ones(2), rcl.cara(1.0))
         assert gap <= 1e-10
 
     def test_random_tilts_log(self, rng):
         densities = random_densities(rng, 5)
-        gaps = rcl.verify_budget_optimality(densities, rng.uniform(0.5, 1.5, 20),
-                                            rcl.log_utility())
+        gaps = closed_form_gaps(densities, rng.uniform(0.5, 1.5, 20), rcl.log_utility())
         assert gaps.shape == (5,) and np.all(gaps <= 1e-7)
 
     def test_random_tilts_cara(self, rng):
         densities = random_densities(rng, 5)
-        gaps = rcl.verify_budget_optimality(densities, rng.uniform(0.5, 1.5, 20),
-                                            rcl.cara(2.0))
+        gaps = closed_form_gaps(densities, rng.uniform(0.5, 1.5, 20), rcl.cara(2.0))
         assert gaps.shape == (5,) and np.all(gaps <= 1e-7)
 
     @settings(max_examples=60, deadline=None)
@@ -321,11 +320,21 @@ class TestBudgetOracle:
         u = rcl.cara(alpha) if family == CARA else rcl.log_utility()
         np.testing.assert_array_equal(
             rcl.verify_budget_optimality(densities, e_a, u),
-            [reference_budget_gap(d, e_a, u) for d in densities])
+            [reference_budget_utility(d, e_a, u) for d in densities])
 
     def test_no_densities_give_no_gaps(self):
-        gaps = rcl.verify_budget_optimality([], np.ones(2), rcl.cara(1.0))
-        assert gaps.shape == (0,)
+        utilities = rcl.verify_budget_optimality([], np.ones(2), rcl.cara(1.0))
+        assert utilities.shape == (0,)
+
+    @pytest.mark.parametrize("u", [rcl.log_utility(), rcl.cara(1.0)], ids=["log", "cara"])
+    def test_runs_no_closed_form(self, rng, monkeypatch, u):
+        # the oracle checks the closed forms, so it must not call them
+        def closed_form(*args):
+            raise AssertionError("the oracle called a closed form")
+
+        monkeypatch.setattr(rcl.market, "cara_optimal", closed_form)
+        monkeypatch.setattr(rcl.market, "log_optimal", closed_form)
+        assert rcl.verify_budget_optimality(random_densities(rng, 3), np.ones(20), u).shape == (3,)
 
     def test_rejects_unsupported_family(self):
         model = two_node_model()

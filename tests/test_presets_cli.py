@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,3 +490,18 @@ class TestCli:
             parse_args(["--help"])
         assert exc.value.code == 0
         assert "usage: rcl" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy_and_no_logging():
+    # every `rcl` command, and every benchmark set-up, pays for importing
+    # rcl.cli; scipy is imported only where a solve, a projection or a
+    # tabulated utility runs, and logging not at all
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rcl.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    probe = ("import sys, rcl.cli; print(sorted(name for name in sys.modules "
+             "if name.partition('.')[0] in ('scipy', 'logging')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -15,8 +15,9 @@ import rcl
 import rcl.cli
 import rcl.solver
 from rcl.constraints import DEFAULT_TOL
-from rcl.errors import DomainError, RangeError, SizeCapError, ValidationError
+from rcl.errors import RangeError, SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
+from rcl.presets import PRESET_NAMES
 from rcl.solver import _projection
 
 from conftest import make_instance, make_uu
@@ -84,29 +85,6 @@ class TestPrincipalValue:
             replay = float(np.dot(uu.base.beliefs.priors[worst], values))
             replay += uu.base.beliefs.penalties[worst]
             assert replay == value
-
-    def test_half_line_principal_domain_error(self):
-        # an upper contract bound beyond the principal's endowment pushes her
-        # wealth negative, which a half-line utility must refuse: validation
-        # rejects the instance, and the unvalidated one raises DomainError
-        args = dict(e_a=[1.0], e_p=[1.0], lo=[0.0], hi=[2.0])
-        with pytest.raises(ValidationError, match="principal utility"):
-            single_type_instance(rcl.log_utility(), rcl.crra(0.5), **args)
-        inst = rcl.Instance(
-            states=rcl.StateSpace(ref_prob=[1.0]),
-            types=[rcl.AgentType(density=[1.0], label="theta0")],
-            principal_belief=rcl.AgentType(density=[1.0], label="p"),
-            beliefs=rcl.BeliefSet(priors=[[1.0]], penalties=[0.0]),
-            e_a=args["e_a"], e_p=args["e_p"], u=rcl.log_utility(), v=rcl.crra(0.5),
-            contract_lo=args["lo"], contract_hi=args["hi"],
-        )
-        uu = rcl.to_utility_units(inst)
-        with pytest.raises(DomainError):
-            rcl.principal_value(uu, rcl.Mechanism(np.tile(uu.c_hi, (1, 1))))
-        # the dual's faces, prepared once per solve, check the same wealth at
-        # the upper face
-        with pytest.raises(DomainError, match="half line undefined"):
-            rcl.solver._dual_faces(uu)
 
     def test_rejects_mechanism_outside_the_box(self, rng):
         uu = make_uu(rng)
@@ -259,6 +237,37 @@ class TestSolveMechanism:
             assert res_wide.converged and res_narrow.converged
             assert res_wide.value <= res_narrow.bound + 1e-12
 
+    @pytest.mark.parametrize("case", ["halfline", "cara_hedging", "linear_linear", "tabulated"])
+    def test_solve_makes_no_checked_utility_call(self, monkeypatch, case):
+        # the box is checked when the utility-units instance is built; a
+        # solve, its primal step included (linear-linear), evaluates inside
+        # the box through the unchecked cores alone
+        calls = []
+        for name in ("value", "inverse", "deriv"):
+            def counted(self, z, _name=name, _checked=getattr(rcl.UtilitySpec, name)):
+                calls.append(_name)
+                return _checked(self, z)
+            monkeypatch.setattr(rcl.UtilitySpec, name, counted)
+        if case == "halfline":
+            inst = rcl.build_preset("reinsurance_halfline")
+        elif case == "cara_hedging":
+            inst = rcl.build_preset("cara_hedging")
+        elif case == "linear_linear":
+            inst = make_instance(np.random.default_rng(7), family="linear", v_family="linear")
+        else:
+            grid = np.geomspace(0.05, 6.0, 40)
+            inst = single_type_instance(
+                rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid)),
+                rcl.cara(1.0, "half-line"), e_a=[1.0, 1.2], e_p=[2.0, 1.8],
+                lo=[-0.8, -0.9], hi=[1.5, 1.4], q=[0.5, 0.5], d=[1.2, 0.8])
+        calls.clear()
+        uu = rcl.to_utility_units(inst)
+        assert calls
+        calls.clear()
+        res = rcl.solve_mechanism(uu)
+        assert res.converged
+        assert calls == []
+
     def test_trace_recorded(self, rng):
         # one (iteration, bound) row per dual iteration, every bound above
         # the recovered mechanism's value
@@ -283,22 +292,34 @@ UTILITIES = {
 }
 
 
+def checked_slope(uu, weight, g, c):
+    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
+    phi' = -v'(e_p + e_a - u^-1(c)) / u'(u^-1(c)) taken through the public,
+    checked `inverse` and `deriv`: no code shared with the solver. A nan
+    phi' counts as 0, and a type of weight 0 has slope g."""
+    inst = uu.base
+    agent = inst.u.inverse(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        marginal = -inst.v.deriv(inst.e_p + inst.e_a - agent) / inst.u.deriv(agent)
+        marginal = np.where(np.isnan(marginal), 0.0, marginal)
+        return g + np.where(weight > 0.0, weight * marginal, 0.0)
+
+
 def reference_inner_max(uu, s, g, halvings):
     """The inner maximizer by the plain rule: `halvings` rounds of bisecting
-    the checked `_slope` over every entry, faces included; also the mask of
-    the entries strictly inside."""
-    slope = rcl.solver._slope
+    `checked_slope` over every entry, faces included; also the mask of the
+    entries strictly inside."""
     weight = s[:, None] * uu.base.principal_weights()
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
-    at_lo = slope(uu, weight, g, lo) <= 0.0
-    inside = ~at_lo & (slope(uu, weight, g, hi) < 0.0)
+    at_lo = checked_slope(uu, weight, g, lo) <= 0.0
+    inside = ~at_lo & (checked_slope(uu, weight, g, hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
         left, right = lo, hi
         for _ in range(halvings):
             mid = 0.5 * (left + right)
-            up = slope(uu, weight, g, mid) > 0.0
+            up = checked_slope(uu, weight, g, mid) > 0.0
             left, right = np.where(up, mid, left), np.where(up, right, mid)
         c = np.where(inside, 0.5 * (left + right), c)
     return c, inside
@@ -328,7 +349,7 @@ def inner_max_case(seed, u_name, v_name, n, m, full_box, scale=1.0):
     lo = np.broadcast_to(uu.c_lo, (n, m))
     hi = np.broadcast_to(uu.c_hi, (n, m))
     zero = np.zeros((n, m))
-    at_lo, at_hi = (rcl.solver._slope(uu, weight, zero, face) for face in (lo, hi))
+    at_lo, at_hi = (checked_slope(uu, weight, zero, face) for face in (lo, hi))
     # g = -slope term at a point t of the way from lo to hi: t < 0 puts the
     # entry on the lower face, t > 1 on the upper, t in (0, 1) inside; a
     # -inf slope at the upper face stands for a span of 1
@@ -341,14 +362,14 @@ def inner_max_case(seed, u_name, v_name, n, m, full_box, scale=1.0):
 
 def per_call_inner_max(uu, s, g):
     """The inner maximizer with phi' at the faces taken through the checked
-    utilities on every call: what `_dual_faces` must reproduce bitwise."""
+    utilities on every call (`checked_slope`): what `_dual_faces` must
+    reproduce bitwise."""
     inst = uu.base
-    slope = rcl.solver._slope
     weight = s[:, None] * inst.principal_weights()
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
-    at_lo = slope(uu, weight, g, lo) <= 0.0
-    inside = ~at_lo & (slope(uu, weight, g, hi) < 0.0)
+    at_lo = checked_slope(uu, weight, g, lo) <= 0.0
+    inside = ~at_lo & (checked_slope(uu, weight, g, hi) < 0.0)
     c = np.where(at_lo, lo, hi)
     if inside.any():
         wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
@@ -361,27 +382,19 @@ def assert_matches_bisection(uu, s, g):
     """Face entries bitwise those of bisection, interior entries within
     1e-10 of the box width of 60 halvings, and no more slack than 35
     halvings leave (the bisection this iteration replaced)."""
-    c = rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
+    faces = rcl.solver._dual_faces(uu)
+    c = rcl.solver._inner_max(faces, s, g)
     fine, inside = reference_inner_max(uu, s, g, 60)
     np.testing.assert_array_equal(c[~inside], fine[~inside])
     width = np.broadcast_to(uu.c_hi - uu.c_lo, g.shape)
     assert np.all(np.abs(c - fine)[inside] <= 1e-10 * width[inside])
     coarse = reference_inner_max(uu, s, g, 35)[0]
-    assert rcl.solver._inner_slack(uu, s, g, c) <= (
-        rcl.solver._inner_slack(uu, s, g, coarse) + 1e-12)
+    assert rcl.solver._inner_slack(faces, s, g, c) <= (
+        rcl.solver._inner_slack(faces, s, g, coarse) + 1e-12)
     return c, inside
 
 
 class TestInnerMax:
-    def test_agent_inverse_refuses_a_face_level(self):
-        # a CRRA agent has no wealth at a negative utility level, so a lower
-        # face there raises when the faces are prepared, before any Newton step
-        inst = single_type_instance(rcl.crra(0.5), rcl.cara(1.0, "half-line"),
-                                    e_a=[1.0], e_p=[2.0], lo=[-0.5], hi=[1.0])
-        uu = dataclasses.replace(rcl.to_utility_units(inst), c_lo=np.array([-0.1]))
-        with pytest.raises(DomainError, match="crra utility level must be >= 0"):
-            rcl.solver._dual_faces(uu)
-
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -519,6 +532,26 @@ class TestCertificate:
             assert res.converged
             assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
 
+    def test_primal_step_runs_only_where_it_is_needed(self, monkeypatch):
+        # the projection of c* certifies every preset alone; the linear-linear
+        # cases above certify only through the primal step
+        starts = []
+
+        def idle(uu, x, value, a, b):
+            starts.append(x)
+            return x
+
+        monkeypatch.setattr(rcl.solver, "_primal_step", idle)
+        for name in PRESET_NAMES:
+            assert rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name))).converged
+        assert starts == []
+        for n, m in [(2, 2), (3, 3)]:
+            rng = np.random.default_rng(7)
+            for _ in range(4):
+                uu = make_uu(rng, n=n, m=m, family="linear", v_family="linear")
+                assert not rcl.solve_mechanism(uu).converged
+        assert len(starts) == 8
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -544,9 +577,10 @@ def dual_bound(uu, lam, mu):
     a, b = rcl.build_system(uu).matrix_form()
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     s, g = lam @ priors, (mu @ a).reshape(uu.n_types, uu.n_atoms)
-    c = rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
+    faces = rcl.solver._dual_faces(uu)
+    c = rcl.solver._inner_max(faces, s, g)
     return (lam @ penalties - mu @ b + s @ rcl.solver._evaluate(uu, c) + np.sum(g * c)
-            + rcl.solver._inner_slack(uu, s, g, c))
+            + rcl.solver._inner_slack(faces, s, g, c))
 
 
 class TestWeakDuality:
@@ -608,7 +642,7 @@ projection_cases = given(
 )
 
 
-class TestActiveSetProjection:
+class TestProjection:
     @settings(max_examples=40, deadline=None)
     @projection_cases
     # nearly parallel working rows: the equality projection missed a working

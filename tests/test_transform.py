@@ -1,5 +1,6 @@
 """Utility-units transform and the AE tail check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rcl
-from rcl.errors import InconclusiveError, RangeError
+from rcl.cli import main
+from rcl.errors import DomainError, InconclusiveError, RangeError, ValidationError
 
 from conftest import make_instance, random_mechanisms
 
@@ -64,6 +66,60 @@ class TestToUtilityUnits:
         uu = rcl.to_utility_units(inst)
         np.testing.assert_allclose(uu.c_lo, 1.0 - np.exp(1.0), atol=1e-15)
         assert uu.clamped_atoms == []
+
+
+def one_atom_instance(u, v, e_a, e_p, lo, hi):
+    """An unvalidated one-atom, one-type instance."""
+    return rcl.Instance(
+        states=rcl.StateSpace(ref_prob=[1.0]),
+        types=[rcl.AgentType(density=[1.0], label="theta0")],
+        principal_belief=rcl.AgentType(density=[1.0], label="p"),
+        beliefs=rcl.BeliefSet(priors=[[1.0]], penalties=[0.0]),
+        e_a=[e_a], e_p=[e_p], u=u, v=v, contract_lo=[lo], contract_hi=[hi],
+    )
+
+
+class TestBoxInsideDomains:
+    # both utilities must be defined on the whole utility-unit box; building
+    # a box that is not raises DomainError before anything is evaluated
+
+    def test_half_line_principal_domain_error(self):
+        # an upper contract bound beyond the principal's endowment pushes her
+        # wealth negative, which a half-line utility must refuse: validation
+        # rejects the instance, and the transform of the unvalidated one raises
+        inst = one_atom_instance(rcl.log_utility(), rcl.crra(0.5), e_a=1.0, e_p=1.0,
+                                 lo=0.0, hi=2.0)
+        with pytest.raises(ValidationError, match="principal utility"):
+            rcl.validate_instance(inst)
+        with pytest.raises(DomainError, match="half line undefined"):
+            rcl.to_utility_units(inst)
+
+    def test_agent_inverse_refuses_a_face_level(self):
+        # a CRRA agent has no wealth at a negative utility level, so a box
+        # with its lower face there cannot be built, by replace either
+        inst = rcl.validate_instance(one_atom_instance(
+            rcl.crra(0.5), rcl.cara(1.0, "half-line"), e_a=1.0, e_p=2.0, lo=-0.5, hi=1.0))
+        uu = rcl.to_utility_units(inst)
+        with pytest.raises(DomainError, match="crra utility level must be >= 0"):
+            dataclasses.replace(uu, c_lo=np.array([-0.1]))
+
+    def test_tabulated_principal_short_of_the_lower_face(self, tmp_path, capsys):
+        # the principal's wealth e_p - lo is largest at the lower face, and
+        # validation accepts a tabulated grid that stops short of it (2.5 < 2.8)
+        grid = np.geomspace(0.05, 2.5, 20)
+        inst = rcl.validate_instance(one_atom_instance(
+            rcl.log_utility(), rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid)),
+            e_a=1.0, e_p=2.0, lo=-0.8, hi=1.5))
+        with pytest.raises(DomainError, match="outside its grid"):
+            rcl.to_utility_units(inst)
+        path = tmp_path / "inst.json"
+        rcl.save_instance(inst, path)
+        for command in ("solve", "oracle"):
+            out = tmp_path / command
+            assert main([command, "--instance", str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: tabulated utility evaluated outside its grid\n")
+            assert not (out / "result.json").exists()
 
 
 class TestFromUtilityUnits:
