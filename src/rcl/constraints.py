@@ -23,12 +23,13 @@ DEFAULT_TOL = 1e-8
 def agent_levels(uu: UtilityUnitsInstance, contracts) -> np.ndarray:
     """Level E[j, g] = sum_i q_i d_{j,i} c_{g,i} that type j gets from contract g.
 
-    Each row is `_row_dots` of the contracts, so a column is bitwise the
-    same whichever other contracts sit beside it: every constraint slack,
-    menu choice and report reads its levels from here.
+    One `_row_dots` over a (types, contracts, atoms) batch, so a column is
+    bitwise the same whichever other contracts sit beside it: every
+    constraint slack, menu choice, oracle row and report reads its levels
+    from here.
     """
     contracts = np.atleast_2d(np.asarray(contracts, dtype=float))
-    return np.array([_row_dots(contracts, w) for w in uu.base.type_weights()])
+    return _row_dots(contracts, uu.base.type_weights()[:, None, :])
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .model import CARA, LOG, UtilitySpec, _read_field, cara, log_utility
+from .model import CARA, LOG, UtilitySpec, _read_field, _row_dots, cara, log_utility
 
 MAX_NODES = 200
 BETA_MIN = 1e-3
@@ -156,7 +156,7 @@ class TiltedDensity:
         payoff = np.asarray(payoff, dtype=float)
         if payoff.shape != self.values.shape:
             raise DimensionError("payoff length does not match the node grid")
-        return float(np.sum(self.weights * self.values * payoff))
+        return float(_row_dots(self.weights * self.values, payoff))
 
 
 def tilted_density(model: MarketModel, f_index: int) -> TiltedDensity:
@@ -319,12 +319,6 @@ def _multiplier_payoff(u: UtilitySpec, density: np.ndarray, lam: np.ndarray) -> 
     return 1.0 / (lam * density)  # log case
 
 
-def _expect_rows(weights: np.ndarray, density: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """`TiltedDensity.expect` of every row at once: the same products, and the
-    same pairwise sum over each C-contiguous row."""
-    return np.sum(weights * density * payoff, axis=1)
-
-
 def verify_budget_optimality(
     densities: list[TiltedDensity], e_a: np.ndarray, u: UtilitySpec
 ) -> np.ndarray:
@@ -351,13 +345,14 @@ def verify_budget_optimality(
         raise DimensionError("payoff length does not match the node grid")
     weights = np.stack([d.weights for d in densities])
     values = np.stack([d.values for d in densities])
-    target = _expect_rows(weights, values, e_a)
+    measure = weights * values    # `TiltedDensity.expect` of every row at once
+    target = _row_dots(measure, e_a)
     if u.family == LOG and np.any(target <= 0.0):
         raise DomainError("log wealth needs E_f[e_a] > 0")
 
     def excess(lam: np.ndarray) -> np.ndarray:
         payoff = _multiplier_payoff(u, values, lam[:, None])
-        return _expect_rows(weights, values, payoff) - target
+        return _row_dots(measure, payoff) - target
 
     lam_lo, lam_hi = np.ones(len(densities)), np.ones(len(densities))
     for lam, bracketed, step in ((lam_lo, np.greater, np.divide),

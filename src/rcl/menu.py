@@ -6,7 +6,7 @@ optimal contracts the principal's value is evaluated optimistically (that is
 the definition of her indirect utility over menus, not a heuristic). Menu
 optimization is exact: some optimal menu has at most 2·n_types contracts
 (see `solve_menu`), so it enumerates every candidate subset of at most that
-size, scoring them in batches and re-scoring the near-best exactly.
+size, scoring them in batches that round each subset as it would alone.
 `equivalence_check` certifies numerically that optimizing over menus
 and optimizing over direct incentive-compatible mechanisms give the same
 value on the same candidates.
@@ -22,6 +22,7 @@ import numpy as np
 
 from .constraints import Mechanism, agent_levels
 from .errors import PreconditionError, SizeCapError, ValidationError
+from .model import _row_dots
 from .solver import _CHUNK, contract_values, enumerate_best_assignment
 from .transform import UtilityUnitsInstance
 
@@ -117,19 +118,12 @@ def solve_menu(
     Subsets of one size are scored in blocks of at most _CHUNK level cells
     (types × subsets × size, or one subset if it alone has more), the
     incumbent carried from block to block. The menu-choice rule (max,
-    compare, select) rounds nothing, so each subset's favoured values F
-    are bitwise those `menu_choices` gives it. One matrix product
-    F Pᵀ + pen screens the IR subsets' robust values: it and the row-by-row
-    dots of `robust_value` each round within (n_types + 1)·eps·(|F| |P|ᵀ +
-    |pen|) of the exact sum (twice the classic bound, which covers the
-    rounding of the bound itself), so twice that, plus `tiny` for
-    underflow, brackets the value `robust_value` returns. A subset can win
-    only if its upper bound reaches the block's best lower bound and the
-    incumbent. Only those subsets are re-scored by `robust_value`, in walk
-    order under the strict rule above, and of those with bitwise equal
-    favoured values only the first in the block, since the rest have its
-    value. So the menu and its value are bitwise those of the one-subset
-    walk, whatever the matrix product rounds.
+    compare, select) rounds nothing, so each subset's favoured values are
+    bitwise those `menu_choices` gives it, and `_row_dots` sums each
+    prior's row alone whatever the batch, so each robust value is bitwise
+    the one `robust_value` gives the subset. The block's first maximum in
+    walk order replaces the incumbent only if strictly greater, and a NaN
+    never wins: the menu and its value are those of the one-subset walk.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_cand = candidates.shape[0]
@@ -140,10 +134,7 @@ def solve_menu(
     levels_t = agent_levels(uu, candidates).T      # (candidates, types)
     values = contract_values(uu, candidates)
     floor = np.asarray(uu.reservation) - DEFAULT_TIE_TOL
-    beliefs = uu.base.beliefs
-    priors, penalties = beliefs.priors, beliefs.penalties
-    gamma = 2 * (n_types + 1) * np.finfo(float).eps
-    tiny = np.finfo(float).tiny
+    priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
 
     best_val = -np.inf
     best_members: np.ndarray | None = None
@@ -158,25 +149,12 @@ def solve_menu(
                 itertools.chain.from_iterable(itertools.islice(walk, rows)),
                 np.intp, rows * size,
             ).reshape(rows, size)
-            # (subsets, types) rows, each C-contiguous as `robust_value` is
-            # handed a menu's favoured values by `menu_choices`
             best, _, favoured = _choices(levels_t[members.T], values[members.T][:, :, None])
-            ir = ~np.any(best < floor, axis=1)
-            members, favoured = members[ir], favoured[ir]
-            totals = favoured @ priors.T + penalties
-            slack = gamma * (np.abs(favoured) @ np.abs(priors).T + np.abs(penalties)) + tiny
-            lower = (totals - slack).min(axis=1)
-            upper = (totals + slack).min(axis=1)
-            reach = np.fmax.reduce(lower, initial=best_val)
-            seen = set()   # favoured values already re-scored in this block
-            for s in np.flatnonzero(~(upper < reach)):   # a NaN bound is re-scored
-                key = favoured[s].tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                robust, _ = beliefs.robust_value(favoured[s])
-                if robust > best_val:
-                    best_val, best_members = robust, members[s]
+            robust = (_row_dots(priors, favoured[:, None, :]) + penalties).min(axis=1)
+            robust[np.isnan(robust) | np.any(best < floor, axis=1)] = -np.inf
+            s = int(np.argmax(robust))
+            if robust[s] > best_val:
+                best_val, best_members = float(robust[s]), members[s]
     if best_members is None:
         raise ValidationError(
             ["no individually rational menu among the candidate subsets"]

@@ -7,9 +7,10 @@ sum_i q_i * d_i * x_i. An Instance bundles endowments, utility functions,
 the ambiguity set over types and the contract bounds that the transform,
 constraint, solver and menu modules consume.
 
-It owns three rules the other modules share: `_read_field` reads every
+It owns four rules the other modules share: `_read_field` reads every
 field of the instance and market documents, `UtilitySpec.floored_value`
-applies the half-line wealth floor, and `_row_dots` evaluates row by row.
+applies the half-line wealth floor, `_utility_box` checks the utilities
+at the faces of the utility-unit box, and `_row_dots` sums weighted rows.
 """
 
 from __future__ import annotations
@@ -53,11 +54,16 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _row_dots(matrix, vector: np.ndarray) -> np.ndarray:
-    """row @ vector, one 1-d dot per row: unlike a matrix product, each entry
-    is then bitwise the same whichever rows sit beside it, so a value
-    re-evaluated on a subset of the rows reproduces exactly."""
-    return np.fromiter((np.dot(row, vector) for row in matrix), float, len(matrix))
+def _row_dots(matrix, vector) -> np.ndarray:
+    """Σ_i matrix[..., i] · vector[..., i], broadcast over the leading axes.
+
+    The products go into a C-ordered array and numpy sums each last-axis
+    row with its pairwise routine (Higham §4.2), which depends only on the
+    row: unlike a matrix product, an entry is bitwise the same alone, among
+    other rows or in a broadcast batch, so a value re-evaluated on a subset
+    of the rows reproduces exactly. (Without order="C" a Fortran-ordered
+    operand would be summed across rows, one sequential add at a time.)"""
+    return np.add.reduce(np.multiply(matrix, vector, order="C"), axis=-1)
 
 
 _REQUIRED = object()
@@ -447,9 +453,9 @@ class BeliefSet:
     def robust_value(self, type_values: np.ndarray) -> tuple[float, int]:
         """min over priors of expected value plus penalty; ties -> lowest index.
 
-        Per-prior dot products go through `_row_dots`, so re-evaluating the
-        returned worst prior reproduces the value bitwise.
-        """
+        Per-prior sums go through `_row_dots`, so the value is bitwise the
+        same whichever other type values are scored beside it (as
+        `solve_menu` scores a block of menus at once)."""
         totals = _row_dots(self.priors, np.asarray(type_values, dtype=float)) + self.penalties
         idx = int(np.argmin(totals))
         return float(totals[idx]), idx
@@ -537,7 +543,7 @@ def expectation(states: StateSpace, agent_type: AgentType, payoff) -> float:
         )
     if agent_type.density.size != states.n_atoms:
         raise DimensionError("type density length does not match the state space")
-    return float((states.ref_prob * agent_type.density) @ x)
+    return float(_row_dots(states.ref_prob * agent_type.density, x))
 
 
 def _default_reservation(inst: Instance, violations: list[str]) -> np.ndarray | None:
@@ -571,6 +577,34 @@ def _spot_check_utility(u: UtilitySpec, lo: float, hi: float, tag: str, violatio
     slopes = np.diff(vals) / np.diff(z)
     if np.any(np.diff(slopes) > 1e-9 * scale):
         violations.append(f"{tag}: utility not concave on [{lo:g}, {hi:g}]")
+
+
+def _utility_box(inst: Instance, faces=None) -> np.ndarray:
+    """The contract box in utility units as a (2, m) array, lower face then
+    upper: u(e_a + x) at the payoff bounds through `floored_value`, unless
+    the faces are given.
+
+    Raises DomainError, naming the utility, unless both utilities are
+    defined on the whole box and the principal's value is finite there,
+    checked at its two faces: u^-1 is increasing, so the agent's wealth
+    u^-1(c) and the principal's e_p + e_a - u^-1(c) at every c in the box
+    lie between their values there. The principal's wealth goes through the
+    solver's own round trip u^-1(u(.)).
+    """
+    try:
+        if faces is None:
+            faces = inst.u.floored_value(inst.e_a + np.stack([inst.contract_lo, inst.contract_hi]))
+        agent = inst.u.inverse(faces)
+        inst.u.deriv(agent)
+    except DomainError as exc:
+        raise DomainError(f"agent utility: {exc}") from None
+    try:
+        principal = inst.v.value(inst.e_p + inst.e_a - agent)  # `deriv` shares this check
+    except DomainError as exc:
+        raise DomainError(f"principal utility: {exc}") from None
+    if not np.all(np.isfinite(principal)):
+        raise DomainError("principal utility: not finite on the contract box")
+    return faces
 
 
 def _check_instance(inst: Instance) -> list[str]:
@@ -627,22 +661,14 @@ def _check_instance(inst: Instance) -> list[str]:
     if violations or inst.reservation is None:
         return violations
 
-    # Feasibility: the agent-best contract (upper bound) must clear every IR
-    # constraint, otherwise no individually rational contract exists at all.
+    # Both utilities must be defined on the whole box, and the agent-best
+    # contract (its upper face) must clear every IR constraint, otherwise no
+    # individually rational contract exists at all.
     try:
-        c_best = inst.u.floored_value(wealth_hi)
+        c_best = _utility_box(inst)[1]
     except DomainError as exc:
-        violations.append(f"cannot evaluate agent utility at the upper contract bound: {exc}")
+        violations.append(str(exc))
         return violations
-    # The principal pays the agent-best contract out of e_p; the wealth left
-    # is computed through the solver's own round trip u^-1(u(.)).
-    try:
-        v_best = inst.v.value(inst.e_p + inst.e_a - inst.u.inverse(c_best))
-    except DomainError as exc:
-        violations.append(f"cannot evaluate principal utility at the upper contract bound: {exc}")
-    else:
-        if not np.all(np.isfinite(v_best)):
-            violations.append("principal utility not finite at the upper contract bound")
     for j, t in enumerate(inst.types):
         if expectation(inst.states, t, c_best) < inst.reservation[j] - FEAS_TOL:
             violations.append(

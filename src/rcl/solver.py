@@ -25,6 +25,7 @@ from .constraints import (
     DEFAULT_TOL,
     FeasibilityReport,
     Mechanism,
+    agent_levels,
     build_system,
     check_mechanism,
 )
@@ -104,9 +105,10 @@ class OracleResult:
 
 def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     """Principal value of each row of c: the one evaluator behind the
-    objective, the dual bound and the oracle's per-contract values; row by
-    row (`_row_dots`), so a menu and its extracted mechanism agree exactly.
-    c is clipped to the box, where the unchecked cores are safe."""
+    objective, the dual bound and the oracle's per-contract values; one
+    `_row_dots`, so a row's value does not depend on the rows beside it and
+    a menu and its extracted mechanism agree exactly. c is clipped to the
+    box, where the unchecked cores are safe."""
     inst = uu.base
     principal_wealth = inst.e_p + inst.e_a - inst.u._inverse(np.clip(c, uu.c_lo, uu.c_hi))
     return _row_dots(inst.v._value(principal_wealth), inst.principal_weights())
@@ -487,8 +489,7 @@ def enumerate_best_assignment(
             f"{count} assignments of {n_contracts} contracts to {n} types "
             f"exceed the cap {HARD_ASSIGNMENT_CAP}"
         )
-    weights = inst.type_weights()
-    e_mat = weights @ contracts.T          # (n, G): agent value of each contract
+    e_mat = agent_levels(uu, contracts)    # (n, G): agent value of each contract
     values = contract_values(uu, contracts)
     reservation = np.asarray(uu.reservation, dtype=float)
     priors = inst.beliefs.priors

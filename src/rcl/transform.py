@@ -19,6 +19,7 @@ from .model import (
     Instance,
     StateSpace,
     UtilitySpec,
+    _utility_box,
 )
 
 # asymptotic-elasticity tail grid: AE_GRID_POINTS log-spaced wealth levels
@@ -38,11 +39,10 @@ class UtilityUnitsInstance:
     floored at the lower bound are listed in clamped_atoms.
 
     Construction (`to_utility_units`, `dataclasses.replace`) raises
-    DomainError unless both utilities are defined on the whole box, checked
-    at its two faces: u^-1 is increasing, so the agent's wealth u^-1(c) and
-    the principal's e_p + e_a - u^-1(c) at every c in the box lie between
-    their values there. Everything inside the box is then evaluated through
-    the unchecked cores (`UtilitySpec._inverse`, `_value`, `_deriv`).
+    DomainError unless both utilities are defined on the whole box, by the
+    face check `validate_instance` also runs (`model._utility_box`).
+    Everything inside the box is then evaluated through the unchecked cores
+    (`UtilitySpec._inverse`, `_value`, `_deriv`).
     """
 
     base: Instance
@@ -51,10 +51,7 @@ class UtilityUnitsInstance:
     clamped_atoms: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        inst = self.base
-        agent = inst.u.inverse(np.stack([self.c_lo, self.c_hi]))
-        inst.u.deriv(agent)
-        inst.v.value(inst.e_p + inst.e_a - agent)  # `value` and `deriv` share one check
+        _utility_box(self.base, np.stack([self.c_lo, self.c_hi]))
 
     @property
     def states(self) -> StateSpace:
@@ -82,15 +79,11 @@ class UtilityUnitsInstance:
 
 def to_utility_units(instance: Instance) -> UtilityUnitsInstance:
     """Map the payoff-unit contract bounds into utility units, pointwise."""
-    u = instance.u
     wealth_lo = instance.e_a + instance.contract_lo
-    floored = np.flatnonzero(wealth_lo < WEALTH_FLOOR) if u.domain == HALF_LINE else []
-    return UtilityUnitsInstance(
-        base=instance,
-        c_lo=np.asarray(u.floored_value(wealth_lo), dtype=float),
-        c_hi=np.asarray(u.floored_value(instance.e_a + instance.contract_hi), dtype=float),
-        clamped_atoms=[int(i) for i in floored],
-    )
+    floored = np.flatnonzero(wealth_lo < WEALTH_FLOOR) if instance.u.domain == HALF_LINE else []
+    c_lo, c_hi = _utility_box(instance)
+    return UtilityUnitsInstance(base=instance, c_lo=c_lo, c_hi=c_hi,
+                                clamped_atoms=[int(i) for i in floored])
 
 
 def from_utility_units(uu: UtilityUnitsInstance, c) -> np.ndarray:

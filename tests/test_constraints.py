@@ -33,7 +33,7 @@ def uu_with_types(densities, q=(0.5, 0.5), reservation=None):
 
 class TestAgentLevels:
     def test_matches_expectation(self, rng):
-        # the same weights and the same 1-d dot as the model's expectation
+        # the same weights and the same `_row_dots` sum as the model's expectation
         uu = make_uu(rng, n=3, m=4)
         contracts = random_contracts(rng, uu, 5)
         levels = rcl.agent_levels(uu, contracts)
@@ -43,14 +43,24 @@ class TestAgentLevels:
                 assert levels[j, g] == rcl.expectation(uu.states, t, c)
 
     def test_column_independent_of_neighbours(self, rng):
-        # a contract's levels are bitwise the same alone or beside others
-        uu = make_uu(rng, n=3, m=8)
-        contracts = random_contracts(rng, uu, 6)
-        levels = rcl.agent_levels(uu, contracts)
-        for g, c in enumerate(contracts):
-            np.testing.assert_array_equal(rcl.agent_levels(uu, c)[:, 0], levels[:, g])
-            np.testing.assert_array_equal(
-                rcl.agent_levels(uu, contracts[g:])[:, 0], levels[:, g])
+        # a contract's levels are bitwise the same alone or beside others, in
+        # any order, repeated, or laid out in Fortran order or as a strided view
+        for m in (2, 8, 40):
+            uu = make_uu(rng, n=3, m=m)
+            contracts = random_contracts(rng, uu, 6)
+            levels = rcl.agent_levels(uu, contracts)
+            layouts = {
+                "reversed": (contracts[::-1], levels[:, ::-1]),
+                "repeated": (np.tile(contracts, (3, 1)), np.tile(levels, 3)),
+                "fortran": (np.asfortranarray(contracts), levels),
+                "strided": (np.repeat(contracts, 2, axis=0)[::2], levels),
+            }
+            for name, (batch, expected) in layouts.items():
+                np.testing.assert_array_equal(rcl.agent_levels(uu, batch), expected, err_msg=name)
+            for g, c in enumerate(contracts):
+                np.testing.assert_array_equal(rcl.agent_levels(uu, c)[:, 0], levels[:, g])
+                np.testing.assert_array_equal(
+                    rcl.agent_levels(uu, contracts[g:])[:, 0], levels[:, g])
 
 
 def _row_name(entry):

@@ -323,7 +323,8 @@ def one_ulp_case(seed, n, count):
     a low reservation with every contract and one prior carries no penalty,
     so a menu's robust value is P·(v, ..., v) for its best value v: with one
     type (n = 1) exactly v, so robust values one ulp apart; with 8·n types,
-    a sum the matrix product and the row dot may round apart."""
+    a sum long enough for numpy's pairwise routine to split, which any other
+    order of summation may round apart."""
     rng = np.random.default_rng(seed)
     uu = make_uu(rng, m=2, n=1 if n == 1 else 8 * n, n_priors=1)
     uu.base.reservation = np.full(uu.n_types, -10.0)

@@ -4,12 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import rcl
 from rcl.errors import DimensionError, DomainError, ValidationError
+from rcl.model import _row_dots
 
 from conftest import make_instance
 
@@ -62,6 +63,49 @@ class TestExpectation:
         raw = np.array(raw)
         t = rcl.AgentType(density=raw / (q @ raw))
         assert abs(rcl.expectation(states, t, np.ones(4)) - 1.0) <= 1e-10
+
+
+def bits(x):
+    """The IEEE bit patterns of x, so -0.0 and 0.0 (and NaN payloads) differ."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def extreme_rows(rng, rows, length):
+    """Signed values of magnitude 1e-300 to 1e300, spread over a few decades
+    around a random one (where the order of a sum shows in its rounding) or
+    over all of them, with zeros and infinities of both signs sprinkled in."""
+    spread = rng.choice([1.0, 5.0, 600.0])
+    exponent = np.clip(rng.uniform(-300, 300) + rng.uniform(-spread, spread, (rows, length)),
+                       -300, 300)
+    out = rng.choice([-1.0, 1.0], (rows, length)) * 10.0 ** exponent
+    special = rng.random((rows, length)) < rng.choice([0.0, 0.05, 0.3])
+    out[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], int(special.sum()))
+    return out
+
+
+class TestRowDots:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           length=st.integers(1, 300))
+    def test_row_bitwise_the_same_in_any_batch(self, seed, rows, length):
+        # each row's sum is bitwise the same alone, in the full matrix, in a
+        # 3-D broadcast batch, in a Fortran-ordered copy and in any subset
+        # of the rows: the invariant `solve_menu` scores its blocks by
+        rng = np.random.default_rng(seed)
+        matrix = extreme_rows(rng, rows, length)
+        vector, other = extreme_rows(rng, 2, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = np.array([_row_dots(row, vector) for row in matrix])
+            np.testing.assert_array_equal(bits(_row_dots(matrix, vector)), bits(alone))
+            batch = _row_dots(matrix, np.stack([vector, other])[:, None, :])
+            np.testing.assert_array_equal(bits(batch[0]), bits(alone))
+            np.testing.assert_array_equal(
+                bits(_row_dots(matrix[:, None, :], np.stack([other, vector]))[:, 1]), bits(alone))
+            np.testing.assert_array_equal(
+                bits(_row_dots(np.asfortranarray(matrix), vector)), bits(alone))
+            subset = rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False)
+            np.testing.assert_array_equal(
+                bits(_row_dots(matrix[subset], vector)), bits(alone[subset]))
 
 
 class TestStateSpace:

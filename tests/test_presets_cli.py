@@ -505,3 +505,38 @@ def test_cli_import_loads_no_scipy_and_no_logging():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_outputs_independent_of_blas_threads(tmp_path, rng):
+    # oracle, menu, equivalence and market write every file byte for byte
+    # the same under one and two BLAS threads; only `solve` may differ
+    # (README §Outputs)
+    from conftest import make_instance
+
+    inst = tmp_path / "inst.json"
+    rcl.save_instance(make_instance(rng, m=3, n=3, n_priors=3, random_penalties=True), inst)
+    argvs = [
+        ["oracle", "--preset", "reinsurance_halfline", "--levels", "20"],
+        ["oracle", "--instance", str(inst), "--levels", "3"],
+        ["menu", "--instance", str(inst), "--levels", "2"],
+        ["equivalence", "--preset", "reinsurance_wholeline", "--levels", "4"],
+        ["market", "--preset", "cara_hedging"],
+        ["market", "--preset", "log_delegation", "--beta", "0.25,0.5,1.0"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rcl.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    outputs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        runs = [[*argv, "--out", str(root / str(k))] for k, argv in enumerate(argvs)]
+        probe = ("import json, sys; from rcl.cli import main; "
+                 "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+        done = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = {path.relative_to(root): path.read_bytes()
+                            for path in sorted(root.rglob("*")) if path.is_file()}
+    assert all(Path(str(k), "result.json") in outputs["1"] for k in range(len(argvs)))
+    assert outputs["1"] == outputs["2"]

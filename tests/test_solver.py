@@ -826,13 +826,14 @@ class TestGridOracle:
 
 def product_reference(contracts, uu, tol):
     """The optimum over itertools.product of contract indices, each
-    assignment's IR and IC rows checked in a plain loop. Values come from
-    the enumeration's expression over the whole space at once, so they
-    compare bitwise. Returns (index tuple, value, count), or None when no
-    assignment is feasible."""
+    assignment's IR and IC rows checked in a plain loop on the levels every
+    row check reads (`agent_levels`). Values come from the enumeration's
+    expression over the whole space at once, so they compare bitwise.
+    Returns (index tuple, value, count), or None when no assignment is
+    feasible."""
     inst = uu.base
     n = inst.n_types
-    e_mat = inst.type_weights() @ contracts.T
+    e_mat = rcl.agent_levels(uu, contracts)
     combos = list(itertools.product(range(len(contracts)), repeat=n))
     feasible = [
         all(e_mat[j, g[j]] >= uu.reservation[j] - tol for j in range(n))

@@ -103,23 +103,62 @@ class TestBoxInsideDomains:
         with pytest.raises(DomainError, match="crra utility level must be >= 0"):
             dataclasses.replace(uu, c_lo=np.array([-0.1]))
 
-    def test_tabulated_principal_short_of_the_lower_face(self, tmp_path, capsys):
-        # the principal's wealth e_p - lo is largest at the lower face, and
-        # validation accepts a tabulated grid that stops short of it (2.5 < 2.8)
-        grid = np.geomspace(0.05, 2.5, 20)
-        inst = rcl.validate_instance(one_atom_instance(
-            rcl.log_utility(), rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid)),
-            e_a=1.0, e_p=2.0, lo=-0.8, hi=1.5))
-        with pytest.raises(DomainError, match="outside its grid"):
+    @staticmethod
+    def refused_at_a_face(inst, who, tmp_path, capsys):
+        # validation lists the face outside the grid with the other
+        # violations, naming the utility; the transform of the unvalidated
+        # instance raises the same DomainError, and so does every command
+        message = f"{who} utility: tabulated utility evaluated outside its grid"
+        with pytest.raises(ValidationError, match=message):
+            rcl.validate_instance(inst)
+        with pytest.raises(DomainError, match=message):
             rcl.to_utility_units(inst)
         path = tmp_path / "inst.json"
         rcl.save_instance(inst, path)
         for command in ("solve", "oracle"):
             out = tmp_path / command
             assert main([command, "--instance", str(path), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                "error: tabulated utility evaluated outside its grid\n")
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert not (out / "result.json").exists()
+
+    def test_tabulated_principal_short_of_the_lower_face(self, tmp_path, capsys):
+        # the principal's wealth e_p - lo is largest at the lower face, and
+        # her tabulated grid stops short of it (2.5 < 2.8)
+        grid = np.geomspace(0.05, 2.5, 20)
+        inst = one_atom_instance(
+            rcl.log_utility(), rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid)),
+            e_a=1.0, e_p=2.0, lo=-0.8, hi=1.5)
+        self.refused_at_a_face(inst, "principal", tmp_path, capsys)
+
+    def test_tabulated_agent_short_of_the_lower_face(self, tmp_path, capsys):
+        # the agent's wealth e_a + lo = 0.2 at the lower face lies below his
+        # tabulated grid, which the upper face (2.5) stays inside
+        grid = np.geomspace(0.5, 6.0, 20)
+        inst = one_atom_instance(
+            rcl.UtilitySpec("tabulated", grid=grid, values=np.log(grid)), rcl.cara(1.0),
+            e_a=1.0, e_p=2.0, lo=-0.8, hi=1.5)
+        self.refused_at_a_face(inst, "agent", tmp_path, capsys)
+
+    def test_whole_line_tabulated_principal_short_of_the_lower_face(self, tmp_path, capsys):
+        # a CARA principal tabulated on [-5, 5] keeps 2 - 1 = 1 at the upper
+        # face but would need 2 + 10 = 12 at the lower one
+        grid = np.linspace(-5.0, 5.0, 41)
+        inst = one_atom_instance(
+            rcl.linear(), rcl.UtilitySpec("tabulated", grid=grid, values=-np.expm1(-grid)),
+            e_a=1.0, e_p=2.0, lo=-10.0, hi=1.0)
+        self.refused_at_a_face(inst, "principal", tmp_path, capsys)
+
+
+    def test_principal_value_not_finite_at_a_face(self):
+        # a CARA principal left with wealth 2 - 800 at the upper face has
+        # utility 1 - exp(798) = -inf there: no box is built on it
+        inst = one_atom_instance(rcl.linear(), rcl.cara(1.0), e_a=1.0, e_p=2.0,
+                                 lo=-1.0, hi=800.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="principal utility: not finite"):
+                rcl.validate_instance(inst)
+            with pytest.raises(DomainError, match="principal utility: not finite"):
+                rcl.to_utility_units(inst)
 
 
 class TestFromUtilityUnits:
