@@ -584,8 +584,9 @@ def _utility_box(inst: Instance, faces=None) -> np.ndarray:
     upper: u(e_a + x) at the payoff bounds through `floored_value`, unless
     the faces are given.
 
-    Raises DomainError, naming the utility, unless both utilities are
-    defined on the whole box and the principal's value is finite there,
+    Raises DomainError, naming the utility, unless the faces are finite
+    (u overflows to -inf far below the agent's endowment), both utilities
+    are defined on the whole box and the principal's value is finite there,
     checked at its two faces: u^-1 is increasing, so the agent's wealth
     u^-1(c) and the principal's e_p + e_a - u^-1(c) at every c in the box
     lie between their values there. The principal's wealth goes through the
@@ -593,13 +594,18 @@ def _utility_box(inst: Instance, faces=None) -> np.ndarray:
     """
     try:
         if faces is None:
-            faces = inst.u.floored_value(inst.e_a + np.stack([inst.contract_lo, inst.contract_hi]))
+            bounds = np.stack([inst.contract_lo, inst.contract_hi])
+            with np.errstate(over="ignore"):
+                faces = inst.u.floored_value(inst.e_a + bounds)
+        if not np.all(np.isfinite(faces)):
+            raise DomainError("not finite at the contract bounds")
         agent = inst.u.inverse(faces)
         inst.u.deriv(agent)
     except DomainError as exc:
         raise DomainError(f"agent utility: {exc}") from None
     try:
-        principal = inst.v.value(inst.e_p + inst.e_a - agent)  # `deriv` shares this check
+        with np.errstate(over="ignore"):
+            principal = inst.v.value(inst.e_p + inst.e_a - agent)  # `deriv` shares this check
     except DomainError as exc:
         raise DomainError(f"principal utility: {exc}") from None
     if not np.all(np.isfinite(principal)):

@@ -172,71 +172,54 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     The objective is concave in c, so its slope falls: an entry sits on the
     lower face when the slope is <= 0 there, on the upper face when it is
-    >= 0 there, and otherwise at the sign change, found by `_newton_root`
-    over the entries strictly inside (skipped when there are none). phi' at
-    the faces comes from `faces`, computed once per solve.
+    >= 0 there, and otherwise at the sign change; phi' at the faces comes
+    from `faces`, computed once per solve. An entry strictly inside has
+    w > 0 and g > 0: the slope g - w v'/u' is g at w = 0, and is positive
+    at the lower face.
+
+    Its sign change is found by safeguarded Newton (Numerical Recipes'
+    rtsafe) on the log first-order condition psi(c) = log(w v'(W - x) /
+    (g u'(x))), x = u^-1(c), which rises in c with psi' = (A_v(W - x) +
+    A_u(x)) / u'(x), A = -U''/U' the absolute risk aversion: linear for a
+    linear agent and a CARA principal, where one step is exact. One pass
+    runs over the whole grid with every entry in place: entries on a face
+    start out finished, interior ones at the midpoint of their box, and a
+    step moves only the entries of the live mask. The sign of psi moves the
+    bracket (nan counts as "move up", as a nan marginal counts as 0 in
+    `_marginal`); the next point is the Newton point when it lies strictly
+    inside the bracket, else its midpoint. An entry has found its root at
+    |psi| <= 1e-13. Where psi is too steep for that within float resolution,
+    the bracket collapses to adjacent floats and the entry leaves the mask;
+    such an entry, like one still live at the NEWTON_ITERS cap, ends on the
+    bracket end that leaves the smaller `_gains`, and the bound adds that
+    slack however the iteration ends. No entry's arithmetic reads another's,
+    so its c* does not depend on the entries beside it.
     """
+    u, v, wealth, lo, hi = faces.u, faces.v, faces.wealth, faces.lo, faces.hi
     weight = s[:, None] * faces.weights
-    lo, hi = faces.lo, faces.hi
     at_lo = _slope_from(weight, g, faces.marginal_lo) <= 0.0
-    inside = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
-    c = np.where(at_lo, lo, hi)
-    if inside.any():
-        # an entry strictly inside has w > 0 and g > 0: the slope g - w v'/u'
-        # is g at w = 0, and is positive at the lower face
-        c[inside] = _newton_root(faces.u, faces.v, faces.wealth[inside], weight[inside],
-                                 g[inside], lo[inside], hi[inside])
-    return c
-
-
-def _newton_root(u, v, wealth, w, g, lo, hi) -> np.ndarray:
-    """The sign change of the slope g - w v'(W - x) / u'(x), x = u^-1(c), on
-    each (lo, hi) whose slope is positive at lo and negative at hi.
-
-    Safeguarded Newton (Numerical Recipes' rtsafe) on the log first-order
-    condition psi(c) = log(w v'(W - x) / (g u'(x))), which rises in c with
-    psi' = (A_v(W - x) + A_u(x)) / u'(x), A = -U''/U' the absolute risk
-    aversion: linear for a linear agent and a CARA principal, where one
-    step is exact. The sign of psi moves the bracket (nan counts as "move
-    up", as a nan marginal counts as 0 in `_marginal`); the next point is the
-    Newton point when it lies strictly inside the bracket, else its midpoint.
-    An entry stops at |psi| <= 1e-13. Where psi is too steep for that within
-    float resolution, the bracket collapses to adjacent floats, and the
-    entry stops at the bracket end that leaves the smaller `_gains`, as it
-    does at the NEWTON_ITERS cap; the bound adds that slack however the
-    iteration ends.
-    """
-    out = np.empty_like(lo)
-    todo = np.arange(lo.size)
-    ratio = w / g
+    live = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
+    found = ~live
     left, right = lo, hi
-    c = 0.5 * (left + right)
+    c = np.where(live, 0.5 * (lo + hi), np.where(at_lo, lo, hi))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = weight / g
         for _ in range(NEWTON_ITERS):
+            if not live.any():
+                break
             x = u._inverse(c)
             du, rest = u._deriv(x), wealth - x
             psi = np.log(ratio * (v._deriv(rest) / du))
-            up = ~(psi >= 0.0)
-            left, right = np.where(up, c, left), np.where(psi > 0.0, c, right)
+            left = np.where(live & ~(psi >= 0.0), c, left)
+            right = np.where(live & (psi > 0.0), c, right)
             newton = c - psi * du / (v._risk_aversion(rest) + u._risk_aversion(x))
             mid = 0.5 * (left + right)
-            found = np.abs(psi) <= 1e-13
-            done = found | (mid <= left) | (mid >= right)
-            if done.any():
-                out[todo[found]] = c[found]
-                ends = done & ~found
-                if ends.any():
-                    out[todo[ends]] = _better_end(u, v, wealth[ends], w[ends], g[ends],
-                                                  lo[ends], hi[ends], left[ends], right[ends])
-                keep = ~done
-                todo, left, right = todo[keep], left[keep], right[keep]
-                wealth, w, g, ratio, lo, hi = (a[keep] for a in (wealth, w, g, ratio, lo, hi))
-                if not todo.size:
-                    return out
-                newton, mid = newton[keep], mid[keep]
-            c = np.where((left < newton) & (newton < right), newton, mid)
-        out[todo] = _better_end(u, v, wealth, w, g, lo, hi, left, right)
-    return out
+            found |= live & (np.abs(psi) <= 1e-13)
+            live &= ~found & (left < mid) & (mid < right)
+            c = np.where(live, np.where((left < newton) & (newton < right), newton, mid), c)
+        if not found.all():
+            c = np.where(found, c, _better_end(u, v, wealth, weight, g, lo, hi, left, right))
+    return c
 
 
 def _better_end(u, v, wealth, w, g, lo, hi, left, right):
@@ -287,9 +270,8 @@ def _projection(y, lo, hi, a, b):
     scale = max(1.0, float(np.abs(y).max()))
     if (a @ y - b).min(initial=0.0) >= -1e-14 * scale and not (below | above).any():
         return y
-    eye = np.eye(y.size)
     while True:
-        g = np.vstack([a, eye[below], -eye[above]])
+        g = np.vstack([a, _unit_rows(below), -_unit_rows(above)])
         h = np.concatenate([b, lo[below], -hi[above]]) - g @ y
         e, f = np.vstack([g.T, h]), np.r_[np.zeros(y.size), 1.0]
         u = nnls(e, f)[0]
@@ -301,6 +283,11 @@ def _projection(y, lo, hi, a, b):
         if (crossed_lo == below).all() and (crossed_hi == above).all():
             return np.clip(x, lo, hi)
         below, above = crossed_lo, crossed_hi
+
+
+def _unit_rows(mask):
+    """The rows of the identity that `mask` picks."""
+    return (np.flatnonzero(mask)[:, None] == np.arange(mask.size)).astype(float)
 
 
 def _primal_step(uu, x, value, a, b):
@@ -349,21 +336,24 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     SLSQP minimizes D for at most `opts.max_iters` iterations, with the
     gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
     (`_inner_max`), which reads what it needs of the instance from
-    `_dual_faces`, prepared once per solve after the pooling check; the
-    bound adds `_inner_slack` at the last c*, so it holds however the inner
-    iteration ended. The mechanism is the exact projection of c* onto the
-    constraints (`_projection`), or the pooling point at the upper contract
-    bound should nnls reach its iteration cap;
-    only while the bound exceeds its value by more than `opts.tol` does
-    `_primal_step` run, and its projected point replaces that mechanism if
-    it is worth more. `converged` means the mechanism is feasible within
-    `opts.tol` and `gap` = bound - value is at most `opts.tol`; the `trace`
-    holds (iteration, D) per dual iteration. Two solves of the same instance
-    with the same options agree bitwise only under the same BLAS thread
-    setting: SLSQP's own BLAS calls go through scipy's bundled OpenBLAS (a
-    library apart from numpy's), whose thread count can round its steps
-    differently and so change its path; pinning that pool alone to one
-    thread reproduces a single-thread solve.
+    `_dual_faces`, prepared once per solve after the pooling check. The
+    trace and the bound read the dual's last evaluation, with no memo:
+    SLSQP evaluates each iterate before it calls back with it and returns
+    the last point it evaluated, so each bound and its c* come from one
+    evaluation. The bound adds `_inner_slack` at that c*, so it holds
+    whatever point was evaluated last and however the inner iteration
+    ended. The mechanism is the exact projection of c* onto the constraints
+    (`_projection`), or the pooling point at the upper contract bound
+    should nnls reach its iteration cap; only while the bound exceeds its
+    value by more than `opts.tol` does `_primal_step` run, and its projected
+    point replaces that mechanism if it is worth more. `converged` means the
+    mechanism is feasible within `opts.tol` and `gap` = bound - value is at
+    most `opts.tol`; the `trace` holds (iteration, D) per dual iteration.
+    Two solves of the same instance with the same options agree bitwise
+    only under the same BLAS thread setting: SLSQP's own BLAS calls go
+    through scipy's bundled OpenBLAS (a library apart from numpy's), whose
+    thread count can round its steps differently and so change its path;
+    pinning that pool alone to one thread reproduces a single-thread solve.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize
@@ -408,28 +398,25 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         c = _inner_max(faces, s, g)
         values = _evaluate(uu, c)
         bound = float(lam @ penalties - mu @ b + s @ values + np.sum(g * c))
-        last.update(z=z.copy(), bound=bound, s=s, g=g, c=c)
+        last.update(bound=bound, s=s, g=g, c=c)
         return bound, np.concatenate([penalties + priors @ values, a @ c.ravel() - b])
 
-    def at(z):
-        if not np.array_equal(z, last.get("z")):
-            dual(z)
-        return last
-
+    # the dual's last evaluation: SLSQP evaluates each iterate before it
+    # calls back with it, and the point it returns is the last it evaluated,
+    # so the trace and the final bound read D where it was evaluated
     last: dict = {}
     trace: list[tuple[int, float]] = []
     simplex = np.r_[np.ones(k), np.zeros(b.size)]
-    res = minimize(
+    minimize(
         dual, np.concatenate([np.full(k, 1.0 / k), np.zeros(b.size)]), jac=True,
         method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b.size,
         constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
                       "jac": lambda z: simplex}],
-        callback=lambda z: trace.append((len(trace) + 1, at(z)["bound"])),
+        callback=lambda z: trace.append((len(trace) + 1, last["bound"])),
         options={"maxiter": opts.max_iters, "ftol": 1e-15},
     )
-    final = at(res.x)
-    bound = final["bound"] + _inner_slack(faces, final["s"], final["g"], final["c"])
-    x = project(final["c"].ravel())
+    bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
+    x = project(last["c"].ravel())
     value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
     if bound - value > opts.tol:
         polished = project(_primal_step(uu, x, value, a, b))

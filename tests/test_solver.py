@@ -292,16 +292,22 @@ UTILITIES = {
 }
 
 
-def checked_slope(uu, weight, g, c):
-    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
-    phi' = -v'(e_p + e_a - u^-1(c)) / u'(u^-1(c)) taken through the public,
-    checked `inverse` and `deriv`: no code shared with the solver. A nan
-    phi' counts as 0, and a type of weight 0 has slope g."""
+def checked_marginal(uu, c):
+    """phi' = -v'(e_p + e_a - u^-1(c)) / u'(u^-1(c)) taken through the
+    public, checked `inverse` and `deriv`: no code shared with the solver.
+    A nan phi' counts as 0."""
     inst = uu.base
     agent = inst.u.inverse(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         marginal = -inst.v.deriv(inst.e_p + inst.e_a - agent) / inst.u.deriv(agent)
-        marginal = np.where(np.isnan(marginal), 0.0, marginal)
+        return np.where(np.isnan(marginal), 0.0, marginal)
+
+
+def checked_slope(uu, weight, g, c):
+    """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
+    phi' from `checked_marginal`; a type of weight 0 has slope g."""
+    marginal = checked_marginal(uu, c)
+    with np.errstate(invalid="ignore"):
         return g + np.where(weight > 0.0, weight * marginal, 0.0)
 
 
@@ -361,21 +367,17 @@ def inner_max_case(seed, u_name, v_name, n, m, full_box, scale=1.0):
 
 
 def per_call_inner_max(uu, s, g):
-    """The inner maximizer with phi' at the faces taken through the checked
-    utilities on every call (`checked_slope`): what `_dual_faces` must
-    reproduce bitwise."""
+    """The inner maximizer from a `_DualFaces` whose phi' at the faces is
+    taken through the checked utilities (`checked_marginal`) on every call:
+    what `_dual_faces` must reproduce bitwise."""
     inst = uu.base
-    weight = s[:, None] * inst.principal_weights()
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
-    at_lo = checked_slope(uu, weight, g, lo) <= 0.0
-    inside = ~at_lo & (checked_slope(uu, weight, g, hi) < 0.0)
-    c = np.where(at_lo, lo, hi)
-    if inside.any():
-        wealth = np.broadcast_to(inst.e_p + inst.e_a, g.shape)[inside]
-        c[inside] = rcl.solver._newton_root(inst.u, inst.v, wealth, weight[inside],
-                                            g[inside], lo[inside], hi[inside])
-    return c
+    faces = rcl.solver._DualFaces(
+        inst.u, inst.v, inst.principal_weights(), lo, hi,
+        np.broadcast_to(inst.e_p + inst.e_a, g.shape),
+        checked_marginal(uu, lo), checked_marginal(uu, hi))
+    return rcl.solver._inner_max(faces, s, g)
 
 
 def assert_matches_bisection(uu, s, g):
@@ -415,8 +417,38 @@ class TestInnerMax:
         uu, s, g = inner_max_case(seed, u_name, v_name, n, m, full_box, scale)
         if unpriced:
             g = np.where(s[:, None] > 0.0, g, 0.0)
-        np.testing.assert_array_equal(rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g),
+        faces = rcl.solver._dual_faces(uu)
+        for prepared, face in ((faces.marginal_lo, faces.lo), (faces.marginal_hi, faces.hi)):
+            np.testing.assert_array_equal(prepared, checked_marginal(uu, face))
+        np.testing.assert_array_equal(rcl.solver._inner_max(faces, s, g),
                                       per_call_inner_max(uu, s, g))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u_name=st.sampled_from(sorted(UTILITIES)),
+        v_name=st.sampled_from(sorted(UTILITIES)),
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        full_box=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-300, 1e-310]),
+    )
+    @example(seed=0, u_name="crra", v_name="crra", n=3, m=4, full_box=True, scale=1.0)
+    @example(seed=1, u_name="linear", v_name="crra", n=3, m=4, full_box=True, scale=1e-310)
+    def test_entry_independent_of_the_others(self, seed, u_name, v_name, n, m, full_box,
+                                             scale):
+        # every entry iterates in place under the live mask, so changing the
+        # g of all the others, which moves them between the faces, the
+        # interior and the collapsed brackets, leaves its c* bitwise as it was
+        uu, s, g = inner_max_case(seed, u_name, v_name, n, m, full_box, scale)
+        faces = rcl.solver._dual_faces(uu)
+        c = rcl.solver._inner_max(faces, s, g)
+        others = np.random.default_rng(seed).permutation(g.ravel()).reshape(g.shape)
+        for entry in np.ndindex(g.shape):
+            moved = others.copy()
+            moved[entry] = g[entry]
+            alone = rcl.solver._inner_max(faces, s, moved)
+            assert alone[entry].tobytes() == c[entry].tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -571,16 +603,51 @@ class TestCertificate:
         assert res.value >= res.bound - opts.tol
 
 
-def dual_bound(uu, lam, mu):
-    """D(lam, mu) from the solver's own pieces, as `solve_mechanism` adds
-    them up: pen, the row prices, the inner maximum and its slack."""
+def dual_parts(uu, lam, mu):
+    """D(lam, mu) without the inner slack, summed from the solver's own
+    pieces as `solve_mechanism` adds them up (pen, the row prices and the
+    inner maximum), and the slack `_inner_slack` adds to it."""
     a, b = rcl.build_system(uu).matrix_form()
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     s, g = lam @ priors, (mu @ a).reshape(uu.n_types, uu.n_atoms)
     faces = rcl.solver._dual_faces(uu)
     c = rcl.solver._inner_max(faces, s, g)
-    return (lam @ penalties - mu @ b + s @ rcl.solver._evaluate(uu, c) + np.sum(g * c)
-            + rcl.solver._inner_slack(faces, s, g, c))
+    dual = float(lam @ penalties - mu @ b + s @ rcl.solver._evaluate(uu, c) + np.sum(g * c))
+    return dual, rcl.solver._inner_slack(faces, s, g, c)
+
+
+class TestDualReadsItsLastEvaluation:
+    @pytest.mark.parametrize("name", ["reinsurance_halfline", "cara_hedging"])
+    def test_trace_and_bound_at_the_iterates(self, monkeypatch, name):
+        # the solver keeps no memo: each trace row is D at the iterate SLSQP
+        # calls back with, and the bound is D plus the slack at the point it
+        # returns, recomputed here from the iterates themselves
+        iterates, results = [], []
+
+        def recorded(fun, x0, callback=None, **kwargs):
+            if callback is None:  # the primal step
+                return minimize(fun, x0, **kwargs)
+
+            def record(z):
+                iterates.append(z.copy())
+                callback(z)
+
+            results.append(minimize(fun, x0, callback=record, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("scipy.optimize.minimize", recorded)
+        uu = rcl.to_utility_units(rcl.build_preset(name))
+        res = rcl.solve_mechanism(uu)
+        k = uu.base.beliefs.priors.shape[0]
+
+        def at(z):
+            lam = np.maximum(z[:k], 0.0)
+            return dual_parts(uu, lam / lam.sum(), np.maximum(z[k:], 0.0))
+
+        assert len(results) == 1 and len(iterates) == res.iterations > 0
+        assert [bound for _, bound in res.trace] == [at(z)[0] for z in iterates]
+        dual, slack = at(results[0].x)
+        assert res.bound == dual + slack
 
 
 class TestWeakDuality:
@@ -605,7 +672,8 @@ class TestWeakDuality:
             inst, u=UTILITIES[u_name](), v=UTILITIES[v_name]())))
         lam = np.array(lam) if sum(lam) > 0.0 else np.array([1.0, 0.0])
         mu = np.array(mu[:n * n])
-        bound = dual_bound(uu, lam / lam.sum(), mu)
+        dual, slack = dual_parts(uu, lam / lam.sum(), mu)
+        bound = dual + slack
         assert bound >= rcl.grid_oracle(uu, 4).value - 1e-12
 
 

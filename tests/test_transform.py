@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,14 +152,38 @@ class TestBoxInsideDomains:
 
     def test_principal_value_not_finite_at_a_face(self):
         # a CARA principal left with wealth 2 - 800 at the upper face has
-        # utility 1 - exp(798) = -inf there: no box is built on it
+        # utility 1 - exp(798) = -inf there: no box is built on it, and the
+        # overflow is reported by the error alone
         inst = one_atom_instance(rcl.linear(), rcl.cara(1.0), e_a=1.0, e_p=2.0,
                                  lo=-1.0, hi=800.0)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="principal utility: not finite"):
                 rcl.validate_instance(inst)
             with pytest.raises(DomainError, match="principal utility: not finite"):
                 rcl.to_utility_units(inst)
+
+    def test_agent_value_overflowing_at_a_face(self, tmp_path, capsys):
+        # a CARA agent left with wealth e_a - 800 at the lower face has
+        # utility 1 - exp(800 - e_a) = -inf there: validation names the
+        # agent's utility, quietly, and every command exits 1 on one line
+        inst = dataclasses.replace(
+            rcl.build_preset("reinsurance_wholeline"), u=rcl.cara(1.0), v=rcl.cara(0.5),
+            contract_lo=np.array([-800.0, -1.0]), reservation=None)
+        message = "agent utility: not finite at the contract bounds"
+        path = tmp_path / "inst.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                rcl.validate_instance(inst)
+            with pytest.raises(DomainError, match=message):
+                rcl.to_utility_units(inst)
+            rcl.save_instance(inst, path)
+            for command in (["solve"], ["oracle", "--levels", "3"], ["menu", "--levels", "3"]):
+                out = tmp_path / command[0]
+                assert main([*command, "--instance", str(path), "--out", str(out)]) == 1
+                assert capsys.readouterr().err == f"error: {message}\n"
+                assert not (out / "result.json").exists()
 
 
 class TestFromUtilityUnits:
