@@ -18,6 +18,7 @@ non-finite numbers and non-positive quadrature weights in it are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -107,6 +108,16 @@ class MarketModel:
         return self.nodes.size
 
 
+@cache
+def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw m-node Gauss-Hermite rule, computed once per m and read-only:
+    `hermgauss` costs milliseconds at m = MAX_NODES."""
+    rule = hermgauss(m)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def discretize_terminal(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights for a N(0, horizon) terminal value.
 
@@ -119,7 +130,7 @@ def discretize_terminal(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]
         raise RangeError(f"{m} nodes exceed the cap {MAX_NODES}")
     if not 0.0 < horizon < np.inf:
         raise RangeError("horizon must be positive and finite")
-    x, w = hermgauss(m)
+    x, w = _hermite_rule(m)
     nodes = np.sqrt(2.0 * horizon) * x
     weights = w / np.sqrt(np.pi)
     half = m // 2

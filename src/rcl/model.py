@@ -451,14 +451,26 @@ class BeliefSet:
             raise ValidationError(violations)
 
     def robust_value(self, type_values: np.ndarray) -> tuple[float, int]:
-        """min over priors of expected value plus penalty; ties -> lowest index.
+        """min over priors of expected value plus penalty, and the lowest
+        prior whose total is that minimum up to rounding.
 
         Per-prior sums go through `_row_dots`, so the value is bitwise the
         same whichever other type values are scored beside it (as
-        `solve_menu` scores a block of menus at once)."""
-        totals = _row_dots(self.priors, np.asarray(type_values, dtype=float)) + self.penalties
+        `solve_menu` scores a block of menus at once). The value is the
+        exact minimum of the computed totals. A total within gamma (|P| |v|
+        + |pen|) of it, gamma = 2 (n_types + 1) eps, may be equal to it in
+        exact arithmetic (Higham §3.1 bounds the rounding of each total),
+        so the index is the lowest such prior: at a pooling vector, where
+        every total is equal in exact arithmetic, it does not follow the
+        summation order. A nan total is the minimum, as for `np.argmin`."""
+        type_values = np.asarray(type_values, dtype=float)
+        totals = _row_dots(self.priors, type_values) + self.penalties
         idx = int(np.argmin(totals))
-        return float(totals[idx]), idx
+        gamma = 2.0 * (type_values.size + 1) * np.finfo(float).eps
+        rounding = gamma * (_row_dots(self.priors, np.abs(type_values)) + np.abs(self.penalties))
+        tied = totals - rounding <= totals[idx]
+        tied[idx] = True
+        return float(totals[idx]), int(np.argmax(tied))
 
 
 @dataclass

@@ -4,11 +4,13 @@ The principal's objective over mechanisms is concave (her utility is concave
 and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
 set is an exact minimum. The solver minimizes the Lagrangian dual, whose
-every value bounds the optimum from above, turns the dual's inner maximizer
-into a mechanism by the exact nearest-point projection onto the box and the
-constraint rows (least distance by NNLS over the rows and the box faces the
-point crosses), and reports the gap between the bound and that mechanism's
-value. The oracle enumerates grid-level assignments exhaustively and is kept
+every value bounds the optimum from above, pricing only a working set of
+rows that grows in rounds: a dual point with the other rows' prices at 0 is
+a point of the full dual, so its value is still a bound. It turns the
+dual's inner maximizer into a mechanism by the exact nearest-point
+projection onto the box and all the constraint rows (least distance by NNLS
+over the rows and the box faces the point crosses), and reports the gap
+between the bound and that mechanism's value. The oracle enumerates grid-level assignments exhaustively and is kept
 free of any solver machinery so the two can check each other: it is plain
 enumeration under the same IR/IC rows, which it applies as soon as their
 types are assigned, extending only IR-feasible, pairwise-IC assignment
@@ -333,22 +335,44 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     the optimum by D(lam, mu) = lam.pen - mu.b + sum_ji max_c [s_j w_i
     phi_i(c) + (A^T mu)_ji c] for every prior mixture lam and row prices
     mu >= 0, where s = lam^T kappa and phi_i(c) = v(e_p,i + e_a,i - u^-1(c)).
-    SLSQP minimizes D for at most `opts.max_iters` iterations, with the
-    gradients pen + kappa V(c*) and A c* - b at the inner maximizer c*
-    (`_inner_max`), which reads what it needs of the instance from
-    `_dual_faces`, prepared once per solve after the pooling check. The
-    trace and the bound read the dual's last evaluation, with no memo:
+    SLSQP minimizes D with the gradients pen + kappa V(c*) and A c* - b at
+    the inner maximizer c* (`_inner_max`), which reads what it needs of the
+    instance from `_dual_faces`, prepared once per solve after the pooling
+    check.
+
+    Only the rows of a working set W carry a price; mu is 0 on the rest.
+    Such a mu is a point of the full dual, so D there plus `_inner_slack`
+    bounds the full problem however small W is. W starts with every IR row
+    and the IC rows both ways between each type and its two nearest types
+    (Euclidean distance between rows of `type_weights()`, so the order the
+    types are listed in does not matter); with at most three types that is
+    every row. SLSQP then runs in rounds over (lam, mu_W):
+      - rows outside W that c* violates by more than 1e-9 join W, and the
+        next round starts from this round's point, the new prices at 0;
+      - when none does, c* is projected onto all the rows (`_projection`),
+        or stands in as the pooling point at the upper contract bound
+        should nnls reach its iteration cap. Only while the bound exceeds
+        its value by more than `opts.tol` does `_primal_step` run, and its
+        projected point replaces the projection if it is worth more;
+      - if the gap still exceeds `opts.tol`, the outside rows with slack at
+        most `opts.tol` there join W, or every row if none has, and the next
+        round starts cold (uniform lam, mu = 0). A round on every row is the
+        solve without a working set, so no instance loses its certificate.
+    Delayed constraint generation (Bertsimas & Tsitsiklis, Introduction to
+    Linear Optimization, ch. 6): at the local-IC optimum of a screening
+    problem few rows bind, and SLSQP's dense subproblem grows with k + |W|,
+    not k + n^2. `iterations` and the `trace`, one (iteration, D) row per
+    dual iteration, count SLSQP's iterations summed over the rounds, and
+    `opts.max_iters` caps that sum; the cap ends the solve at the round it
+    stops.
+
+    The trace and the bound read the dual's last evaluation, with no memo:
     SLSQP evaluates each iterate before it calls back with it and returns
     the last point it evaluated, so each bound and its c* come from one
-    evaluation. The bound adds `_inner_slack` at that c*, so it holds
-    whatever point was evaluated last and however the inner iteration
-    ended. The mechanism is the exact projection of c* onto the constraints
-    (`_projection`), or the pooling point at the upper contract bound
-    should nnls reach its iteration cap; only while the bound exceeds its
-    value by more than `opts.tol` does `_primal_step` run, and its projected
-    point replaces that mechanism if it is worth more. `converged` means the
-    mechanism is feasible within `opts.tol` and `gap` = bound - value is at
-    most `opts.tol`; the `trace` holds (iteration, D) per dual iteration.
+    evaluation. The bound is the last round's, with `_inner_slack` at that
+    c*, so it holds whatever point was evaluated last and however the inner
+    iteration ended. `converged` means the mechanism is feasible within
+    `opts.tol` and `gap` = bound - value is at most `opts.tol`.
     Two solves of the same instance with the same options agree bitwise
     only under the same BLAS thread setting: SLSQP's own BLAS calls go
     through scipy's bundled OpenBLAS (a library apart from numpy's), whose
@@ -391,37 +415,65 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         except RuntimeError:
             return hi
 
-    def dual(z):
+    def dual(z, a_w, b_w):
         lam = np.maximum(z[:k], 0.0)
         lam, mu = lam / lam.sum(), np.maximum(z[k:], 0.0)
-        s, g = lam @ priors, (mu @ a).reshape(n, m)
+        s, g = lam @ priors, (mu @ a_w).reshape(n, m)
         c = _inner_max(faces, s, g)
         values = _evaluate(uu, c)
-        bound = float(lam @ penalties - mu @ b + s @ values + np.sum(g * c))
+        bound = float(lam @ penalties - mu @ b_w + s @ values + np.sum(g * c))
         last.update(bound=bound, s=s, g=g, c=c)
-        return bound, np.concatenate([penalties + priors @ values, a @ c.ravel() - b])
+        return bound, np.concatenate([penalties + priors @ values, a_w @ c.ravel() - b_w])
+
+    # the working set: every IR row, and both IC rows between each type and
+    # its two nearest types by the distance between their expectation weights
+    weights = uu.base.type_weights()
+    distance = np.square(weights[:, None, :] - weights[None, :, :]).sum(axis=2)
+    np.fill_diagonal(distance, np.inf)
+    near = np.zeros((n, n), dtype=bool)
+    near[np.arange(n)[:, None], np.argsort(distance, axis=1, kind="stable")[:, :2]] = True
+    working = np.r_[(near | near.T)[~np.eye(n, dtype=bool)], np.ones(n, dtype=bool)]
+    cold = np.r_[np.full(k, 1.0 / k), np.zeros(b.size)]
+    start = cold
 
     # the dual's last evaluation: SLSQP evaluates each iterate before it
     # calls back with it, and the point it returns is the last it evaluated,
     # so the trace and the final bound read D where it was evaluated
     last: dict = {}
     trace: list[tuple[int, float]] = []
-    simplex = np.r_[np.ones(k), np.zeros(b.size)]
-    minimize(
-        dual, np.concatenate([np.full(k, 1.0 / k), np.zeros(b.size)]), jac=True,
-        method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b.size,
-        constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
-                      "jac": lambda z: simplex}],
-        callback=lambda z: trace.append((len(trace) + 1, last["bound"])),
-        options={"maxiter": opts.max_iters, "ftol": 1e-15},
-    )
-    bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
-    x = project(last["c"].ravel())
-    value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
-    if bound - value > opts.tol:
-        polished = project(_primal_step(uu, x, value, a, b))
-        if principal_value(uu, Mechanism(polished.reshape(n, m)))[0] > value:
-            x = polished
+    while True:
+        a_w, b_w = a[working], b[working]
+        simplex = np.r_[np.ones(k), np.zeros(b_w.size)]
+        point = minimize(
+            dual, np.r_[start[:k], start[k:][working]], args=(a_w, b_w), jac=True,
+            method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b_w.size,
+            constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
+                          "jac": lambda z: simplex}],
+            callback=lambda z: trace.append((len(trace) + 1, last["bound"])),
+            options={"maxiter": opts.max_iters - len(trace), "ftol": 1e-15},
+        ).x
+        bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
+        spent = len(trace) >= opts.max_iters
+        start = np.zeros(k + b.size)
+        start[:k], start[k:][working] = point[:k], point[k:]
+        violated = ~working & (a @ last["c"].ravel() - b < -1e-9)
+        if violated.any() and not spent:
+            working |= violated
+            continue
+        x = project(last["c"].ravel())
+        value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
+        if bound - value > opts.tol:
+            polished = project(_primal_step(uu, x, value, a, b))
+            polished_value = principal_value(uu, Mechanism(polished.reshape(n, m)))[0]
+            if polished_value > value:
+                x, value = polished, polished_value
+        if bound - value <= opts.tol or working.all() or spent:
+            break
+        # rows near binding at the projection join, or else every row does;
+        # either way the next round starts cold
+        near_binding = ~working & (a @ x - b <= opts.tol)
+        working |= near_binding if near_binding.any() else True
+        start = cold
     return result(x, bound, trace)
 
 

@@ -54,6 +54,19 @@ class TestDiscretize:
         nodes, weights = rcl.discretize_terminal(4.0, 10)
         assert weighted_moment(nodes, weights, 2) == pytest.approx(4.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [7, 200])
+    def test_mutating_a_rule_leaves_the_next_call_unchanged(self, m):
+        # the raw rule is computed once per node count and kept read-only
+        first = [part.tobytes() for part in rcl.discretize_terminal(1.5, m)]
+        nodes, weights = rcl.discretize_terminal(1.5, m)
+        nodes[:] = np.nan
+        weights *= 2.0
+        assert [part.tobytes() for part in rcl.discretize_terminal(1.5, m)] == first
+        raw = rcl.market._hermite_rule(m)
+        assert raw is rcl.market._hermite_rule(m)
+        with pytest.raises(ValueError):
+            raw[0][0] = 0.0
+
     def test_node_cap(self):
         with pytest.raises(RangeError):
             rcl.discretize_terminal(1.0, 201)

@@ -377,6 +377,34 @@ class TestBeliefSet:
         value, idx = b.robust_value(np.array([2.0, 2.0]))
         assert value == 2.0 and idx == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), k=st.integers(2, 5),
+           level=st.floats(-1e3, 1e3), penalty=st.floats(-1.0, 1.0))
+    def test_pooling_worst_prior_does_not_follow_summation_order(self, seed, n, k,
+                                                                 level, penalty):
+        # dyadic priors sum to 1 exactly, so at a pooling vector with equal
+        # penalties every total is level + penalty in exact arithmetic, and
+        # only rounding tells them apart; the type order changes the rounding
+        rng = np.random.default_rng(seed)
+        priors = rng.multinomial(1024, np.full(n, 1.0 / n), size=k) / 1024.0
+        values = np.full(n, level)
+        for order in (np.arange(n), rng.permutation(n), np.arange(n)[::-1]):
+            b = rcl.BeliefSet(priors=priors[:, order], penalties=np.full(k, penalty))
+            value, idx = b.robust_value(values)
+            assert idx == 0
+            assert value == (_row_dots(b.priors, values) + b.penalties).min()
+
+    def test_robust_value_is_the_exact_minimum(self, rng):
+        # the tie window moves the index only, never the value
+        for _ in range(20):
+            b = rcl.BeliefSet(priors=rng.dirichlet(np.ones(4), size=3),
+                              penalties=rng.uniform(0.0, 0.1, 3))
+            values = rng.normal(size=4)
+            totals = _row_dots(b.priors, values) + b.penalties
+            value, idx = b.robust_value(values)
+            assert value == totals.min()
+            assert idx == int(np.argmin(totals))
+
     def test_rejects_bad_priors(self):
         with pytest.raises(ValidationError):
             rcl.BeliefSet(priors=[[0.6, 0.6]], penalties=[0.0])

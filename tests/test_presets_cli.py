@@ -492,6 +492,41 @@ class TestCli:
         assert "usage: rcl" in capsys.readouterr().out
 
 
+# a benchmark input (perfbench `certify`, seed 310, `inst_2x3`) whose two-level
+# grid optimum pools, so both priors' totals are equal in exact arithmetic
+POOLING_2X3 = {
+    "beliefs": {"penalties": [0.0, 0.0],
+                "priors": [[0.32960128910183534, 0.34081722789074864, 0.32958148300741597],
+                           [0.6039003090893844, 0.19632111682903133, 0.1997785740815842]]},
+    "bounds": {"hi": [1.627599781443605, 1.2838099004803631],
+               "lo": [-0.7848889391856829, -1.0059065234809088]},
+    "e_a": [0.9811111739821036, 1.257383154351136],
+    "e_p": [2.034499726804506, 1.6047623756004539],
+    "principal_belief": {"density": [0.9821027930771453, 1.0171203080572613],
+                         "label": "principal"},
+    "reservation": [0.15773933442399377, 0.10780774402134957, 0.05868825313737076],
+    "states": {"atoms": ["s0", "s1"], "ref_prob": [0.4889069960270696, 0.5110930039729304]},
+    "types": [{"density": [0.5877494763907708, 1.3943551634274565], "label": "theta0"},
+              {"density": [0.9993903915512403, 1.0005831459893189], "label": "theta1"},
+              {"density": [1.4043362788472038, 0.6132155323213538], "label": "theta2"}],
+    "u": {"domain": "half-line", "family": "log"},
+    "v": {"alpha": 1.0, "domain": "half-line", "family": "cara"},
+}
+
+
+def test_pooling_oracle_reports_the_first_worst_prior(tmp_path):
+    # rounding left prior 1's total a hair below prior 0's; within the
+    # rounding bound the lowest prior is reported
+    path = tmp_path / "inst_2x3.json"
+    path.write_text(json.dumps(POOLING_2X3))
+    out = tmp_path / "o"
+    assert main(["oracle", "--instance", str(path), "--levels", "2", "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())["result"]
+    assignment = np.array(result["mechanism"]["assignment"])
+    assert (assignment == assignment[0]).all()
+    assert result["worst_prior"] == 0
+
+
 def test_cli_import_loads_no_scipy_and_no_logging():
     # every `rcl` command, and every benchmark set-up, pays for importing
     # rcl.cli; scipy is imported only where a solve, a projection or a

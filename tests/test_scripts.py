@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     # the benchmark's market shape: 16 drift types on 200 nodes
     ("run_market_closed_forms.py", ["--drifts", "16", "--nodes", "200"]),
     ("run_solver_vs_oracle.py", ["--instances", "2", "--levels", "3", "--max-iters", "300"]),
-    ("run_refinement.py", ["--max-nodes", "48"]),
+    ("run_refinement.py", ["--max-nodes", "48", "--max-types", "16"]),
 ], ids=["equivalence_sweep", "market_closed_forms", "market_closed_forms_16x200",
         "solver_vs_oracle", "refinement"])
 def test_script_exits_zero(script, args):

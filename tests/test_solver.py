@@ -650,6 +650,137 @@ class TestDualReadsItsLastEvaluation:
         assert res.bound == dual + slack
 
 
+def seeded_rows(uu):
+    """The rows the first dual round prices, by the rule itself: every IR
+    row, and both IC rows between each type and each of its two nearest
+    types by Euclidean distance between rows of `type_weights()`."""
+    weights, n = uu.base.type_weights(), uu.n_types
+    near = set()
+    for j in range(n):
+        others = sorted((k for k in range(n) if k != j),
+                        key=lambda k: (float(np.linalg.norm(weights[j] - weights[k])), k))
+        near |= {pair for k in others[:2] for pair in ((j, k), (k, j))}
+    return np.array([pair in near for pair in rcl.build_system(uu).ic_pairs()] + [True] * n)
+
+
+def record_rounds(monkeypatch):
+    """(x0, result) of every dual SLSQP round of the solves that follow."""
+    rounds = []
+
+    def recorded(fun, x0, callback=None, **kwargs):
+        res = minimize(fun, x0, callback=callback, **kwargs)
+        if callback is not None:  # not the primal step
+            rounds.append((np.array(x0), res))
+        return res
+
+    monkeypatch.setattr("scipy.optimize.minimize", recorded)
+    return rounds
+
+
+def shuffled(inst, order):
+    """`inst` with its types listed in `order`."""
+    return rcl.validate_instance(dataclasses.replace(
+        inst, types=[inst.types[j] for j in order],
+        beliefs=rcl.BeliefSet(inst.beliefs.priors[:, order], inst.beliefs.penalties),
+        reservation=inst.reservation[order]))
+
+
+class TestWorkingSet:
+    # the dual prices a working set of rows: the IR rows and the IC rows
+    # between near types, then the rows its maximizer violates, then (only
+    # while the gap is open) the rows near binding at the projection, and
+    # as a last resort every row
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_types_price_every_row(self, monkeypatch, n):
+        # each type's two nearest types are all the others: one round, on
+        # every row
+        rounds = record_rounds(monkeypatch)
+        uu = make_uu(np.random.default_rng(n), n=n, m=3)
+        res = rcl.solve_mechanism(uu)
+        k = uu.base.beliefs.priors.shape[0]
+        assert seeded_rows(uu).all()
+        assert [x0.size for x0, _ in rounds] == [k + n * n]
+        assert res.converged and res.iterations == rounds[0][1].nit
+
+    def test_bound_is_the_full_dual_at_the_padded_prices(self, monkeypatch):
+        # 8 evenly spaced slopes listed out of order: the nearest types are
+        # the neighbouring slopes, not the neighbouring indices
+        slopes = np.linspace(-0.45, 0.45, 8)[[3, 0, 6, 1, 7, 4, 2, 5]]
+        rounds = record_rounds(monkeypatch)
+        uu = rcl.to_utility_units(rcl.build_preset(
+            "cara_hedging", {"n_nodes": 40, "slopes": tuple(slopes)}))
+        res = rcl.solve_mechanism(uu)
+        k, n = uu.base.beliefs.priors.shape[0], uu.n_types
+        working = seeded_rows(uu)
+        assert working.sum() == 26
+        assert [x0.size for x0, _ in rounds] == [k + 26]
+        z = rounds[0][1].x
+        lam, mu = np.maximum(z[:k], 0.0), np.zeros(n * n)
+        mu[working] = np.maximum(z[k:], 0.0)
+        dual, slack = dual_parts(uu, lam / lam.sum(), mu)
+        assert res.converged
+        assert res.bound == pytest.approx(dual + slack, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cap, stopped", [(40, 0), (150, 1)])
+    def test_cap_bounds_the_summed_rounds(self, tmp_path, monkeypatch, cap, stopped):
+        # a linear-linear 8-type draw certifies in several rounds of about
+        # 100 iterations each; the cap counts them all and stops the round
+        # that reaches it
+        rounds = record_rounds(monkeypatch)
+        path = tmp_path / "inst.json"
+        rcl.save_instance(make_instance(np.random.default_rng(5), n=8, m=1, family="linear",
+                                        v_family="linear"), path)
+        assert rcl.cli.main(["solve", "--instance", str(path), "--out",
+                             str(tmp_path / "full")]) == 0
+        spent = np.cumsum([res.nit for _, res in rounds])
+        assert len(rounds) > 2 and np.searchsorted(spent, cap) == stopped
+        del rounds[:]
+        out = tmp_path / "capped"
+        code = rcl.cli.main(["solve", "--instance", str(path), "--max-iters", str(cap),
+                             "--out", str(out)])
+        trace = (out / "trace.csv").read_text().splitlines()[1:]
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert code == 2
+        assert len(rounds) == stopped + 1
+        assert rounds[-1][1].status == 9  # SLSQP's iteration limit
+        assert len(trace) == result["iterations"] == sum(res.nit for _, res in rounds) <= cap
+
+    def test_linear_linear_certifies_through_every_row(self, monkeypatch):
+        # a bang-bang c* violates few outside rows, and here neither they nor
+        # the rows near binding at its projection close the gap: the last
+        # round runs cold on every row, as the solve before working sets did
+        rounds = record_rounds(monkeypatch)
+        uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
+        res = rcl.solve_mechanism(uu)
+        k = uu.base.beliefs.priors.shape[0]
+        x0 = rounds[-1][0]
+        assert len(rounds) > 2 and x0.size == k + 64
+        assert (x0[:k] == 1.0 / k).all() and not x0[k:].any()
+        assert res.converged
+        assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["log", "crra", "cara", "linear"]),
+        v_family=st.sampled_from(["cara_half", "cara_whole", "linear"]),
+        n=st.integers(4, 12),
+        m=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_shuffled_types_certify(self, seed, family, v_family, n, m, data):
+        inst = make_instance(np.random.default_rng(seed), n=n, m=m, family=family,
+                             v_family=v_family, random_penalties=bool(seed % 2))
+        order = data.draw(st.permutations(range(n)))
+        uu = rcl.to_utility_units(shuffled(inst, np.array(order)))
+        opts = rcl.SolveOptions()
+        res = rcl.solve_mechanism(uu, opts)
+        assert res.converged
+        assert rcl.check_mechanism(rcl.build_system(uu), res.mechanism, tol=1e-8).feasible
+        assert res.value >= res.bound - opts.tol
+
+
 class TestWeakDuality:
     # every prior mixture and every nonnegative row price bounds the optimum
     # from above, not only the ones SLSQP visits: draws far from its path
