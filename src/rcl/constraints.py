@@ -56,16 +56,8 @@ class LinearConstraintSystem:
 
     uu: UtilityUnitsInstance
 
-    @property
-    def n_types(self) -> int:
-        return self.uu.n_types
-
-    @property
-    def n_atoms(self) -> int:
-        return self.uu.n_atoms
-
     def ic_pairs(self) -> list[tuple[int, int]]:
-        n = self.n_types
+        n = self.uu.n_types
         return [(j, k) for j in range(n) for k in range(n) if k != j]
 
     def matrix_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +78,7 @@ class LinearConstraintSystem:
         slacks are exactly zero."""
         levels = agent_levels(self.uu, mech.assignment)
         own = np.diag(levels)
-        ic = (own[:, None] - levels)[~np.eye(self.n_types, dtype=bool)]
+        ic = (own[:, None] - levels)[~np.eye(self.uu.n_types, dtype=bool)]
         return ic, own - self.uu.reservation
 
 
@@ -122,10 +114,10 @@ def check_mechanism(
     """Evaluate every constraint row and report the worst violations."""
     if not 0.0 <= tol < np.inf:
         raise RangeError("tol must be finite and >= 0")
-    if mech.assignment.shape != (system.n_types, system.n_atoms):
+    shape = (system.uu.n_types, system.uu.n_atoms)
+    if mech.assignment.shape != shape:
         raise DimensionError(
-            f"mechanism shape {mech.assignment.shape} does not match "
-            f"({system.n_types}, {system.n_atoms})"
+            f"mechanism shape {mech.assignment.shape} does not match {shape}"
         )
     ic, ir = system.slacks(mech)
     row_slacks = (

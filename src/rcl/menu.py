@@ -23,7 +23,7 @@ import numpy as np
 from .constraints import Mechanism, agent_levels
 from .errors import PreconditionError, SizeCapError, ValidationError
 from .model import _row_dots
-from .solver import _CHUNK, contract_values, enumerate_best_assignment
+from .solver import _CHUNK, contract_values, enumerate_best_assignment, principal_value
 from .transform import UtilityUnitsInstance
 
 # the tie window, the menu's IR floor and the row relaxation on the mechanism
@@ -212,16 +212,19 @@ def equivalence_check(
     Both sides are exhaustive over the same candidate contracts. The
     mechanism enumeration relaxes its constraint rows by DEFAULT_TIE_TOL,
     the menu side's indifference tolerance and IR floor, so the two optima
-    agree to within EQUIVALENCE_TOL on every instance inside the caps.
+    agree to within EQUIVALENCE_TOL on every instance inside the caps. The
+    mechanism side's value is `principal_value` of its optimal assignment,
+    the value `rcl oracle` and `rcl solve` report, and like the menu value
+    one `_row_dots` reduction of per-type values: a menu and a mechanism
+    that credit each type the same contract score bitwise the same.
     `agent_optimal_sets` lists, per type, the indices into the witness menu
     of its tie window under `menu_choices`, the rule the menu value was
     computed with, so it holds every contract that value credits the type.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     menu, menu_value = solve_menu(candidates, uu)
-    assignment, mech_value, _ = enumerate_best_assignment(
-        candidates, uu, tol=DEFAULT_TIE_TOL
-    )
+    assignment, _, _ = enumerate_best_assignment(candidates, uu, tol=DEFAULT_TIE_TOL)
+    mech_value = principal_value(uu, Mechanism(candidates[assignment]))[0]
     gap = abs(menu_value - mech_value)
     _, window, _ = menu_choices(uu, menu)
     phi_sets = {

@@ -334,37 +334,38 @@ class UtilitySpec:
         for levels within the tabulated values.
 
         Each level lies between the values at two adjacent knots, which
-        bracket its root. Safeguarded Newton (Numerical Recipes' rtsafe) on
-        all entries at once: the sign of f(z) - y moves the bracket, and the
-        next point is the Newton point when it lies strictly inside, else
-        the midpoint. An entry stops once its Newton step is within brentq's
-        tolerance 1e-13 + 4 eps |z|, taking that step clipped to its bracket,
-        so its root does not depend on the entries beside it; at the
-        INVERSE_ITERS cap it keeps its last point.
+        bracket its root, and f there is one cubic, read once from the
+        spline's coefficients in s = z - (left knot) and evaluated with its
+        slope by Horner's rule. Safeguarded Newton (Numerical Recipes'
+        rtsafe) runs over every entry in place: the sign of f(z) - y moves
+        the bracket, and the next point is the Newton point when it lies
+        strictly inside, else the midpoint. An entry leaves the live mask
+        once its Newton step is within brentq's tolerance 1e-13 + 4 eps |z|,
+        taking that step clipped to its bracket; at the INVERSE_ITERS cap it
+        keeps its last point. No entry's arithmetic reads another's, so its
+        root does not depend on the entries beside it.
         """
         flat = np.ravel(y)
-        out = np.empty_like(flat)
-        todo = np.arange(flat.size)
         knot = np.clip(np.searchsorted(self.values, flat), 1, self.values.size - 1)
         left, right = self.grid[knot - 1], self.grid[knot]
         v_left, v_right = self.values[knot - 1], self.values[knot]
         z = left + (flat - v_left) * ((right - left) / (v_right - v_left))
+        c3, c2, c1, c0 = self._fwd.c[:, knot - 1]
+        origin = left
+        live = np.ones(flat.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(INVERSE_ITERS):
-                if not todo.size:
+                if not live.any():
                     break
-                miss = self._fwd(z) - flat
+                s = z - origin
+                miss = ((c3 * s + c2) * s + c1) * s + c0 - flat
                 left, right = np.where(miss < 0.0, z, left), np.where(miss > 0.0, z, right)
-                newton = z - miss / self._fwd_deriv(z)
-                done = np.abs(newton - z) <= 1e-13 + 8.9e-16 * np.abs(z)
-                if done.any():
-                    out[todo[done]] = np.clip(newton[done], left[done], right[done])
-                    keep = ~done
-                    todo, flat, z, left, right, newton = (
-                        a[keep] for a in (todo, flat, z, left, right, newton))
-                z = np.where((left < newton) & (newton < right), newton, 0.5 * (left + right))
-        out[todo] = z
-        return out.reshape(np.shape(y))
+                newton = z - miss / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+                done = live & (np.abs(newton - z) <= 1e-13 + 8.9e-16 * np.abs(z))
+                step = np.where((left < newton) & (newton < right), newton, 0.5 * (left + right))
+                z = np.where(done, np.clip(newton, left, right), np.where(live, step, z))
+                live &= ~done
+        return z.reshape(np.shape(y))
 
     def floored_value(self, wealth) -> np.ndarray:
         """u at the wealth, floored at WEALTH_FLOOR on the half line."""
@@ -565,7 +566,7 @@ def _default_reservation(inst: Instance, violations: list[str]) -> np.ndarray | 
     except DomainError as exc:
         violations.append(f"cannot compute default reservation: {exc}")
         return None
-    return np.array([expectation(inst.states, t, base) for t in inst.types])
+    return _row_dots(inst.type_weights(), base)
 
 
 def _spot_check_utility(u: UtilitySpec, lo: float, hi: float, tag: str, violations: list[str]):
@@ -687,8 +688,9 @@ def _check_instance(inst: Instance) -> list[str]:
     except DomainError as exc:
         violations.append(str(exc))
         return violations
+    levels = _row_dots(inst.type_weights(), c_best)
     for j, t in enumerate(inst.types):
-        if expectation(inst.states, t, c_best) < inst.reservation[j] - FEAS_TOL:
+        if levels[j] < inst.reservation[j] - FEAS_TOL:
             violations.append(
                 f"no individually rational contract for type {t.label or j}"
             )

@@ -5,12 +5,14 @@ and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
 set is an exact minimum. The solver minimizes the Lagrangian dual, whose
 every value bounds the optimum from above, pricing only a working set of
-rows that grows in rounds: a dual point with the other rows' prices at 0 is
-a point of the full dual, so its value is still a bound. It turns the
-dual's inner maximizer into a mechanism by the exact nearest-point
-projection onto the box and all the constraint rows (least distance by NNLS
-over the rows and the box faces the point crosses), and reports the gap
-between the bound and that mechanism's value. The oracle enumerates grid-level assignments exhaustively and is kept
+rows: the rows its maximizer violates join in rounds, and every row joins
+if the gap is still open when none does. A dual point with the other rows'
+prices at 0 is a point of the full dual, so its value is still a bound. It
+turns the dual's inner maximizer into a mechanism by the exact
+nearest-point projection onto the box and all the constraint rows (least
+distance by NNLS over the rows and the box faces the point crosses), and
+reports the gap between the bound and that mechanism's value. The oracle
+enumerates grid-level assignments exhaustively and is kept
 free of any solver machinery so the two can check each other: it is plain
 enumeration under the same IR/IC rows, which it applies as soon as their
 types are assigned, extending only IR-feasible, pairwise-IC assignment
@@ -220,32 +222,25 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
             live &= ~found & (left < mid) & (mid < right)
             c = np.where(live, np.where((left < newton) & (newton < right), newton, mid), c)
         if not found.all():
-            c = np.where(found, c, _better_end(u, v, wealth, weight, g, lo, hi, left, right))
+            gain_left, gain_right = (_gains(faces, weight, g, end) for end in (left, right))
+            c = np.where(found, c, np.where(gain_left <= gain_right, left, right))
     return c
 
 
-def _better_end(u, v, wealth, w, g, lo, hi, left, right):
-    """Of each bracket's two ends, the one the concave objective can gain
-    less over on the box (see `_gains`)."""
-    gain = [_gains(g + w * _marginal(u, v, wealth, end), end, lo, hi)
-            for end in (left, right)]
-    return np.where(gain[0] <= gain[1], left, right)
-
-
-def _gains(slope, c, lo, hi):
-    """What the concave inner objective can gain on [lo, hi] over c, entry by
-    entry: its tangent's rise at c toward the face its slope points to. An
-    infinite slope at its own face gives nan, a gain of 0."""
-    return np.where(slope > 0.0, slope * (hi - c), slope * (lo - c))
+def _gains(faces: _DualFaces, weight, g, c):
+    """What the concave inner objective weight phi(c) + g c can gain on the
+    box over c, entry by entry: its tangent's rise at c toward the face its
+    slope points to. An infinite slope at its own face gives nan, a gain of
+    0; the caller silences the invalid-value warning."""
+    slope = _slope_from(weight, g, _marginal(faces.u, faces.v, faces.wealth, c))
+    return np.where(slope > 0.0, slope * (faces.hi - c), slope * (faces.lo - c))
 
 
 def _inner_slack(faces: _DualFaces, s, g, c) -> float:
     """What the inner objective can gain on the box over its value at c, the
     sum of `_gains`: the bound adds it, so it holds at any c."""
-    slope = _slope_from(s[:, None] * faces.weights, g,
-                        _marginal(faces.u, faces.v, faces.wealth, c))
     with np.errstate(invalid="ignore"):
-        return float(np.nansum(_gains(slope, c, faces.lo, faces.hi)))
+        return float(np.nansum(_gains(faces, s[:, None] * faces.weights, g, c)))
 
 
 def _projection(y, lo, hi, a, b):
@@ -346,18 +341,18 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     and the IC rows both ways between each type and its two nearest types
     (Euclidean distance between rows of `type_weights()`, so the order the
     types are listed in does not matter); with at most three types that is
-    every row. SLSQP then runs in rounds over (lam, mu_W):
-      - rows outside W that c* violates by more than 1e-9 join W, and the
-        next round starts from this round's point, the new prices at 0;
+    every row. SLSQP then runs in rounds over (lam, mu_W), each from the
+    previous round's point (the first from uniform lam, mu = 0), a row that
+    joins W priced at 0:
+      - rows outside W that c* violates by more than 1e-9 join W;
       - when none does, c* is projected onto all the rows (`_projection`),
         or stands in as the pooling point at the upper contract bound
         should nnls reach its iteration cap. Only while the bound exceeds
         its value by more than `opts.tol` does `_primal_step` run, and its
         projected point replaces the projection if it is worth more;
-      - if the gap still exceeds `opts.tol`, the outside rows with slack at
-        most `opts.tol` there join W, or every row if none has, and the next
-        round starts cold (uniform lam, mu = 0). A round on every row is the
-        solve without a working set, so no instance loses its certificate.
+      - if the gap still exceeds `opts.tol`, every row joins W. A round on
+        every row is the solve without a working set, so no instance loses
+        its certificate.
     Delayed constraint generation (Bertsimas & Tsitsiklis, Introduction to
     Linear Optimization, ch. 6): at the local-IC optimum of a screening
     problem few rows bind, and SLSQP's dense subproblem grows with k + |W|,
@@ -385,7 +380,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     opts = opts or SolveOptions()
     system = build_system(uu)
     a, b = system.matrix_form()
-    n, m = system.n_types, system.n_atoms
+    n, m = uu.n_types, uu.n_atoms
     lo, hi = np.tile(uu.c_lo, n), np.tile(uu.c_hi, n)
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     k = priors.shape[0]
@@ -433,8 +428,8 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     near = np.zeros((n, n), dtype=bool)
     near[np.arange(n)[:, None], np.argsort(distance, axis=1, kind="stable")[:, :2]] = True
     working = np.r_[(near | near.T)[~np.eye(n, dtype=bool)], np.ones(n, dtype=bool)]
-    cold = np.r_[np.full(k, 1.0 / k), np.zeros(b.size)]
-    start = cold
+    # the dual point over every row, 0 outside W: each round starts from it
+    start = np.r_[np.full(k, 1.0 / k), np.zeros(b.size)]
 
     # the dual's last evaluation: SLSQP evaluates each iterate before it
     # calls back with it, and the point it returns is the last it evaluated,
@@ -454,7 +449,6 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         ).x
         bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
         spent = len(trace) >= opts.max_iters
-        start = np.zeros(k + b.size)
         start[:k], start[k:][working] = point[:k], point[k:]
         violated = ~working & (a @ last["c"].ravel() - b < -1e-9)
         if violated.any() and not spent:
@@ -469,11 +463,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
                 x, value = polished, polished_value
         if bound - value <= opts.tol or working.all() or spent:
             break
-        # rows near binding at the projection join, or else every row does;
-        # either way the next round starts cold
-        near_binding = ~working & (a @ x - b <= opts.tol)
-        working |= near_binding if near_binding.any() else True
-        start = cold
+        working[:] = True
     return result(x, bound, trace)
 
 

@@ -527,6 +527,59 @@ def test_pooling_oracle_reports_the_first_worst_prior(tmp_path):
     assert result["worst_prior"] == 0
 
 
+# benchmark inputs (perfbench `certify`, seeds 302 and 303, `inst_2x2`) whose
+# mechanism value, summed type by type, was one ulp off the menu value
+EQUIVALENCE_2X2 = {
+    302: {
+        "beliefs": {"penalties": [0.0, 0.0],
+                    "priors": [[0.4979690851660591, 0.5020309148339409],
+                               [0.6011562368521678, 0.3988437631478322]]},
+        "bounds": {"hi": [1.627092796404069, 1.2713332778903517],
+                   "lo": [-0.8046607490984535, -1.0160920155232736]},
+        "e_a": [1.0058259363730668, 1.2701150194040918],
+        "e_p": [2.033865995505086, 1.5891665973629394],
+        "principal_belief": {"density": [1.0115850709296315, 0.9859275346834533],
+                             "label": "principal"},
+        "reservation": [0.15893956881340973, 0.06623685419635279],
+        "states": {"atoms": ["s0", "s1"], "ref_prob": [0.5484729781349462, 0.4515270218650538]},
+        "types": [{"density": [0.6265178082437832, 1.4536713863696966], "label": "theta0"},
+                  {"density": [1.350996133300639, 0.5736425834492193], "label": "theta1"}],
+        "u": {"domain": "half-line", "family": "log"},
+        "v": {"alpha": 1.0, "domain": "half-line", "family": "cara"},
+    },
+    303: {
+        "beliefs": {"penalties": [0.0, 0.0],
+                    "priors": [[0.49681677459956397, 0.5031832254004359],
+                               [0.5979181044184916, 0.40208189558150836]]},
+        "bounds": {"hi": [1.6295030705420566, 1.3008196777644572],
+                   "lo": [-0.8069933517301149, -1.013953436826047]},
+        "e_a": [1.0087416896626435, 1.2674417960325588],
+        "e_p": [2.0368788381775706, 1.6260245972055714],
+        "principal_belief": {"density": [0.9878557011125368, 1.011741637482858],
+                             "label": "principal"},
+        "reservation": [0.17068199331767903, 0.07855259019535123],
+        "states": {"atoms": ["s0", "s1"], "ref_prob": [0.49157116140722995, 0.50842883859277]},
+        "types": [{"density": [0.5909472085109877, 1.39549006768709], "label": "theta0"},
+                  {"density": [1.4118882621255109, 0.6017684757154095], "label": "theta1"}],
+        "u": {"domain": "half-line", "family": "log"},
+        "v": {"alpha": 1.0, "domain": "half-line", "family": "cara"},
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EQUIVALENCE_2X2))
+def test_equivalence_gap_is_exactly_zero(tmp_path, seed):
+    # menus and mechanisms are scored by one reduction of per-type values
+    path = tmp_path / "inst_2x2.json"
+    path.write_text(json.dumps(EQUIVALENCE_2X2[seed]))
+    out = tmp_path / "e"
+    assert main(["equivalence", "--instance", str(path), "--levels", "4",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "result.json").read_text())["report"]
+    assert report["mechanism_value"] == report["menu_value"]
+    assert report["gap"] == 0.0
+
+
 def test_cli_import_loads_no_scipy_and_no_logging():
     # every `rcl` command, and every benchmark set-up, pays for importing
     # rcl.cli; scipy is imported only where a solve, a projection or a

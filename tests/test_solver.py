@@ -687,9 +687,8 @@ def shuffled(inst, order):
 
 class TestWorkingSet:
     # the dual prices a working set of rows: the IR rows and the IC rows
-    # between near types, then the rows its maximizer violates, then (only
-    # while the gap is open) the rows near binding at the projection, and
-    # as a last resort every row
+    # between near types, then the rows its maximizer violates, and every
+    # row if the gap is still open when none is violated
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_few_types_price_every_row(self, monkeypatch, n):
@@ -747,16 +746,19 @@ class TestWorkingSet:
         assert len(trace) == result["iterations"] == sum(res.nit for _, res in rounds) <= cap
 
     def test_linear_linear_certifies_through_every_row(self, monkeypatch):
-        # a bang-bang c* violates few outside rows, and here neither they nor
-        # the rows near binding at its projection close the gap: the last
-        # round runs cold on every row, as the solve before working sets did
+        # a bang-bang c* violates few outside rows, and here they do not close
+        # the gap: the last round prices every row, starting from the previous
+        # round's point with the rows that join at 0
         rounds = record_rounds(monkeypatch)
         uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
         res = rcl.solve_mechanism(uu)
         k = uu.base.beliefs.priors.shape[0]
-        x0 = rounds[-1][0]
-        assert len(rounds) > 2 and x0.size == k + 64
-        assert (x0[:k] == 1.0 / k).all() and not x0[k:].any()
+        x0, previous = rounds[-1][0], rounds[-2][1].x
+        assert len(rounds) > 2 and x0.size == k + 64 > previous.size
+        assert (x0[:k] == previous[:k]).all()
+        prices, padded = previous[k:], x0[k:]
+        assert (padded == 0.0).sum() == (prices == 0.0).sum() + x0.size - previous.size
+        assert (padded[padded != 0.0] == prices[prices != 0.0]).all()
         assert res.converged
         assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
 
