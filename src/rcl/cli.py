@@ -33,7 +33,7 @@ from .constraints import Mechanism, build_system
 from .errors import RclError
 from .market import market_report
 from .menu import _check_menu_cap, equivalence_check, extract_mechanism, solve_menu
-from .model import WEALTH_FLOOR, Instance, load_instance
+from .model import WEALTH_FLOOR, Instance, _dumps, load_instance
 from .presets import PRESET_NAMES, build_preset, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
 from .transform import ae_check, from_utility_units, to_utility_units
@@ -234,8 +234,10 @@ def run(config: RunConfig) -> int:
             doc = market_report(_load(config), config.alpha, config.beta)
         else:
             raise RclError(f"unknown command {config.command!r}")
-        # encoded whole before the file is opened, and written in one call
-        text = json.dumps({"config": config.echo(), **doc}, indent=2, sort_keys=True)
+        # encoded whole before the file is opened, and written in one call;
+        # `_dumps` gives json.dumps(indent=2, sort_keys=True)'s bytes with
+        # each float list through json's C encoder
+        text = _dumps({"config": config.echo(), **doc})
         (out / "result.json").write_text(text + "\n")
         if trace is not None:
             _write_csv(out / "trace.csv", ["iter", "bound"], trace)

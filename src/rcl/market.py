@@ -8,8 +8,11 @@ budget-constrained optima, their utilities in terms of relative entropies,
 and the principal's delegation income are implemented in closed form, with
 an independent Lagrange-multiplier oracle for verification. The closed
 forms take a type's `TiltedDensity`, computed once by `tilted_density`;
-the oracle takes the densities of all types and bisects their budget
-multipliers together, row by row on one (types, nodes) array.
+the oracle takes the densities of all types and finds their budget
+multipliers together, by safeguarded Newton in log lambda, row by row on
+one (types, nodes) array. A row stops once its Newton step is at most
+1e-15 max(1, |log lambda|) or its bracket has collapsed, and a row still
+moving at the ORACLE_STEPS cap raises NonConvergenceError.
 Only this module reads the market document (`market_model_from_json`,
 `market_report`), each field through `rcl.model`'s one field reader;
 non-finite numbers and non-positive quadrature weights in it are rejected.
@@ -36,7 +39,7 @@ MAX_NODES = 200
 BETA_MIN = 1e-3
 ENTROPY_AGENT_GIVEN_REF = "P||Q"
 ENTROPY_REF_GIVEN_AGENT = "Q||P"
-ORACLE_STEPS = 200  # cap on each bracketing and bisection loop of each oracle row
+ORACLE_STEPS = 200  # cap on each bracketing loop and the Newton loop of the oracle
 
 
 @dataclass
@@ -337,13 +340,22 @@ def verify_budget_optimality(
     forms, one per density (all on one node grid); a caller checks
     `cara_optimal` or `log_optimal` by its gap to this.
 
-    The oracle maximizes E_Q[u(x)] subject to E_f[x - e_a] <= 0 by bisecting
-    on the Lagrange multiplier of the (binding) budget, with the pointwise
-    first-order condition inverted per node. It runs on all densities at
-    once as a (types, nodes) array: each row steps as a lone bisection
-    would, and freezes where that one would stop. ORACLE_STEPS caps each
-    loop of every row; a row that cannot be bracketed raises
-    NonConvergenceError.
+    The oracle maximizes E_Q[u(x)] subject to E_f[x - e_a] <= 0 through
+    the Lagrange multiplier lambda of the (binding) budget, with the
+    pointwise first-order condition inverted per node (`_multiplier_payoff`).
+    Each lambda is bracketed by steps of x4 and /4 from 1, then found by
+    safeguarded Newton (Numerical Recipes' rtsafe, §9.4) in t = log lambda
+    on the excess E_f[x] - E_f[e_a], which falls in t with slope
+    -E_f[1/A(x)], A the absolute risk aversion: linear in t for CARA, where
+    one step lands on the root. The sign of the excess moves the bracket;
+    the next point is the Newton point when it lies strictly inside the
+    bracket, else its midpoint. A row leaves the live mask once its Newton
+    step is at most 1e-15 max(1, |t|), or once its bracket has collapsed to
+    adjacent floats, and keeps that point. It runs on all densities at once
+    as a (types, nodes) array, its sums through `_row_dots`, so each row
+    steps and stops exactly as it would alone. ORACLE_STEPS caps each
+    bracketing loop and the Newton loop: a row that cannot be bracketed, or
+    that is still live at the cap, raises NonConvergenceError.
     """
     if u.family not in (CARA, LOG):
         raise RangeError("oracle supports cara and log utilities only")
@@ -376,16 +388,26 @@ def verify_budget_optimality(
             step(lam, 4.0, out=lam, where=moving)
     if np.any(excess(lam_lo) <= 0.0) or np.any(excess(lam_hi) >= 0.0):
         raise NonConvergenceError("could not bracket the budget multiplier")
-    moving = np.ones(lam_lo.size, dtype=bool)
+    t_lo, t_hi = np.log(lam_lo), np.log(lam_hi)
+    t = 0.5 * (t_lo + t_hi)
+    live = np.ones(t.size, dtype=bool)
     for _ in range(ORACLE_STEPS):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        up = excess(lam_mid) > 0.0
-        np.copyto(lam_lo, lam_mid, where=moving & up)
-        np.copyto(lam_hi, lam_mid, where=moving & ~up)
-        moving &= ~((lam_hi - lam_lo) <= 1e-15 * lam_hi)
-        if not moving.any():
+        payoff = _multiplier_payoff(u, values, np.exp(t)[:, None])
+        miss = _row_dots(measure, payoff) - target
+        slope = -_row_dots(measure, 1.0 / u._risk_aversion(payoff))
+        t_lo, t_hi = np.where(miss > 0.0, t, t_lo), np.where(miss > 0.0, t_hi, t)
+        newton = t - miss / slope
+        mid = 0.5 * (t_lo + t_hi)
+        live &= ~(np.abs(newton - t) <= 1e-15 * np.maximum(1.0, np.abs(t)))
+        live &= (t_lo < mid) & (mid < t_hi)
+        if not live.any():
             break
-    utility = u.value(_multiplier_payoff(u, values, 0.5 * (lam_lo + lam_hi)[:, None]))
+        t = np.where(live, np.where((t_lo < newton) & (newton < t_hi), newton, mid), t)
+    else:
+        raise NonConvergenceError(
+            f"{int(live.sum())} of {t.size} budget multipliers still moving "
+            f"at the cap of ORACLE_STEPS = {ORACLE_STEPS} Newton steps")
+    utility = u.value(payoff)
     return np.array([w @ row for w, row in zip(weights, utility)])
 
 

@@ -7,10 +7,11 @@ sum_i q_i * d_i * x_i. An Instance bundles endowments, utility functions,
 the ambiguity set over types and the contract bounds that the transform,
 constraint, solver and menu modules consume.
 
-It owns four rules the other modules share: `_read_field` reads every
+It owns five rules the other modules share: `_read_field` reads every
 field of the instance and market documents, `UtilitySpec.floored_value`
 applies the half-line wealth floor, `_utility_box` checks the utilities
-at the faces of the utility-unit box, and `_row_dots` sums weighted rows.
+at the faces of the utility-unit box, `_row_dots` sums weighted rows, and
+`_dumps` encodes every JSON file the package writes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,34 @@ def _row_dots(matrix, vector) -> np.ndarray:
     of the rows reproduces exactly. (Without order="C" a Fortran-ordered
     operand would be summed across rows, one sequential add at a time.)"""
     return np.add.reduce(np.multiply(matrix, vector, order="C"), axis=-1)
+
+
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
+    document whose dict keys are all str (a non-str key raises TypeError).
+
+    With `indent` set, json encodes in pure Python; this walks the dicts,
+    lists and tuples itself and hands each list of floats to json's C
+    encoder in one call, splitting its one-line output at ", ". json still
+    formats every number and string."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(item) is float for item in value):
+            items = json.dumps(value)[1:-1].split(", ")
+        else:
+            items = [_dumps(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("document keys must be str")
+        inner = indent + "  "
+        items = [f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(value)
 
 
 _REQUIRED = object()
@@ -778,6 +807,4 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path):
-    with open(path, "w") as fh:
-        json.dump(inst.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(_dumps(inst.to_json()) + "\n")

@@ -1,6 +1,10 @@
 """Market discretization, tilted beliefs, closed forms, delegation."""
 
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ from rcl.market import (
     weighted_moment,
 )
 from rcl.model import CARA, LOG
+from rcl.presets import build_preset_bundle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_node_model(f_values=(0.0, 0.0), label="f"):
@@ -256,8 +263,9 @@ class TestDelegation:
 
 
 def reference_budget_utility(density, e_a, u):
-    """The budget oracle for one density, as a lone scalar bisection: the
-    batched oracle must step each of its rows exactly like this."""
+    """The budget oracle for one density, as a lone scalar safeguarded
+    Newton in t = log lambda: the batched oracle must step and stop each of
+    its rows exactly like this."""
     target = density.expect(e_a)
 
     def payoff(lam):
@@ -278,15 +286,26 @@ def reference_budget_utility(density, e_a, u):
             break
         lam_hi *= 4.0
     assert excess(lam_lo) > 0.0 and excess(lam_hi) < 0.0
+    t_lo, t_hi = np.log(lam_lo), np.log(lam_hi)
+    t = 0.5 * (t_lo + t_hi)
     for _ in range(ORACLE_STEPS):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if excess(lam_mid) > 0.0:
-            lam_lo = lam_mid
+        x = payoff(np.exp(t))
+        miss = density.expect(x) - target
+        # 1/A(x), A the absolute risk aversion
+        tolerance = np.full_like(x, 1.0 / u.alpha) if u.family == CARA else 1.0 / (1.0 / x)
+        slope = -density.expect(tolerance)
+        if miss > 0.0:
+            t_lo = t
         else:
-            lam_hi = lam_mid
-        if (lam_hi - lam_lo) <= 1e-15 * lam_hi:
+            t_hi = t
+        newton = t - miss / slope
+        mid = 0.5 * (t_lo + t_hi)
+        if abs(newton - t) <= 1e-15 * max(1.0, abs(t)) or not t_lo < mid < t_hi:
             break
-    return float(density.weights @ u.value(payoff(0.5 * (lam_lo + lam_hi))))
+        t = newton if t_lo < newton < t_hi else mid
+    else:
+        raise AssertionError("the lone Newton did not stop within ORACLE_STEPS")
+    return float(density.weights @ u.value(x))
 
 
 def closed_form_gaps(densities, e_a, u):
@@ -325,8 +344,8 @@ class TestBudgetOracle:
     @given(seed=st.integers(0, 2**32 - 1), n_drifts=st.integers(1, 16),
            n_nodes=st.integers(2, 200), family=st.sampled_from([CARA, LOG]),
            spread=st.floats(0.01, 3.0), alpha=st.floats(0.1, 5.0))
-    def test_bitwise_equal_to_scalar_bisection(self, seed, n_drifts, n_nodes, family,
-                                               spread, alpha):
+    def test_bitwise_equal_to_scalar_newton(self, seed, n_drifts, n_nodes, family,
+                                            spread, alpha):
         rng = np.random.default_rng(seed)
         densities = random_densities(rng, n_drifts, n_nodes, spread)
         e_a = rng.uniform(0.1, 3.0, n_nodes)
@@ -377,6 +396,50 @@ class TestBudgetOracle:
         monkeypatch.setattr(rcl.market, "ORACLE_STEPS", 0)
         with pytest.raises(NonConvergenceError, match="could not bracket"):
             rcl.verify_budget_optimality(random_densities(rng, 3, 4), np.ones(4), u)
+
+    def test_newton_cap_is_non_convergence(self, rng, monkeypatch):
+        # 3 steps bracket every row of this draw, and Newton needs 6
+        densities, e_a = random_densities(rng, 3, 4), rng.uniform(0.5, 1.5, 4)
+        monkeypatch.setattr(rcl.market, "ORACLE_STEPS", 3)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^3 of 3 budget multipliers .* ORACLE_STEPS = 3 "):
+            rcl.verify_budget_optimality(densities, e_a, rcl.log_utility())
+
+    def test_cara_newton_lands_in_one_step(self, monkeypatch):
+        # the CARA excess is linear in log lambda: the Newton phase evaluates
+        # the bracket's midpoint, then the root, where its step is ~0
+        doc = build_preset_bundle("log_delegation").market
+        model = rcl.market_model_from_json(doc)
+        densities = [rcl.tilted_density(model, k) for k in range(len(model.drift_types))]
+        newton_calls = []
+        payoff = rcl.market._multiplier_payoff
+
+        def counted(*args):
+            # bracketing evaluates through the oracle's `excess` closure
+            if sys._getframe(1).f_code.co_name == "verify_budget_optimality":
+                newton_calls.append(args[2])
+            return payoff(*args)
+
+        monkeypatch.setattr(rcl.market, "_multiplier_payoff", counted)
+        rcl.verify_budget_optimality(densities, np.ones(model.n_nodes), rcl.cara(doc["alpha"]))
+        assert 1 <= len(newton_calls) <= 2
+
+    def test_benchmark_market_gaps_at_rounding(self, tmp_path, monkeypatch):
+        # the certify market documents of the benchmark, seeds 301-310:
+        # 60 reports, 1,920 gaps
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        gaps = []
+        for seed in range(301, 311):
+            workloads.generate("certify", seed, tmp_path / str(seed))
+            for path in sorted((tmp_path / str(seed)).glob("market_200x16_*.json")):
+                report = rcl.market.market_report(json.loads(path.read_text()))
+                gaps += [entry[form]["oracle_gap"] for entry in report["types"]
+                         for form in ("cara", "log")]
+        assert len(gaps) == 1920 and max(gaps) <= 1e-14
 
 
 class TestMarketIncentiveRouting:

@@ -1,6 +1,7 @@
 """Model layer: expectations, utility specs, instance validation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import brentq
 
 import rcl
 from rcl.errors import DimensionError, DomainError, ValidationError
-from rcl.model import _row_dots
+from rcl.model import _dumps, _row_dots
 
 from conftest import make_instance
 
@@ -106,6 +107,35 @@ class TestRowDots:
             subset = rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False)
             np.testing.assert_array_equal(
                 bits(_row_dots(matrix[subset], vector)), bits(alone[subset]))
+
+
+# JSON documents as rcl's writer may meet them: every scalar json encodes,
+# floats alone and in lists mixed with ints, tuples, and nested containers
+FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text() | st.lists(FLOATS),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(FLOATS | st.integers())
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    @settings(max_examples=100, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_bytes_of_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_a_float_list(self):
+        value = {"b": [], "a": {}, "c": [1.5, -0.0, float("nan")], "d": ()}
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True])
+    def test_non_str_key_is_rejected(self, key):
+        # json would write the key as a string; no document rcl writes has one
+        with pytest.raises(TypeError):
+            _dumps({"a": [{key: 1.0}]})
 
 
 class TestStateSpace:

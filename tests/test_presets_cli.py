@@ -99,6 +99,21 @@ class TestCli:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("preset, argv", [
+        *((preset, argv) for preset in ("reinsurance_halfline", "reinsurance_wholeline")
+          for argv in (["solve", "--max-iters", "50"], ["oracle", "--levels", "2"],
+                       ["menu", "--levels", "2"], ["equivalence", "--levels", "2"],
+                       ["ae-check"])),
+        *((preset, argv) for preset in ("cara_hedging", "log_delegation")
+          for argv in (["solve", "--max-iters", "50"], ["ae-check"],
+                       ["market", "--beta", "0.25,1.0"])),
+    ])
+    def test_result_json_is_json_dumps_bytes(self, tmp_path, preset, argv):
+        # the writer gives json.dumps(indent=2, sort_keys=True)'s bytes
+        assert main([*argv, "--preset", preset, "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "result.json").read_text()
+        assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
     def test_summary_roundtrips_to_feasible_mechanism(self, tmp_path):
         out = tmp_path / "run"
         assert run(RunConfig(command="solve", preset="reinsurance_halfline",
