@@ -60,26 +60,34 @@ class LinearConstraintSystem:
         n = self.uu.n_types
         return [(j, k) for j in range(n) for k in range(n) if k != j]
 
-    def matrix_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows flattened over the (type, atom) grid: A c_flat >= b."""
+    def _row_types(self) -> np.ndarray:
+        """Row r compares type own[r] with type other[r]: (own, other) is
+        (j, k) for IC(j,k) and (j, j) for IR(j), in row order."""
+        return np.array(self.ic_pairs() + [(j, j) for j in range(self.uu.n_types)]).T
+
+    def rows(self, mask) -> tuple[np.ndarray, np.ndarray]:
+        """The rows `mask` picks (a boolean mask over the row order), dense
+        and flattened over the (type, atom) grid: A c_flat >= b."""
         weights = self.uu.base.type_weights()
-        n, m = weights.shape
-        pairs = self.ic_pairs()
-        own = [j for j, _ in pairs] + list(range(n))  # the type each row is about
-        a = np.zeros((len(own), n, m))
-        a[np.arange(len(own)), own] = weights[own]
-        a[np.arange(len(pairs)), [k for _, k in pairs]] = -weights[own[:len(pairs)]]
-        b = np.concatenate([np.zeros(len(pairs)), self.uu.reservation])
-        return a.reshape(len(own), n * m), b
+        own, other = self._row_types()[:, mask]
+        a = np.zeros((own.size, *weights.shape))
+        a[np.arange(own.size), other] = -weights[own]
+        a[np.arange(own.size), own] = weights[own]  # over the -w_j of an IR row
+        b = np.where(own == other, self.uu.reservation[own], 0.0)
+        return a.reshape(own.size, weights.size), b
+
+    def residual(self, c) -> np.ndarray:
+        """A c - b over every row, in row order, from the level matrix L of
+        c (n x m, or flattened): IC(j,k) is L[j,j] - L[j,k] and IR(j) is
+        L[j,j] - r_j. For a pooling c the IC entries are exactly zero."""
+        levels = agent_levels(self.uu, np.reshape(c, (self.uu.n_types, -1)))
+        own, other = self._row_types()
+        compared = np.where(own == other, self.uu.reservation[own], levels[own, other])
+        return levels[own, own] - compared
 
     def slacks(self, mech: Mechanism) -> tuple[np.ndarray, np.ndarray]:
-        """IC slacks L[j,j] - L[j,k] in row order and IR slacks L[j,j] - r_j,
-        from the mechanism's level matrix L. For a pooling mechanism the IC
-        slacks are exactly zero."""
-        levels = agent_levels(self.uu, mech.assignment)
-        own = np.diag(levels)
-        ic = (own[:, None] - levels)[~np.eye(self.uu.n_types, dtype=bool)]
-        return ic, own - self.uu.reservation
+        """The IC and the IR entries of `residual` at the mechanism."""
+        return np.split(self.residual(mech.assignment), [len(self.ic_pairs())])
 
 
 def build_system(uu: UtilityUnitsInstance) -> LinearConstraintSystem:

@@ -606,7 +606,8 @@ def _spot_check_utility(u: UtilitySpec, lo: float, hi: float, tag: str, violatio
         hi = lo + 1.0
     z = np.linspace(lo, hi, 65)
     try:
-        vals = u.value(z)
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            vals = u.value(z)
     except DomainError as exc:
         violations.append(f"{tag}: {exc}")
         return

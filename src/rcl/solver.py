@@ -7,10 +7,14 @@ set is an exact minimum. The solver minimizes the Lagrangian dual, whose
 every value bounds the optimum from above, pricing only a working set of
 rows: the rows its maximizer violates join in rounds, and every row joins
 if the gap is still open when none does. A dual point with the other rows'
-prices at 0 is a point of the full dual, so its value is still a bound. It
-turns the dual's inner maximizer into a mechanism by the exact
-nearest-point projection onto the box and all the constraint rows (least
-distance by NNLS over the rows and the box faces the point crosses), and
+prices at 0 is a point of the full dual, so its value is still a bound. The
+rows have one owner, `LinearConstraintSystem`: the solve reads the dense
+rows of W from it and checks the others by its `residual`, off the agent
+level matrix, and never builds the dense matrix of all the rows unless W
+holds them all or the primal step runs. It turns the dual's inner maximizer
+into a mechanism by the exact nearest-point projection onto the box and the
+constraint rows (least distance by NNLS over only the rows and box faces
+taken so far: W's rows and the ones the point violates, in rounds), and
 reports the gap between the bound and that mechanism's value. The oracle
 enumerates grid-level assignments exhaustively and is kept
 free of any solver machinery so the two can check each other: it is plain
@@ -243,20 +247,24 @@ def _inner_slack(faces: _DualFaces, s, g, c) -> float:
         return float(np.nansum(_gains(faces, s[:, None] * faces.weights, g, c)))
 
 
-def _projection(y, lo, hi, a, b):
-    """Exact nearest point to y in {a x >= b, lo <= x <= hi}, a polytope
-    that must hold a point; nnls raises RuntimeError at its iteration cap.
+def _projection(y, lo, hi, system, floor, taken):
+    """Exact nearest point to y in {lo <= x <= hi} and the rows of `system`
+    relaxed by `floor`, residual(x) >= floor, a polytope that must hold a
+    point; nnls raises RuntimeError at its iteration cap.
 
     The least-distance problem min |z| s.t. g z >= h, z = x - y, reduces to
     nonnegative least squares (Lawson & Hanson, Solving Least Squares
     Problems, ch. 23): the residual r = e u - f of the NNLS solution u gives
-    z = -r[:-1] / r[-1]. Its constraints are every row and only the box
-    faces crossed so far, starting with those y crosses, and a round whose
-    point crosses a further face takes it in and runs again. The nearest
-    point over a subset of the constraints that meets them all is the
-    nearest point over all of them, and every round adds a face, so the
-    rounds end. A least-norm correction from the NNLS point makes the
-    binding constraints (those with u > 0) hold to round-off.
+    z = -r[:-1] / r[-1]. Its constraints are only the rows and box faces
+    taken so far, starting with the rows of the mask `taken`, the rows y
+    violates (by more than 1e-14 * max(1, |y|)) and the faces y crosses, and
+    a round whose point violates a further row or crosses a further face
+    takes them in and runs again. The nearest point over a subset of the
+    constraints that meets them all is the nearest point over all of them,
+    and every round adds a row or a face, so the rounds end. A least-norm
+    correction from the NNLS point makes the binding constraints (those
+    with u > 0) hold to round-off. `system` gives the dense rows a mask
+    picks (`rows`) and a x - b over every row (`residual`).
     """
     # scipy's lstsq: numpy's lstsq woke numpy's BLAS thread pool, whose
     # spinning slowed the rest of a 40 x 8 market solve by 25-40% on a 2-core host
@@ -264,22 +272,25 @@ def _projection(y, lo, hi, a, b):
     from scipy.optimize import nnls
 
     below, above = y < lo, y > hi
-    scale = max(1.0, float(np.abs(y).max()))
-    if (a @ y - b).min(initial=0.0) >= -1e-14 * scale and not (below | above).any():
+    cut = floor - 1e-14 * max(1.0, float(np.abs(y).max()))
+    violated = system.residual(y) < cut
+    if not (violated.any() or below.any() or above.any()):
         return y
+    taken = taken | violated
     while True:
+        a, b = system.rows(taken)
         g = np.vstack([a, _unit_rows(below), -_unit_rows(above)])
-        h = np.concatenate([b, lo[below], -hi[above]]) - g @ y
+        h = np.concatenate([b + floor[taken], lo[below], -hi[above]]) - g @ y
         e, f = np.vstack([g.T, h]), np.r_[np.zeros(y.size), 1.0]
         u = nnls(e, f)[0]
         r = e @ u - f
         z = -r[:-1] / r[-1]
         bind = u > 0.0
         x = y + z + lstsq(g[bind], h[bind] - g[bind] @ z)[0]
-        crossed_lo, crossed_hi = below | (x < lo), above | (x > hi)
-        if (crossed_lo == below).all() and (crossed_hi == above).all():
+        grown = taken | (system.residual(x) < cut), below | (x < lo), above | (x > hi)
+        if all(map(np.array_equal, grown, (taken, below, above))):
             return np.clip(x, lo, hi)
-        below, above = crossed_lo, crossed_hi
+        taken, below, above = grown
 
 
 def _unit_rows(mask):
@@ -335,7 +346,8 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     instance from `_dual_faces`, prepared once per solve after the pooling
     check.
 
-    Only the rows of a working set W carry a price; mu is 0 on the rest.
+    Only the rows of a working set W carry a price; mu is 0 on the rest,
+    and each round reads W's dense rows from `system.rows`.
     Such a mu is a point of the full dual, so D there plus `_inner_slack`
     bounds the full problem however small W is. W starts with every IR row
     and the IC rows both ways between each type and its two nearest types
@@ -344,12 +356,15 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     every row. SLSQP then runs in rounds over (lam, mu_W), each from the
     previous round's point (the first from uniform lam, mu = 0), a row that
     joins W priced at 0:
-      - rows outside W that c* violates by more than 1e-9 join W;
-      - when none does, c* is projected onto all the rows (`_projection`),
-        or stands in as the pooling point at the upper contract bound
-        should nnls reach its iteration cap. Only while the bound exceeds
-        its value by more than `opts.tol` does `_primal_step` run, and its
-        projected point replaces the projection if it is worth more;
+      - rows outside W that c* violates by more than 1e-9 join W, by
+        `system.residual`, read off the level matrix;
+      - when none does, c* is projected onto the box and the rows
+        (`_projection`, which starts from W's rows and takes in any other
+        row its point violates), or the pooling point at the upper contract
+        bound stands in should nnls reach its iteration cap. Only while the
+        bound exceeds its value by more than `opts.tol` does `_primal_step`
+        run, on every row, and its projected point replaces the projection
+        if it is worth more;
       - if the gap still exceeds `opts.tol`, every row joins W. A round on
         every row is the solve without a working set, so no instance loses
         its certificate.
@@ -379,7 +394,6 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
 
     opts = opts or SolveOptions()
     system = build_system(uu)
-    a, b = system.matrix_form()
     n, m = uu.n_types, uu.n_atoms
     lo, hi = np.tile(uu.c_lo, n), np.tile(uu.c_hi, n)
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
@@ -399,14 +413,14 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         return result(hi, -float("inf"), [])
 
     faces = _dual_faces(uu)
-    relaxed = np.minimum(b, a @ hi)
+    # rows are relaxed to the pooling point's sub-tolerance deficits, so the
+    # polytope holds the pooling point, which also stands in, with its gap,
+    # should nnls reach its iteration cap
+    floor = np.minimum(system.residual(hi), 0.0)
 
     def project(y):
-        # rows are relaxed to the pooling point's sub-tolerance deficits, so
-        # the polytope holds the pooling point, which also stands in, with
-        # its gap, should nnls reach its iteration cap
         try:
-            return _projection(y, lo, hi, a, relaxed)
+            return _projection(y, lo, hi, system, floor, working)
         except RuntimeError:
             return hi
 
@@ -429,7 +443,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     near[np.arange(n)[:, None], np.argsort(distance, axis=1, kind="stable")[:, :2]] = True
     working = np.r_[(near | near.T)[~np.eye(n, dtype=bool)], np.ones(n, dtype=bool)]
     # the dual point over every row, 0 outside W: each round starts from it
-    start = np.r_[np.full(k, 1.0 / k), np.zeros(b.size)]
+    start = np.r_[np.full(k, 1.0 / k), np.zeros(n * n)]
 
     # the dual's last evaluation: SLSQP evaluates each iterate before it
     # calls back with it, and the point it returns is the last it evaluated,
@@ -437,7 +451,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     last: dict = {}
     trace: list[tuple[int, float]] = []
     while True:
-        a_w, b_w = a[working], b[working]
+        a_w, b_w = system.rows(working)
         simplex = np.r_[np.ones(k), np.zeros(b_w.size)]
         point = minimize(
             dual, np.r_[start[:k], start[k:][working]], args=(a_w, b_w), jac=True,
@@ -450,14 +464,14 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
         spent = len(trace) >= opts.max_iters
         start[:k], start[k:][working] = point[:k], point[k:]
-        violated = ~working & (a @ last["c"].ravel() - b < -1e-9)
+        violated = ~working & (system.residual(last["c"]) < -1e-9)
         if violated.any() and not spent:
             working |= violated
             continue
         x = project(last["c"].ravel())
         value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
         if bound - value > opts.tol:
-            polished = project(_primal_step(uu, x, value, a, b))
+            polished = project(_primal_step(uu, x, value, *system.rows(np.ones(n * n, bool))))
             polished_value = principal_value(uu, Mechanism(polished.reshape(n, m)))[0]
             if polished_value > value:
                 x, value = polished, polished_value

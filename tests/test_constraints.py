@@ -75,7 +75,7 @@ class TestBuildSystem:
     def test_row_counts(self, rng, n, ic, ir):
         uu = make_uu(rng, n=n, m=2)
         system = rcl.build_system(uu)
-        a, b = system.matrix_form()
+        a, b = system.rows(np.ones(n * n, dtype=bool))
         assert a.shape == (n * n, n * 2) and b.shape == (n * n,)
         report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (n, 1))))
         kinds = [_row_name(entry)[0] for entry in report.row_slacks]
@@ -85,7 +85,7 @@ class TestBuildSystem:
     def test_rows_supported_on_their_types(self, rng):
         uu = make_uu(rng, n=3, m=2)
         system = rcl.build_system(uu)
-        a, b = system.matrix_form()
+        a, b = system.rows(np.ones(9, dtype=bool))
         report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (3, 1))))
         weights = uu.base.type_weights()
         for coeffs, rhs, entry in zip(a.reshape(-1, 3, 2), b, report.row_slacks):
@@ -119,6 +119,50 @@ class TestBuildSystem:
         assert len(report.row_slacks) == 4
         for entry in report.row_slacks:
             assert entry["slack"] == 0.0
+
+
+class TestRowExport:
+    # the rows a mask picks and the residual over every row, both in the
+    # row order `ic_pairs` defines, then IR
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_masked_rows(self, rng, n):
+        uu = make_uu(rng, n=n, m=3)
+        system = rcl.build_system(uu)
+        labels = system.ic_pairs() + [(j, None) for j in range(n)]
+        weights = uu.base.type_weights()
+        every_a, every_b = system.rows(np.ones(n * n, dtype=bool))
+        for _ in range(6):
+            mask = rng.random(n * n) < 0.5
+            a, b = system.rows(mask)
+            np.testing.assert_array_equal(a, every_a[mask])
+            np.testing.assert_array_equal(b, every_b[mask])
+            picked = [label for label, keep in zip(labels, mask) if keep]
+            for coeffs, rhs, (j, k) in zip(a.reshape(-1, n, 3), b, picked):
+                support = {t for t in range(n) if np.any(coeffs[t] != 0.0)}
+                assert support == ({j} if k is None else {j, k})
+                np.testing.assert_array_equal(coeffs[j], weights[j])
+                if k is None:
+                    assert rhs == uu.reservation[j]
+                else:
+                    np.testing.assert_array_equal(coeffs[k], -weights[j])
+                    assert rhs == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_residual_matches_the_rows(self, rng, n):
+        uu = make_uu(rng, n=n, m=3)
+        system = rcl.build_system(uu)
+        a, b = system.rows(np.ones(n * n, dtype=bool))
+        for mech in random_mechanisms(rng, uu, 6):
+            c = mech.assignment
+            residual = system.residual(c)
+            np.testing.assert_array_equal(system.residual(c.ravel()), residual)
+            np.testing.assert_array_equal(residual, np.concatenate(system.slacks(mech)))
+            scale = max(1.0, float((np.abs(a) @ np.abs(c.ravel()) + np.abs(b)).max()))
+            np.testing.assert_allclose(residual, a @ c.ravel() - b, rtol=0,
+                                       atol=1e-15 * scale)
+            pooled = np.tile(c[0], (n, 1))
+            assert (system.residual(pooled)[:n * (n - 1)] == 0.0).all()
 
 
 class TestCheckMechanism:
@@ -256,4 +300,4 @@ class TestCheckMechanism:
         report = rcl.check_mechanism(system, rcl.Mechanism(np.tile(uu.c_hi, (2, 1))))
         doc = report.to_json()
         assert {"feasible", "max_ic_violation", "max_ir_violation", "row_slacks"} <= set(doc)
-        assert len(doc["row_slacks"]) == system.matrix_form()[0].shape[0]
+        assert len(doc["row_slacks"]) == system.rows(np.ones(4, dtype=bool))[0].shape[0]

@@ -325,6 +325,30 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="principal utility"):
             rcl.validate_instance(doc)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("utility, message", [
+        # exp(800 * 4) overflows: the check reports it without a warning
+        ({"v": rcl.cara(800.0)}, "principal utility: utility not finite on"),
+        # -exp(-60 z) / 60 is flat to float resolution on most of [-3.6, 3.6]
+        ({"u": rcl.cara(60.0)}, "agent utility: utility not strictly increasing on"),
+        ({"u": rcl.UtilitySpec("tabulated", grid=np.array([0.01, 1.0, 2.0, 3.0, 4.0]),
+                               values=np.array([0.0, 1.0, 1.5, 1.8, 2.0]),
+                               derivs=np.array([1.0, 0.05, 0.05, 0.05, 0.05]))},
+         "agent utility: utility not concave on"),
+    ], ids=["not_finite", "not_increasing", "not_concave"])
+    def test_spot_check_reports_a_bad_utility(self, utility, message):
+        inst = rcl.Instance(
+            states=two_state(),
+            types=[rcl.AgentType(density=np.array(d), label=f"theta{j}")
+                   for j, d in enumerate([(1.2, 0.8), (0.8, 1.2)])],
+            principal_belief=rcl.AgentType(density=np.ones(2), label="p"),
+            beliefs=rcl.BeliefSet(priors=[[0.5, 0.5]], penalties=[0.0]),
+            e_a=np.full(2, 1.0), e_p=np.full(2, 2.0),
+            **{"u": rcl.log_utility(), "v": rcl.cara(1.0), **utility},
+            contract_lo=np.full(2, -0.8), contract_hi=np.full(2, 1.6))
+        with pytest.raises(ValidationError, match=message):
+            rcl.validate_instance(inst)
+
     @pytest.mark.parametrize("labels", [("same", "same"), ("type1", "")],
                              ids=["equal", "default_clash"])
     def test_rejects_duplicate_report_labels(self, rng, labels):

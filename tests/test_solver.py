@@ -490,7 +490,7 @@ def linear_lp_optimum(uu):
     n, m = uu.n_types, uu.n_atoms
     priors, penalties = inst.beliefs.priors, inst.beliefs.penalties
     w = inst.principal_weights()
-    a, b = rcl.build_system(uu).matrix_form()
+    a, b = rcl.build_system(uu).rows(np.ones(n * n, dtype=bool))
     # t + sum_j kappa_kj w_i c_ji <= pen_k + sum_j kappa_kj w.(e_p + e_a)
     epigraph = np.hstack([(priors[:, :, None] * w).reshape(len(priors), n * m),
                           np.ones((len(priors), 1))])
@@ -607,7 +607,7 @@ def dual_parts(uu, lam, mu):
     """D(lam, mu) without the inner slack, summed from the solver's own
     pieces as `solve_mechanism` adds them up (pen, the row prices and the
     inner maximum), and the slack `_inner_slack` adds to it."""
-    a, b = rcl.build_system(uu).matrix_form()
+    a, b = rcl.build_system(uu).rows(np.ones(uu.n_types ** 2, dtype=bool))
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     s, g = lam @ priors, (mu @ a).reshape(uu.n_types, uu.n_atoms)
     faces = rcl.solver._dual_faces(uu)
@@ -721,6 +721,24 @@ class TestWorkingSet:
         assert res.converged
         assert res.bound == pytest.approx(dual + slack, rel=0.0, abs=1e-12)
 
+    def test_no_call_builds_every_row(self, monkeypatch):
+        # 16 types: W and the rows the projection takes in are a fraction of
+        # the 256 rows, and neither the all-rows round nor the primal step
+        # runs, so no dense all-rows A is built
+        asked = []
+        rows = rcl.LinearConstraintSystem.rows
+
+        def spy(system, mask):
+            asked.append(int(np.count_nonzero(mask)))
+            return rows(system, mask)
+
+        monkeypatch.setattr(rcl.LinearConstraintSystem, "rows", spy)
+        uu = rcl.to_utility_units(rcl.build_preset(
+            "cara_hedging", {"n_nodes": 40, "slopes": tuple(np.linspace(-0.45, 0.45, 16))}))
+        res = rcl.solve_mechanism(uu)
+        assert res.converged
+        assert asked and max(asked) < 256
+
     @pytest.mark.parametrize("cap, stopped", [(40, 0), (150, 1)])
     def test_cap_bounds_the_summed_rounds(self, tmp_path, monkeypatch, cap, stopped):
         # a linear-linear 8-type draw certifies in several rounds of about
@@ -813,8 +831,29 @@ class TestWeakDuality:
 def projection_problem(seed, family, n, m):
     """Box and IC/IR rows of a random instance; hi is the pooling anchor."""
     uu = make_uu(np.random.default_rng(seed), m=m, n=n, family=family)
-    a, b = rcl.build_system(uu).matrix_form()
+    a, b = rcl.build_system(uu).rows(np.ones(n * n, dtype=bool))
     return np.tile(uu.c_lo, n), np.tile(uu.c_hi, n), a, b
+
+
+class DenseRows:
+    """A test double for what `_projection` reads of a constraint system:
+    the dense rows a x >= b that a mask picks, and a x - b over every row."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def rows(self, mask):
+        return self.a[mask], self.b[mask]
+
+    def residual(self, x):
+        return self.a @ x - self.b
+
+
+def project(y, lo, hi, a, b, taken=None):
+    """`_projection` onto the box and the unrelaxed rows a x >= b, taking
+    every row from the start unless the mask `taken` says otherwise."""
+    taken = np.ones(b.size, dtype=bool) if taken is None else taken
+    return _projection(y, lo, hi, DenseRows(a, b), np.zeros(b.size), taken)
 
 
 def outside_point(rng, lo, hi):
@@ -858,7 +897,7 @@ class TestProjection:
         pairs = []
         for _ in range(8):
             y = outside_point(rng, lo, hi)
-            x = _projection(y, lo, hi, a, b)
+            x = project(y, lo, hi, a, b)
             assert _residual(x, lo, hi, a, b) <= 1e-12
             np.testing.assert_allclose(x, nnls_projection(y, lo, hi, a, b), rtol=0,
                                        atol=1e-10 * max(1.0, float(np.abs(y).max())))
@@ -883,13 +922,37 @@ class TestProjection:
 
     @settings(max_examples=40, deadline=None)
     @projection_cases
+    def test_rows_join_like_faces(self, seed, family, n, m):
+        # rows the start leaves out join when the point violates them: from
+        # a random subset of the rows that leaves out every row binding at
+        # the projection, on the IC/IR rows alone or with redundant rows
+        # (positive multiples, loosened copies and sums of two rows), the
+        # point is the all-rows NNLS projection
+        lo, hi, a, b = projection_problem(seed, family, n, m)
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            i, j = rng.integers(0, b.size, (2, 2 * b.size))
+            scale = rng.uniform(0.5, 2.0, i.size)
+            a = np.vstack([a, scale[:, None] * a[i], a[i], a[i] + a[j]])
+            b = np.r_[b, scale * b[i], b[i] - rng.uniform(0.01, 1.0, i.size), b[i] + b[j]]
+        for _ in range(8):
+            y = outside_point(rng, lo, hi)
+            ref = nnls_projection(y, lo, hi, a, b)
+            tol = 1e-10 * max(1.0, float(np.abs(y).max()))
+            binding = a @ ref - b <= tol
+            x = project(y, lo, hi, a, b, taken=~binding & (rng.random(b.size) < 0.5))
+            assert _residual(x, lo, hi, a, b) <= 1e-12
+            np.testing.assert_allclose(x, ref, rtol=0, atol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @projection_cases
     def test_feasible_point_is_fixed(self, seed, family, n, m):
         lo, hi, a, b = projection_problem(seed, family, n, m)
         rng = np.random.default_rng(seed)
-        z = _projection(outside_point(rng, lo, hi), lo, hi, a, b)
-        np.testing.assert_allclose(_projection(z, lo, hi, a, b), z,
+        z = project(outside_point(rng, lo, hi), lo, hi, a, b)
+        np.testing.assert_allclose(project(z, lo, hi, a, b), z,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(_projection(hi, lo, hi, a, b), hi)
+        np.testing.assert_array_equal(project(hi, lo, hi, a, b), hi)
 
 
 class TestTabulatedAgent:
