@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import Mechanism, build_system
+from .constraints import Mechanism, build_system, ic_rows
 from .errors import RclError
 from .market import market_report
 from .menu import _check_menu_cap, equivalence_check, extract_mechanism, solve_menu
@@ -75,7 +75,8 @@ def _write_summary(path: Path, uu, mech: Mechanism):
     """Per-type, per-atom table of the mechanism with its constraint slacks."""
     n = uu.n_types
     ic, ir_slack = build_system(uu).slacks(mech)
-    min_ic = np.min(ic.reshape(n, n - 1), axis=1, initial=np.inf)
+    own = ic_rows(np.indices((n, n))[0])  # the type each IC row belongs to
+    min_ic = np.where(own == np.arange(n)[:, None], ic, np.inf).min(axis=1, initial=np.inf)
     rows = []
     for j, label in enumerate(uu.base.report_labels()):
         x = from_utility_units(uu, mech.assignment[j])

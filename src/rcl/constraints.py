@@ -10,6 +10,7 @@ agent-level matrix (`agent_levels`), the same one menus choose from.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,15 @@ def agent_levels(uu: UtilityUnitsInstance, contracts) -> np.ndarray:
     """
     contracts = np.atleast_2d(np.asarray(contracts, dtype=float))
     return _row_dots(contracts, uu.base.type_weights()[:, None, :])
+
+
+def ic_rows(pairs) -> np.ndarray:
+    """The IC rows' entries of an (..., n, n) own x other array, in row
+    order: IC(j,k) reads pairs[..., j, k], and the diagonal, which names no
+    IC row, is left out. A boolean mask of type pairs gives the mask of
+    their IC rows, and the own-index grid the type each row belongs to."""
+    pairs = np.asarray(pairs)
+    return pairs[..., ~np.eye(pairs.shape[-1], dtype=bool)]
 
 
 @dataclass
@@ -57,19 +67,22 @@ class LinearConstraintSystem:
     uu: UtilityUnitsInstance
 
     def ic_pairs(self) -> list[tuple[int, int]]:
-        n = self.uu.n_types
-        return [(j, k) for j in range(n) for k in range(n) if k != j]
+        return list(zip(*self._row_types[:, :-self.uu.n_types].tolist()))
 
+    @cached_property
     def _row_types(self) -> np.ndarray:
         """Row r compares type own[r] with type other[r]: (own, other) is
-        (j, k) for IC(j,k) and (j, j) for IR(j), in row order."""
-        return np.array(self.ic_pairs() + [(j, j) for j in range(self.uu.n_types)]).T
+        (j, k) for IC(j,k) and (j, j) for IR(j), in row order, the IC rows
+        the off-diagonal type pairs and the IR rows the diagonal. Built once
+        per system."""
+        pairs = np.indices((self.uu.n_types,) * 2)
+        return np.concatenate([ic_rows(pairs), pairs.diagonal(axis1=1, axis2=2)], axis=1)
 
     def rows(self, mask) -> tuple[np.ndarray, np.ndarray]:
         """The rows `mask` picks (a boolean mask over the row order), dense
         and flattened over the (type, atom) grid: A c_flat >= b."""
         weights = self.uu.base.type_weights()
-        own, other = self._row_types()[:, mask]
+        own, other = self._row_types[:, mask]
         a = np.zeros((own.size, *weights.shape))
         a[np.arange(own.size), other] = -weights[own]
         a[np.arange(own.size), own] = weights[own]  # over the -w_j of an IR row
@@ -81,13 +94,14 @@ class LinearConstraintSystem:
         c (n x m, or flattened): IC(j,k) is L[j,j] - L[j,k] and IR(j) is
         L[j,j] - r_j. For a pooling c the IC entries are exactly zero."""
         levels = agent_levels(self.uu, np.reshape(c, (self.uu.n_types, -1)))
-        own, other = self._row_types()
+        own, other = self._row_types
         compared = np.where(own == other, self.uu.reservation[own], levels[own, other])
         return levels[own, own] - compared
 
     def slacks(self, mech: Mechanism) -> tuple[np.ndarray, np.ndarray]:
         """The IC and the IR entries of `residual` at the mechanism."""
-        return np.split(self.residual(mech.assignment), [len(self.ic_pairs())])
+        n = self.uu.n_types
+        return np.split(self.residual(mech.assignment), [n * (n - 1)])
 
 
 def build_system(uu: UtilityUnitsInstance) -> LinearConstraintSystem:

@@ -347,7 +347,10 @@ def verify_budget_optimality(
     safeguarded Newton (Numerical Recipes' rtsafe, §9.4) in t = log lambda
     on the excess E_f[x] - E_f[e_a], which falls in t with slope
     -E_f[1/A(x)], A the absolute risk aversion: linear in t for CARA, where
-    one step lands on the root. The sign of the excess moves the bracket;
+    one step from the bracket's midpoint lands on the root, and convex in t
+    for log (E_f[x] is e^-t times a constant), where Newton from the
+    bracket's left end climbs to the root without overshooting it, so log
+    rows start there. The sign of the excess moves the bracket;
     the next point is the Newton point when it lies strictly inside the
     bracket, else its midpoint. A row leaves the live mask once its Newton
     step is at most 1e-15 max(1, |t|), or once its bracket has collapsed to
@@ -389,12 +392,12 @@ def verify_budget_optimality(
     if np.any(excess(lam_lo) <= 0.0) or np.any(excess(lam_hi) >= 0.0):
         raise NonConvergenceError("could not bracket the budget multiplier")
     t_lo, t_hi = np.log(lam_lo), np.log(lam_hi)
-    t = 0.5 * (t_lo + t_hi)
+    t = t_lo.copy() if u.family == LOG else 0.5 * (t_lo + t_hi)
     live = np.ones(t.size, dtype=bool)
     for _ in range(ORACLE_STEPS):
         payoff = _multiplier_payoff(u, values, np.exp(t)[:, None])
         miss = _row_dots(measure, payoff) - target
-        slope = -_row_dots(measure, 1.0 / u._risk_aversion(payoff))
+        slope = -_row_dots(measure, 1.0 / u._deriv_and_aversion(payoff)[1])
         t_lo, t_hi = np.where(miss > 0.0, t, t_lo), np.where(miss > 0.0, t_hi, t)
         newton = t - miss / slope
         mid = 0.5 * (t_lo + t_hi)

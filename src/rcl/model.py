@@ -315,20 +315,24 @@ class UtilitySpec:
             return np.ones_like(zz)
         return self._fwd_deriv(np.clip(zz, self.grid[0], self.grid[-1]))
 
-    def _risk_aversion(self, z: np.ndarray) -> np.ndarray:
-        """Absolute risk aversion -u''/u' at z, unchecked like `_deriv`; CRRA
-        and log give inf at wealth 0 unless the caller silences the warning."""
+    def _deriv_and_aversion(self, z: np.ndarray):
+        """u'(z) as `_deriv` gives it and the absolute risk aversion -u''/u'
+        at z, from one `_clip`: CARA's and linear's aversion is a float,
+        log's is u''s array itself. CRRA and log give inf at wealth 0 unless
+        the caller silences the warning."""
         zz = self._clip(z)
         if self.family == CRRA:
-            return (1.0 - self.gamma) / zz
+            return np.power(zz, self.gamma - 1.0), (1.0 - self.gamma) / zz
         if self.family == LOG:
-            return 1.0 / zz
+            slope = 1.0 / zz
+            return slope, slope
         if self.family == CARA:
-            return np.full_like(zz, self.alpha)
+            return self.alpha * np.exp(-self.alpha * zz), self.alpha
         if self.family == LINEAR:
-            return np.zeros_like(zz)
+            return np.ones_like(zz), 0.0
         zz = np.clip(zz, self.grid[0], self.grid[-1])
-        return -self._fwd_curvature(zz) / self._fwd_deriv(zz)
+        slope = self._fwd_deriv(zz)
+        return slope, -self._fwd_curvature(zz) / slope
 
     def inverse(self, y):
         """Wealth level attaining utility y; exact for the closed families."""

@@ -123,8 +123,19 @@ def _reinsurance_wholeline(params: dict | None) -> PresetBundle:
                         cara(0.5, WHOLE_LINE), 2.0)
 
 
+def _slope_labels(slopes: list[float]) -> list[str]:
+    """The labels `slope=+0.35` of the slopes, all printed to the fewest
+    decimals, at least 2, that keep distinct slopes' labels distinct."""
+    for digits in range(2, 18):
+        labels = [f"slope={s:+.{digits}f}" for s in slopes]
+        if len(set(labels)) >= len(set(slopes)):
+            break
+    return labels
+
+
 def _market_bundle(params: dict | None, name: str) -> PresetBundle:
     p = _merge_params({"n_nodes": 12, "slopes": (0.0, 0.35, -0.35)}, params, name)
+    slopes = np.atleast_1d(p["slopes"]).astype(float).tolist()
     market = {
         "horizon": 1.0,
         "n_nodes": int(p["n_nodes"]),
@@ -132,8 +143,8 @@ def _market_bundle(params: dict | None, name: str) -> PresetBundle:
         "alpha": 1.0,
         "beta": [0.5],
         "drift_types": [
-            {"label": f"slope={s:+.2f}", "slope": float(s), "support": 2.0}
-            for s in np.atleast_1d(p["slopes"]).tolist()
+            {"label": label, "slope": s, "support": 2.0}
+            for s, label in zip(slopes, _slope_labels(slopes))
         ],
     }
     model = market_model_from_json(market)

@@ -36,6 +36,7 @@ from .constraints import (
     agent_levels,
     build_system,
     check_mechanism,
+    ic_rows,
 )
 from .errors import RangeError, SizeCapError, ValidationError
 from .model import UtilitySpec, _row_dots
@@ -143,9 +144,9 @@ def _marginal(u: UtilitySpec, v: UtilitySpec, wealth, c: np.ndarray) -> np.ndarr
 
 def _slope_from(weight, g, marginal) -> np.ndarray:
     """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
-    from phi' at the point (`_marginal`); a type of weight 0 has slope g."""
-    with np.errstate(invalid="ignore"):
-        return g + np.where(weight > 0.0, weight * marginal, 0.0)
+    from phi' at the point (`_marginal`); a type of weight 0 has slope g
+    (its 0 * -inf is nan, discarded: the caller silences that warning)."""
+    return g + np.where(weight > 0.0, weight * marginal, 0.0)
 
 
 @dataclass(frozen=True)
@@ -188,43 +189,52 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     Its sign change is found by safeguarded Newton (Numerical Recipes'
     rtsafe) on the log first-order condition psi(c) = log(w v'(W - x) /
     (g u'(x))), x = u^-1(c), which rises in c with psi' = (A_v(W - x) +
-    A_u(x)) / u'(x), A = -U''/U' the absolute risk aversion: linear for a
-    linear agent and a CARA principal, where one step is exact. One pass
-    runs over the whole grid with every entry in place: entries on a face
-    start out finished, interior ones at the midpoint of their box, and a
-    step moves only the entries of the live mask. The sign of psi moves the
-    bracket (nan counts as "move up", as a nan marginal counts as 0 in
-    `_marginal`); the next point is the Newton point when it lies strictly
-    inside the bracket, else its midpoint. An entry has found its root at
-    |psi| <= 1e-13. Where psi is too steep for that within float resolution,
-    the bracket collapses to adjacent floats and the entry leaves the mask;
-    such an entry, like one still live at the NEWTON_ITERS cap, ends on the
-    bracket end that leaves the smaller `_gains`, and the bound adds that
-    slack however the iteration ends. No entry's arithmetic reads another's,
-    so its c* does not depend on the entries beside it.
+    A_u(x)) / u'(x), A = -U''/U' the absolute risk aversion. At a face psi
+    is log(-(w/g) phi'), from the phi' in `faces`. One pass runs over the
+    whole grid with every entry in place: entries on a face start out
+    finished, interior ones at the regula-falsi root of psi between the
+    faces (Numerical Recipes §9.2), or at the midpoint of their box where
+    that point is not finite and strictly inside it (a psi of -inf or +inf
+    at a face). psi is linear for a linear agent and a CARA principal, so
+    there the start is the root and one evaluation confirms it. A step
+    moves only the entries of the live mask, updating the bracket and c in
+    place. The sign of psi moves the bracket (nan counts as "move up", as a
+    nan marginal counts as 0 in `_marginal`); the next point is the Newton
+    point when it lies strictly inside the bracket, else its midpoint. An
+    entry has found its root at |psi| <= 1e-13. Where psi is too steep for
+    that within float resolution, the bracket collapses to adjacent floats
+    and the entry leaves the mask; such an entry, like one still live at
+    the NEWTON_ITERS cap, ends on the bracket end that leaves the smaller
+    `_gains`, and the bound adds that slack however the iteration ends. No
+    entry's arithmetic reads another's, so its c* does not depend on the
+    entries beside it.
     """
     u, v, wealth, lo, hi = faces.u, faces.v, faces.wealth, faces.lo, faces.hi
     weight = s[:, None] * faces.weights
-    at_lo = _slope_from(weight, g, faces.marginal_lo) <= 0.0
-    live = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
-    found = ~live
-    left, right = lo, hi
-    c = np.where(live, 0.5 * (lo + hi), np.where(at_lo, lo, hi))
+    left, right = np.array(lo), np.array(hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        at_lo = _slope_from(weight, g, faces.marginal_lo) <= 0.0
+        live = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
+        found = ~live
         ratio = weight / g
+        psi_lo, psi_hi = np.log(-ratio * faces.marginal_lo), np.log(-ratio * faces.marginal_hi)
+        start = lo - psi_lo * (hi - lo) / (psi_hi - psi_lo)
+        start = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
+        c = np.where(live, start, np.where(at_lo, lo, hi))
         for _ in range(NEWTON_ITERS):
             if not live.any():
                 break
             x = u._inverse(c)
-            du, rest = u._deriv(x), wealth - x
-            psi = np.log(ratio * (v._deriv(rest) / du))
-            left = np.where(live & ~(psi >= 0.0), c, left)
-            right = np.where(live & (psi > 0.0), c, right)
-            newton = c - psi * du / (v._risk_aversion(rest) + u._risk_aversion(x))
+            du, aversion_u = u._deriv_and_aversion(x)
+            dv, aversion_v = v._deriv_and_aversion(wealth - x)
+            psi = np.log(ratio * (dv / du))
+            np.copyto(left, c, where=live & ~(psi >= 0.0))
+            np.copyto(right, c, where=live & (psi > 0.0))
+            newton = c - psi * du / (aversion_v + aversion_u)
             mid = 0.5 * (left + right)
             found |= live & (np.abs(psi) <= 1e-13)
             live &= ~found & (left < mid) & (mid < right)
-            c = np.where(live, np.where((left < newton) & (newton < right), newton, mid), c)
+            np.copyto(c, np.where((left < newton) & (newton < right), newton, mid), where=live)
         if not found.all():
             gain_left, gain_right = (_gains(faces, weight, g, end) for end in (left, right))
             c = np.where(found, c, np.where(gain_left <= gain_right, left, right))
@@ -441,7 +451,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     np.fill_diagonal(distance, np.inf)
     near = np.zeros((n, n), dtype=bool)
     near[np.arange(n)[:, None], np.argsort(distance, axis=1, kind="stable")[:, :2]] = True
-    working = np.r_[(near | near.T)[~np.eye(n, dtype=bool)], np.ones(n, dtype=bool)]
+    working = np.r_[ic_rows(near | near.T), np.ones(n, dtype=bool)]
     # the dual point over every row, 0 outside W: each round starts from it
     start = np.r_[np.full(k, 1.0 / k), np.zeros(n * n)]
 

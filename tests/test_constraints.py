@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rcl
+from rcl.constraints import ic_rows
 from rcl.errors import DimensionError, RangeError
 
 from conftest import make_instance, make_uu, random_contracts, random_mechanisms
@@ -124,6 +125,17 @@ class TestBuildSystem:
 class TestRowExport:
     # the rows a mask picks and the residual over every row, both in the
     # row order `ic_pairs` defines, then IR
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_ic_rows_name_rows_by_type_pair(self, rng, n):
+        # IC(j,k) for each j and each k != j; an own x other mask picks
+        # IC(j,k) exactly where mask[j, k] is set, whatever its diagonal holds
+        system = rcl.build_system(make_uu(rng, n=n, m=2))
+        assert system.ic_pairs() == [(j, k) for j in range(n) for k in range(n) if k != j]
+        for _ in range(4):
+            mask = rng.random((n, n)) < 0.5
+            picked = [pair for pair, keep in zip(system.ic_pairs(), ic_rows(mask)) if keep]
+            assert picked == [(j, k) for j, k in zip(*np.nonzero(mask)) if j != k]
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_masked_rows(self, rng, n):

@@ -287,7 +287,8 @@ def reference_budget_utility(density, e_a, u):
         lam_hi *= 4.0
     assert excess(lam_lo) > 0.0 and excess(lam_hi) < 0.0
     t_lo, t_hi = np.log(lam_lo), np.log(lam_hi)
-    t = 0.5 * (t_lo + t_hi)
+    # log's excess is convex in t: Newton climbs to the root from the left end
+    t = t_lo if u.family == LOG else 0.5 * (t_lo + t_hi)
     for _ in range(ORACLE_STEPS):
         x = payoff(np.exp(t))
         miss = density.expect(x) - target
@@ -322,6 +323,28 @@ def random_densities(rng, n_drifts, n_nodes=20, spread=1.5):
     model = rcl.MarketModel(horizon=1.0, nodes=nodes, weights=weights,
                             drift_types=drifts)
     return [rcl.tilted_density(model, k) for k in range(n_drifts)]
+
+
+def preset_oracle_calls(monkeypatch, u):
+    """The budget oracle under `u` on the log_delegation preset's densities:
+    the multipliers of each `_multiplier_payoff` call of its Newton phase,
+    and the number of calls in all."""
+    doc = build_preset_bundle("log_delegation").market
+    model = rcl.market_model_from_json(doc)
+    densities = [rcl.tilted_density(model, k) for k in range(len(model.drift_types))]
+    newton, calls = [], []
+    payoff = rcl.market._multiplier_payoff
+
+    def counted(*args):
+        calls.append(args)
+        # bracketing evaluates through the oracle's `excess` closure
+        if sys._getframe(1).f_code.co_name == "verify_budget_optimality":
+            newton.append(args[2])
+        return payoff(*args)
+
+    monkeypatch.setattr(rcl.market, "_multiplier_payoff", counted)
+    rcl.verify_budget_optimality(densities, np.ones(model.n_nodes), u)
+    return newton, len(calls)
 
 
 class TestBudgetOracle:
@@ -409,20 +432,17 @@ class TestBudgetOracle:
         # the CARA excess is linear in log lambda: the Newton phase evaluates
         # the bracket's midpoint, then the root, where its step is ~0
         doc = build_preset_bundle("log_delegation").market
-        model = rcl.market_model_from_json(doc)
-        densities = [rcl.tilted_density(model, k) for k in range(len(model.drift_types))]
-        newton_calls = []
-        payoff = rcl.market._multiplier_payoff
+        newton, _ = preset_oracle_calls(monkeypatch, rcl.cara(doc["alpha"]))
+        assert 1 <= len(newton) <= 2
 
-        def counted(*args):
-            # bracketing evaluates through the oracle's `excess` closure
-            if sys._getframe(1).f_code.co_name == "verify_budget_optimality":
-                newton_calls.append(args[2])
-            return payoff(*args)
-
-        monkeypatch.setattr(rcl.market, "_multiplier_payoff", counted)
-        rcl.verify_budget_optimality(densities, np.ones(model.n_nodes), rcl.cara(doc["alpha"]))
-        assert 1 <= len(newton_calls) <= 2
+    def test_log_newton_climbs_from_the_left_end(self, monkeypatch):
+        # the log excess is convex in log lambda: from the bracket's left end
+        # each row's multiplier rises to the root without overshooting it;
+        # the oracle takes 13 payoff evaluations where a start at the
+        # bracket's midpoint took 33
+        newton, calls = preset_oracle_calls(monkeypatch, rcl.log_utility())
+        assert calls <= 13
+        assert np.all(np.diff(np.hstack(newton), axis=1) >= 0.0)
 
     def test_benchmark_market_gaps_at_rounding(self, tmp_path, monkeypatch):
         # the certify market documents of the benchmark, seeds 301-310:

@@ -276,7 +276,9 @@ class TestUtilitySpec:
         # -u''/u' against -(u'(z + h) - u'(z - h)) / (2 h u'(z))
         h = 1e-5 * np.maximum(np.abs(z), 0.1)
         numeric = -(u.deriv(z + h) - u.deriv(z - h)) / (2.0 * h * u.deriv(z))
-        np.testing.assert_allclose(u._risk_aversion(z), numeric, rtol=1e-6, atol=1e-9)
+        slope, aversion = u._deriv_and_aversion(z)
+        np.testing.assert_array_equal(slope, u._deriv(z))
+        np.testing.assert_allclose(aversion, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestValidateInstance:

@@ -73,6 +73,17 @@ class TestPresets:
         np.testing.assert_array_equal(inst.reservation, 0.0)
         assert market_model_from_json(bundle.market) is not None
 
+    def test_market_labels_gain_digits_only_to_stay_distinct(self):
+        # 128 even slopes in +-0.35 lie 0.0055 apart: two decimals would
+        # give equal labels, which validation rejects; three tell them apart
+        slopes = np.linspace(-0.35, 0.35, 128)
+        bundle = build_preset_bundle("cara_hedging", {"slopes": slopes})
+        labels = [agent.label for agent in bundle.instance.types]
+        assert len(set(labels)) == 128 and labels[:2] == ["slope=-0.350", "slope=-0.344"]
+        assert [drift["label"] for drift in bundle.market["drift_types"]] == labels
+        assert [agent.label for agent in rcl.build_preset("cara_hedging").types] == [
+            "slope=+0.00", "slope=+0.35", "slope=-0.35"]
+
     def test_cara_hedging_solver_reproduces_closed_form_benchmark(self):
         # one flat type: the optimum binds participation, so the agent's
         # indirect utility equals the no-trade closed form

@@ -396,6 +396,29 @@ def assert_matches_bisection(uu, s, g):
     return c, inside
 
 
+def psi_evaluations(monkeypatch):
+    """The `u._inverse` calls of each `_inner_max` call that follows: one
+    per psi evaluation, and two more where `_gains` picks a bracket end."""
+    counts, inside = [], []
+    inverse, inner_max = rcl.model.UtilitySpec._inverse, rcl.solver._inner_max
+
+    def counted_inverse(self, y):
+        if inside:
+            counts[-1] += 1
+        return inverse(self, y)
+
+    def counted_inner_max(*args):
+        counts.append(0)
+        inside.append(True)
+        c = inner_max(*args)
+        inside.clear()
+        return c
+
+    monkeypatch.setattr(rcl.model.UtilitySpec, "_inverse", counted_inverse)
+    monkeypatch.setattr(rcl.solver, "_inner_max", counted_inner_max)
+    return counts
+
+
 class TestInnerMax:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -480,6 +503,38 @@ class TestInnerMax:
                                       scale=scale)
             _, inside = assert_matches_bisection(uu, s, g)
             assert inside.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        v_name=st.sampled_from(["cara_half", "cara_whole"]),
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        full_box=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-300, 1e-310]),
+    )
+    def test_linear_agent_cara_principal_in_one_evaluation(self, seed, v_name, n, m,
+                                                            full_box, scale):
+        # psi is linear in c, so the regula-falsi root of psi between the
+        # faces is its root: one evaluation finds every interior entry, and
+        # no entry is left for `_gains` to place
+        uu, s, g = inner_max_case(seed, "linear", v_name, n, m, full_box, scale)
+        with pytest.MonkeyPatch.context() as patch:
+            counts = psi_evaluations(patch)
+            c = rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
+        assert counts == [1]
+        fine, inside = reference_inner_max(uu, s, g, 60)
+        width = np.broadcast_to(uu.c_hi - uu.c_lo, g.shape)
+        assert np.all(np.abs(c - fine)[inside] <= 1e-10 * width[inside])
+
+    @pytest.mark.parametrize("name, most", [("reinsurance_halfline", 7), ("cara_hedging", 1)])
+    def test_evaluations_per_call_of_a_solve(self, monkeypatch, name, most):
+        # the log agent's box reaches down to log(1e-8): from its midpoint
+        # Newton took up to 10 evaluations, from the regula-falsi start at
+        # most 6; a linear agent and a CARA principal need one
+        counts = psi_evaluations(monkeypatch)
+        res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name)))
+        assert res.converged and counts and max(counts) <= most
 
 
 def linear_lp_optimum(uu):
