@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import Mechanism, build_system, ic_rows
+from .constraints import FeasibilityReport, Mechanism, build_system, check_mechanism, ic_rows
 from .errors import RclError
 from .market import market_report
 from .menu import _check_menu_cap, equivalence_check, extract_mechanism, solve_menu
@@ -71,10 +71,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
         writer.writerows(rows)
 
 
-def _write_summary(path: Path, uu, mech: Mechanism):
-    """Per-type, per-atom table of the mechanism with its constraint slacks."""
+def _write_summary(path: Path, uu, mech: Mechanism, feasibility: FeasibilityReport):
+    """Per-type, per-atom table of the mechanism with its constraint slacks,
+    read off its feasibility report: the IC rows, then the IR rows."""
     n = uu.n_types
-    ic, ir_slack = build_system(uu).slacks(mech)
+    slacks = np.array([row["slack"] for row in feasibility.row_slacks])
+    ic, ir_slack = np.split(slacks, [n * (n - 1)])
     own = ic_rows(np.indices((n, n))[0])  # the type each IC row belongs to
     min_ic = np.where(own == np.arange(n)[:, None], ic, np.inf).min(axis=1, initial=np.inf)
     rows = []
@@ -175,8 +177,8 @@ def _levels(config: RunConfig, default: int) -> int:
 
 
 # The mechanism commands: each body maps the loaded utility-units instance to
-# its result.json body, the mechanism for summary.csv, its trace (or None)
-# and its exit code.
+# its result.json body, the mechanism for summary.csv with its feasibility
+# report, its trace (or None) and its exit code.
 
 def _solve(config: RunConfig, uu):
     flags = {"max_iters": config.max_iters, "tol": config.tol}
@@ -184,13 +186,13 @@ def _solve(config: RunConfig, uu):
         uu, SolveOptions(**{k: v for k, v in flags.items() if v is not None}))
     code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     doc = {"result": result.to_json(), "clamped_atoms": uu.clamped_atoms}
-    return doc, result.mechanism, result.trace, code
+    return doc, result.mechanism, result.feasibility, result.trace, code
 
 
 def _oracle(config: RunConfig, uu):
     result = grid_oracle(uu, _levels(config, 3))
     doc = {"result": result.to_json(), "clamped_atoms": uu.clamped_atoms}
-    return doc, result.mechanism, None, EXIT_OK
+    return doc, result.mechanism, result.feasibility, None, EXIT_OK
 
 
 def _candidates(config: RunConfig, uu):  # the cap is checked before the grid is built
@@ -199,19 +201,24 @@ def _candidates(config: RunConfig, uu):  # the cap is checked before the grid is
     return grid_contracts(uu, levels)
 
 
+def _feasibility(uu, mech: Mechanism) -> FeasibilityReport:
+    """The report of a command whose own result carries none."""
+    return check_mechanism(build_system(uu), mech)
+
+
 def _menu(config: RunConfig, uu):
     menu, value = solve_menu(_candidates(config, uu), uu)
     mech = extract_mechanism(menu, uu)
     doc = {"menu_value": value, "menu": menu.contracts.tolist(),
            "mechanism": mech.to_json()}
-    return doc, mech, None, EXIT_OK
+    return doc, mech, _feasibility(uu, mech), None, EXIT_OK
 
 
 def _equivalence(config: RunConfig, uu):
     candidates = _candidates(config, uu)
     report = equivalence_check(candidates, uu)
     witness = Mechanism(candidates[report.witness_assignment])
-    return {"report": report.to_json()}, witness, None, EXIT_OK
+    return {"report": report.to_json()}, witness, _feasibility(uu, witness), None, EXIT_OK
 
 
 _MECHANISM_COMMANDS = {"solve": _solve, "oracle": _oracle, "menu": _menu,
@@ -223,12 +230,12 @@ def run(config: RunConfig) -> int:
     try:
         _check_flags(config)
         out.mkdir(parents=True, exist_ok=True)
-        uu = mech = trace = None
+        uu = mech = feasibility = trace = None
         code = EXIT_OK
         if config.command in _MECHANISM_COMMANDS:
             uu = to_utility_units(_load(config))
             _warn_clamps(uu)
-            doc, mech, trace, code = _MECHANISM_COMMANDS[config.command](config, uu)
+            doc, mech, feasibility, trace, code = _MECHANISM_COMMANDS[config.command](config, uu)
         elif config.command == "ae-check":
             doc = {"report": ae_check(_load(config).u).to_json()}
         elif config.command == "market":
@@ -243,7 +250,7 @@ def run(config: RunConfig) -> int:
         if trace is not None:
             _write_csv(out / "trace.csv", ["iter", "bound"], trace)
         if mech is not None:
-            _write_summary(out / "summary.csv", uu, mech)
+            _write_summary(out / "summary.csv", uu, mech, feasibility)
         return code
     except RclError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ agent-level matrix (`agent_levels`), the same one menus choose from.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,7 +111,8 @@ def build_system(uu: UtilityUnitsInstance) -> LinearConstraintSystem:
 
 @dataclass
 class FeasibilityReport:
-    """Per-row slacks plus the worst violations of each constraint block."""
+    """Per-row slacks, in row order, plus the worst violations of each
+    constraint block."""
 
     feasible: bool
     max_ic_violation: float
@@ -120,7 +121,10 @@ class FeasibilityReport:
     row_slacks: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # a plain dict: `asdict` would deep-copy every row_slacks entry
+        return {"feasible": self.feasible, "max_ic_violation": self.max_ic_violation,
+                "max_ir_violation": self.max_ir_violation, "tol": self.tol,
+                "row_slacks": self.row_slacks}
 
 
 def _worst_violation(slacks: np.ndarray) -> float:

@@ -6,11 +6,16 @@ reference law, always re-normalized numerically (the raw normalizer Z is
 reported so the unnormalized identities can be audited). The CARA and log
 budget-constrained optima, their utilities in terms of relative entropies,
 and the principal's delegation income are implemented in closed form, with
-an independent Lagrange-multiplier oracle for verification. The closed
-forms take a type's `TiltedDensity`, computed once by `tilted_density`;
-the oracle takes the densities of all types and finds their budget
-multipliers together, by safeguarded Newton in log lambda, row by row on
-one (types, nodes) array. A row stops once its Newton step is at most
+an independent Lagrange-multiplier oracle for verification. Each type's
+`TiltedDensity` is computed once by `tilted_density`; `_stack_densities`
+stacks them as the rows of one (types, nodes) density. The entropies, the
+closed forms and the delegation value take either a lone density or a
+stack, and sum each row through `_row_dots`, so a row of the stack gives
+bitwise the values of the lone density: `market_report` calls each of
+them on the stack of all types, not once per type (the delegation value
+once over (betas, types, nodes)). The oracle takes the densities of all types and finds their
+budget multipliers together, by safeguarded Newton in log lambda, row by
+row on their stack. A row stops once its Newton step is at most
 1e-15 max(1, |log lambda|) or its bracket has collapsed, and a row still
 moving at the ORACLE_STEPS cap raises NonConvergenceError.
 Only this module reads the market document (`market_model_from_json`,
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     DimensionError,
@@ -115,6 +119,9 @@ class MarketModel:
 def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The raw m-node Gauss-Hermite rule, computed once per m and read-only:
     `hermgauss` costs milliseconds at m = MAX_NODES."""
+    # imported here: numpy.polynomial adds about 3 ms to the import of rcl.cli
+    from numpy.polynomial.hermite import hermgauss
+
     rule = hermgauss(m)
     for part in rule:
         part.flags.writeable = False
@@ -157,20 +164,35 @@ def weighted_moment(nodes: np.ndarray, weights: np.ndarray, k: int) -> float:
     return total
 
 
+def _per_row(total):
+    """A per-row result: a float for a lone density, an array for a stack."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _column(value) -> np.ndarray:
+    """A per-row value as a column, broadcast across the row's nodes."""
+    return np.expand_dims(value, -1)
+
+
 @dataclass
 class TiltedDensity:
-    """Numerically normalized exponential tilt of the reference weights."""
+    """Numerically normalized exponential tilt of the reference weights.
+
+    A lone density holds one type's values; a stack (`_stack_densities`)
+    holds several types' as the rows of a (types, nodes) array, with one
+    normalizer per row. Every function below takes either, works row by
+    row and gives one result per row."""
 
     values: np.ndarray      # density per node, strictly positive
-    normalizer: float       # raw Z = E_Q[exp(f)]; Z = 1 means already a density
+    normalizer: float | np.ndarray  # raw Z = E_Q[exp(f)]; Z = 1 means already a density
     weights: np.ndarray     # reference weights the density is taken against
 
-    def expect(self, payoff: np.ndarray) -> float:
-        """Expectation of a node payoff under the tilted measure."""
+    def expect(self, payoff: np.ndarray) -> float | np.ndarray:
+        """Expectation of a node payoff under the tilted measure, per row."""
         payoff = np.asarray(payoff, dtype=float)
-        if payoff.shape != self.values.shape:
+        if payoff.shape[-1:] != self.values.shape[-1:]:
             raise DimensionError("payoff length does not match the node grid")
-        return float(_row_dots(self.weights * self.values, payoff))
+        return _per_row(_row_dots(self.weights * self.values, payoff))
 
 
 def tilted_density(model: MarketModel, f_index: int) -> TiltedDensity:
@@ -186,7 +208,16 @@ def tilted_density(model: MarketModel, f_index: int) -> TiltedDensity:
     return TiltedDensity(values=ef / z, normalizer=z, weights=model.weights.copy())
 
 
-def relative_entropy(density: TiltedDensity, direction: str) -> float:
+def _stack_densities(densities: list[TiltedDensity]) -> TiltedDensity:
+    """The lone densities of one node grid as the rows of one density."""
+    if any(d.values.shape != densities[0].values.shape for d in densities):
+        raise DimensionError("densities must share one node grid")
+    return TiltedDensity(values=np.stack([d.values for d in densities]),
+                         normalizer=np.array([d.normalizer for d in densities]),
+                         weights=np.stack([d.weights for d in densities]))
+
+
+def relative_entropy(density: TiltedDensity, direction: str) -> float | np.ndarray:
     """Relative entropy between the tilted measure P and the reference Q.
 
     "P||Q" gives E_P[ln dP/dQ] = sum w d ln d; "Q||P" gives -sum w ln d.
@@ -194,15 +225,15 @@ def relative_entropy(density: TiltedDensity, direction: str) -> float:
     """
     w, d = density.weights, density.values
     if direction == ENTROPY_AGENT_GIVEN_REF:
-        return float(np.sum(w * d * np.log(d)))
+        return _per_row(_row_dots(w * d, np.log(d)))
     if direction == ENTROPY_REF_GIVEN_AGENT:
-        return float(-np.sum(w * np.log(d)))
+        return _per_row(-_row_dots(w, np.log(d)))
     raise RangeError(f"unknown entropy direction {direction!r}")
 
 
 def cara_optimal(
     density: TiltedDensity, e_a: np.ndarray, alpha: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Budget-optimal payoff and utility of a CARA agent with belief density d.
 
     x* = -(1/alpha) ln d + E_f[e_a] + (1/alpha) H(P||Q) and the attained
@@ -213,62 +244,64 @@ def cara_optimal(
         raise RangeError("alpha must be positive")
     if not np.isfinite(alpha):
         raise RangeError("alpha must be finite")
-    e_a = np.asarray(e_a, dtype=float)
     mean_endowment = density.expect(e_a)
     entropy = relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
-    x_star = -np.log(density.values) / alpha + mean_endowment + entropy / alpha
+    x_star = (-np.log(density.values) / alpha + _column(mean_endowment)
+              + _column(entropy) / alpha)
     utility = 1.0 - np.exp(-alpha * mean_endowment - entropy)
-    return x_star, float(utility)
+    return x_star, _per_row(utility)
 
 
-def log_optimal(density: TiltedDensity, e_a: np.ndarray) -> tuple[np.ndarray, float]:
+def log_optimal(
+    density: TiltedDensity, e_a: np.ndarray
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Budget-optimal payoff and utility of a log agent with belief density d.
 
     x* = E_f[e_a] / d (wealth proportional to the inverse state-price
     density) and the attained utility is ln E_f[e_a] + H(Q||P).
     """
-    e_a = np.asarray(e_a, dtype=float)
     mean_endowment = density.expect(e_a)
-    if mean_endowment <= 0.0:
+    if np.any(mean_endowment <= 0.0):
         raise DomainError("log wealth needs E_f[e_a] > 0")
-    x_star = mean_endowment / density.values
-    utility = np.log(mean_endowment) + relative_entropy(
-        density, ENTROPY_REF_GIVEN_AGENT
-    )
-    return x_star, float(utility)
+    x_star = _column(mean_endowment) / density.values
+    utility = np.log(mean_endowment) + relative_entropy(density, ENTROPY_REF_GIVEN_AGENT)
+    return x_star, _per_row(utility)
 
 
 def delegation_income(
-    density: TiltedDensity, x: np.ndarray, beta: float, e_a: np.ndarray
+    density: TiltedDensity, x: np.ndarray, beta, e_a: np.ndarray
 ) -> np.ndarray:
     """Principal's per-node income from the log manager's optimal trading.
 
     With the agent keeping the beta-fraction of trading gains, the principal
     collects (1-beta)/beta * (E_f[e_a+x]/d - (e_a + x)) per node. The
     singular endpoint beta = 0 is excluded; beta below BETA_MIN is refused.
+    beta may be an array of shares shaped to broadcast against the
+    density's values, such as (betas, 1, 1) for a stack.
     """
-    if not (BETA_MIN <= beta <= 1.0):
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((BETA_MIN <= beta) & (beta <= 1.0)):
         raise RangeError(f"beta must lie in [{BETA_MIN}, 1]")
     income = np.asarray(e_a, dtype=float) + np.asarray(x, dtype=float)
     mean_income = density.expect(income)
-    if mean_income <= 0.0:
+    if np.any(mean_income <= 0.0):
         raise DomainError("delegation needs E_f[e_a + x] > 0")
-    return (1.0 - beta) / beta * (mean_income / density.values - income)
+    return (1.0 - beta) / beta * (_column(mean_income) / density.values - income)
 
 
 def delegation_value(
     density: TiltedDensity,
     x: np.ndarray,
-    beta: float,
+    beta,
     e_a: np.ndarray,
     e_p: np.ndarray,
     v: UtilitySpec,
-) -> float:
+) -> float | np.ndarray:
     """Principal's expected utility, under the reference law, from delegating
-    to the log manager with belief density d."""
+    to the log manager with belief density d: one per beta and row."""
     w_star = delegation_income(density, x, beta, e_a)
     wealth = np.asarray(e_p, dtype=float) - np.asarray(x, dtype=float) + w_star
-    return float(density.weights @ v.value(wealth))
+    return _per_row(_row_dots(density.weights, v.value(wealth)))
 
 
 def _array(value) -> np.ndarray:
@@ -365,12 +398,10 @@ def verify_budget_optimality(
     e_a = np.asarray(e_a, dtype=float)
     if not densities:
         return np.zeros(0)
-    if any(d.values.shape != densities[0].values.shape for d in densities):
-        raise DimensionError("densities must share one node grid")
-    if e_a.shape != densities[0].values.shape:
+    stack = _stack_densities(densities)
+    weights, values = stack.weights, stack.values
+    if e_a.shape != values.shape[1:]:
         raise DimensionError("payoff length does not match the node grid")
-    weights = np.stack([d.weights for d in densities])
-    values = np.stack([d.values for d in densities])
     measure = weights * values    # `TiltedDensity.expect` of every row at once
     target = _row_dots(measure, e_a)
     if u.family == LOG and np.any(target <= 0.0):
@@ -432,6 +463,7 @@ def market_report(doc, alpha: float | None = None,
     density's normalizer and entropies, the CARA and log closed forms with
     their oracle gaps, and the principal's CARA(1) delegation value at each
     beta for a zero transfer. Given alpha and betas win over the document's.
+    Each closed form runs once, on the stack of all types' densities.
     """
     model = market_model_from_json(doc)
     m = model.n_nodes
@@ -441,30 +473,35 @@ def market_report(doc, alpha: float | None = None,
         alpha = _read_field(doc, "alpha", float, 1.0)
     if betas is None:
         betas = tuple(_read_field(doc, "beta", _array, 0.5).ravel().tolist())
-    v, zero = cara(1.0), np.zeros(m)
-    densities, types = [], []
-    for i, drift in enumerate(model.drift_types):
-        density = tilted_density(model, i)
-        x_cara, u_cara = cara_optimal(density, e_a, alpha)
-        x_log, u_log = log_optimal(density, e_a)
-        densities.append(density)
-        types.append({
-            "label": drift.label,
-            "normalizer": density.normalizer,
-            "normalizer_gap": abs(density.normalizer - 1.0),
-            "entropy_agent_ref": relative_entropy(density, ENTROPY_AGENT_GIVEN_REF),
-            "entropy_ref_agent": relative_entropy(density, ENTROPY_REF_GIVEN_AGENT),
-            "cara": {"utility": u_cara, "payoff": x_cara.tolist()},
-            "log": {"utility": u_log, "payoff": x_log.tolist()},
-            "delegation": {repr(float(beta)): delegation_value(density, zero, beta, e_a, e_p, v)
-                           for beta in betas},
-        })
+    report = {"horizon": model.horizon, "n_nodes": m, "types": []}
+    if not model.drift_types:  # nothing to evaluate, alpha and betas unchecked
+        return report
+    densities = [tilted_density(model, i) for i in range(len(model.drift_types))]
+    stack = _stack_densities(densities)
+    closed = {"cara": cara_optimal(stack, e_a, alpha), "log": log_optimal(stack, e_a)}
+    delegation = delegation_value(stack, np.zeros(m), np.reshape(betas, (-1, 1, 1)),
+                                  e_a, e_p, cara(1.0)).T.tolist()
     # one oracle run per utility over all types; cara(alpha) is built only
-    # after cara_optimal has checked alpha, and not at all without types
-    oracles = {"cara": cara(alpha), "log": log_utility()} if types else {}
-    for form, u in oracles.items():
-        closed = [entry[form]["utility"] for entry in types]
-        gaps = np.abs(verify_budget_optimality(densities, e_a, u) - closed)
-        for entry, gap in zip(types, gaps.tolist()):
-            entry[form]["oracle_gap"] = gap
-    return {"horizon": model.horizon, "n_nodes": m, "types": types}
+    # after cara_optimal has checked alpha
+    forms = {}
+    for form, u in (("cara", cara(alpha)), ("log", log_utility())):
+        payoff, utility = closed[form]
+        gap = np.abs(verify_budget_optimality(densities, e_a, u) - utility)
+        forms[form] = [{"utility": uk, "payoff": xk, "oracle_gap": gk} for uk, xk, gk
+                       in zip(utility.tolist(), payoff.tolist(), gap.tolist())]
+    normalizer = stack.normalizer.tolist()
+    normalizer_gap = np.abs(stack.normalizer - 1.0).tolist()
+    h_pq = relative_entropy(stack, ENTROPY_AGENT_GIVEN_REF).tolist()
+    h_qp = relative_entropy(stack, ENTROPY_REF_GIVEN_AGENT).tolist()
+    labels = [repr(float(beta)) for beta in betas]
+    report["types"] = [{
+        "label": drift.label,
+        "normalizer": normalizer[k],
+        "normalizer_gap": normalizer_gap[k],
+        "entropy_agent_ref": h_pq[k],
+        "entropy_ref_agent": h_qp[k],
+        "cara": forms["cara"][k],
+        "log": forms["log"][k],
+        "delegation": dict(zip(labels, delegation[k])),
+    } for k, drift in enumerate(model.drift_types)]
+    return report

@@ -72,15 +72,22 @@ def _dumps(value, indent: str = "") -> str:
     document whose dict keys are all str (a non-str key raises TypeError).
 
     With `indent` set, json encodes in pure Python; this walks the dicts,
-    lists and tuples itself and hands each list of floats to json's C
-    encoder in one call, splitting its one-line output at ", ". json still
-    formats every number and string."""
+    lists and tuples itself. A list of floats goes to json's C encoder in
+    one call, splitting its one-line output at ", ", and only its distinct
+    values go: a market payoff list repeats a few values hundreds of times.
+    0.0 and -0.0 are one dict key, so a zero takes repr's text, which is
+    json's for a finite float. json still formats every other number and
+    every string."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = indent + "  "
         if all(type(item) is float for item in value):
-            items = json.dumps(value)[1:-1].split(", ")
+            distinct = list(dict.fromkeys(value))
+            texts = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
+            items = list(map(texts.__getitem__, value))
+            if 0.0 in texts:
+                items = [text if item else repr(item) for item, text in zip(value, items)]
         else:
             items = [_dumps(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
@@ -496,12 +503,17 @@ class BeliefSet:
         exact arithmetic (Higham §3.1 bounds the rounding of each total),
         so the index is the lowest such prior: at a pooling vector, where
         every total is equal in exact arithmetic, it does not follow the
-        summation order. A nan total is the minimum, as for `np.argmin`."""
+        summation order. Below the normal range a product's rounding error
+        is absolute instead, at most half the smallest subnormal eta, so
+        n_types * eta more covers both totals' products there. A nan total
+        is the minimum, as for `np.argmin`."""
         type_values = np.asarray(type_values, dtype=float)
         totals = _row_dots(self.priors, type_values) + self.penalties
         idx = int(np.argmin(totals))
-        gamma = 2.0 * (type_values.size + 1) * np.finfo(float).eps
-        rounding = gamma * (_row_dots(self.priors, np.abs(type_values)) + np.abs(self.penalties))
+        fp = np.finfo(float)
+        gamma = 2.0 * (type_values.size + 1) * fp.eps
+        rounding = (gamma * (_row_dots(self.priors, np.abs(type_values)) + np.abs(self.penalties))
+                    + type_values.size * fp.smallest_subnormal)
         tied = totals - rounding <= totals[idx]
         tied[idx] = True
         return float(totals[idx]), int(np.argmax(tied))

@@ -261,6 +261,91 @@ class TestDelegation:
             rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2), beta=1e-4,
                                   e_a=np.ones(2))
 
+    def test_beta_floor_in_a_sweep(self):
+        model = two_node_model()
+        with pytest.raises(RangeError):
+            rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2),
+                                  beta=np.array([0.5, 1e-4]), e_a=np.ones(2))
+
+
+def lone_and_stacked(density, stack, k, e_a, e_p, x, betas, alpha):
+    """Each closed form of the lone density, and row k of it on the stack."""
+    v, column = rcl.cara(1.0), np.reshape(betas, (-1, 1, 1))
+    pairs = [(rcl.relative_entropy(density, direction),
+              rcl.relative_entropy(stack, direction)[k])
+             for direction in (ENTROPY_AGENT_GIVEN_REF, ENTROPY_REF_GIVEN_AGENT)]
+    for lone, stacked in ((rcl.cara_optimal(density, e_a, alpha),
+                           rcl.cara_optimal(stack, e_a, alpha)),
+                          (rcl.log_optimal(density, e_a), rcl.log_optimal(stack, e_a))):
+        pairs += [(lone[0], stacked[0][k]), (lone[1], stacked[1][k])]
+    swept = rcl.delegation_value(stack, x, column, e_a, e_p, v)
+    pairs += [(rcl.delegation_value(density, x, beta, e_a, e_p, v), swept[b, k])
+              for b, beta in enumerate(betas)]
+    return pairs
+
+
+class TestOnePath:
+    """The report evaluates each closed form once on the stack of all types'
+    densities; the public per-type calls run the same code on one row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_drifts=st.integers(1, 16),
+           n_nodes=st.integers(2, 200), spread=st.floats(0.01, 3.0),
+           alpha=st.floats(0.1, 5.0))
+    def test_lone_density_is_its_row_of_the_stack(self, seed, n_drifts, n_nodes, spread,
+                                                   alpha):
+        rng = np.random.default_rng(seed)
+        densities = random_densities(rng, n_drifts, n_nodes, spread)
+        stack = rcl.market._stack_densities(densities)
+        e_a, e_p = rng.uniform(0.5, 1.5, n_nodes), rng.uniform(1.5, 2.5, n_nodes)
+        x, betas = rng.uniform(-0.2, 0.2, n_nodes), [0.25, 0.5, 0.75, 1.0]
+        for k, density in enumerate(densities):
+            for lone, row in lone_and_stacked(density, stack, k, e_a, e_p, x, betas, alpha):
+                assert np.asarray(lone).tobytes() == np.asarray(row).tobytes()
+
+    def test_report_equals_the_per_type_functions(self):
+        doc = build_preset_bundle("cara_hedging").market
+        report = rcl.market.market_report(doc, betas=(0.25, 0.5, 1.0))
+        model = rcl.market_model_from_json(doc)
+        m, alpha = model.n_nodes, doc["alpha"]
+        e_a = rcl.market._node_values(doc, "e_a", 1.0, m)
+        e_p = rcl.market._node_values(doc, "e_p", 2.0, m)
+        densities = [rcl.tilted_density(model, k) for k in range(len(model.drift_types))]
+        gaps = {CARA: closed_form_gaps(densities, e_a, rcl.cara(alpha)),
+                LOG: closed_form_gaps(densities, e_a, rcl.log_utility())}
+        assert len(report["types"]) == len(densities) == 3
+        for k, (entry, d) in enumerate(zip(report["types"], densities)):
+            x_cara, u_cara = rcl.cara_optimal(d, e_a, alpha)
+            x_log, u_log = rcl.log_optimal(d, e_a)
+            assert entry == {
+                "label": model.drift_types[k].label,
+                "normalizer": d.normalizer,
+                "normalizer_gap": abs(d.normalizer - 1.0),
+                "entropy_agent_ref": rcl.relative_entropy(d, ENTROPY_AGENT_GIVEN_REF),
+                "entropy_ref_agent": rcl.relative_entropy(d, ENTROPY_REF_GIVEN_AGENT),
+                "cara": {"utility": u_cara, "payoff": x_cara.tolist(),
+                         "oracle_gap": float(gaps[CARA][k])},
+                "log": {"utility": u_log, "payoff": x_log.tolist(),
+                        "oracle_gap": float(gaps[LOG][k])},
+                "delegation": {
+                    repr(beta): rcl.delegation_value(d, np.zeros(m), beta, e_a, e_p,
+                                                     rcl.cara(1.0))
+                    for beta in (0.25, 0.5, 1.0)},
+            }
+
+    def test_report_evaluates_each_closed_form_once(self, monkeypatch):
+        doc = build_preset_bundle("cara_hedging").market
+        calls = {}
+        for name in ("cara_optimal", "log_optimal", "delegation_value",
+                     "verify_budget_optimality"):
+            def counted(*args, _name=name, _fn=getattr(rcl.market, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(rcl.market, name, counted)
+        rcl.market.market_report(doc, betas=(0.25, 0.5, 0.75, 1.0))
+        assert calls == {"cara_optimal": 1, "log_optimal": 1, "delegation_value": 1,
+                         "verify_budget_optimality": 2}
+
 
 def reference_budget_utility(density, e_a, u):
     """The budget oracle for one density, as a lone scalar safeguarded

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -120,11 +121,30 @@ JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
+# float lists that repeat a few values, as a market payoff list does, with
+# both signed zeros in every pool, nested in lists and dicts
+REPEATING_FLOATS = st.lists(FLOATS, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from([*pool, 0.0, -0.0]), min_size=1, max_size=30))
+REPEATING_DOCS = st.recursive(
+    REPEATING_FLOATS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
 
 class TestDumps:
     @settings(max_examples=100, deadline=None)
     @given(value=JSON_VALUES)
     def test_bytes_of_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=REPEATING_DOCS)
+    @example(value={"payoff": [0.0, -0.0, 1.5, -0.0, 0.0, 1.5]})
+    @example(value={"payoff": [math.nan, float("nan"), math.nan]})
+    def test_repeated_floats_are_written_as_json_dumps(self, value):
+        # each distinct float is formatted once; 0.0 and -0.0, one dict key,
+        # keep their own texts, and NaN and +-inf json's
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_empty_containers_and_a_float_list(self):
@@ -436,6 +456,7 @@ class TestBeliefSet:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), k=st.integers(2, 5),
            level=st.floats(-1e3, 1e3), penalty=st.floats(-1.0, 1.0))
+    @example(seed=0, n=8, k=2, level=2.2250738585e-313, penalty=0.0)  # subnormal products
     def test_pooling_worst_prior_does_not_follow_summation_order(self, seed, n, k,
                                                                  level, penalty):
         # dyadic priors sum to 1 exactly, so at a pooling vector with equal
