@@ -12,6 +12,10 @@ iteration. Outputs are byte-identical for identical configuration: floats
 are rendered via their shortest round-trip representation and JSON keys
 are sorted.
 
+`parse_args` builds its argparse parser once per process (`_parser`) and
+reuses it, since a parse leaves no state in it: a caller that runs `main`
+many times in one process pays for the build once.
+
 Exit codes: 0 success, 1 invalid input (bad flags included, and flags the
 command does not use) or caps exceeded, 2 the solve did not certify its
 mechanism: it is infeasible, or its gap is above `--tol` (for instance
@@ -25,6 +29,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -243,8 +248,7 @@ def run(config: RunConfig) -> int:
         else:
             raise RclError(f"unknown command {config.command!r}")
         # encoded whole before the file is opened, and written in one call;
-        # `_dumps` gives json.dumps(indent=2, sort_keys=True)'s bytes with
-        # each float list through json's C encoder
+        # `_dumps` gives json.dumps(indent=2, sort_keys=True)'s bytes
         text = _dumps({"config": config.echo(), **doc})
         (out / "result.json").write_text(text + "\n")
         if trace is not None:
@@ -278,26 +282,25 @@ def _numbers(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def parse_args(argv) -> RunConfig:
-    parser = _Parser(
-        prog="rcl",
-        description="Robust contracting lab: solve, delegate, certify.",
-    )
+@cache
+def _parser() -> _Parser:
+    """The one parser of the process; parse_args keeps no state in it."""
+    parser = _Parser(prog="rcl", description="Robust contracting lab: solve, delegate, certify.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--preset", choices=PRESET_NAMES)
     parser.add_argument("--instance", help="path to an instance JSON document")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--max-iters", type=int, dest="max_iters",
-                        help="cap on the solver's dual iterations")
-    parser.add_argument("--tol", type=float,
-                        help="feasibility and gap tolerance of solve")
+    parser.add_argument("--max-iters", type=int, help="cap on the solver's dual iterations")
+    parser.add_argument("--tol", type=float, help="feasibility and gap tolerance of solve")
     parser.add_argument("--levels", type=int, help="grid levels per atom")
-    parser.add_argument(
-        "--beta", type=_numbers,
-        help="profit share(s) kept by the agent, comma separated for sweeps",
-    )
+    parser.add_argument("--beta", type=_numbers,
+                        help="profit share(s) kept by the agent, comma separated for sweeps")
     parser.add_argument("--alpha", type=float, help="CARA risk aversion")
-    return RunConfig(**vars(parser.parse_args(argv)))
+    return parser
+
+
+def parse_args(argv) -> RunConfig:
+    return RunConfig(**vars(_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

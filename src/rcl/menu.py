@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -150,7 +151,8 @@ def solve_menu(
                 np.intp, rows * size,
             ).reshape(rows, size)
             best, _, favoured = _choices(levels_t[members.T], values[members.T][:, :, None])
-            robust = (_row_dots(priors, favoured[:, None, :]) + penalties).min(axis=1)
+            # the worst prior's total, as enumerate_best_assignment takes it
+            robust = reduce(np.minimum, (_row_dots(priors, favoured[:, None, :]) + penalties).T)
             robust[np.isnan(robust) | np.any(best < floor, axis=1)] = -np.inf
             s = int(np.argmax(robust))
             if robust[s] > best_val:

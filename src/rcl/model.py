@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,34 +73,35 @@ def _dumps(value, indent: str = "") -> str:
     document whose dict keys are all str (a non-str key raises TypeError).
 
     With `indent` set, json encodes in pure Python; this walks the dicts,
-    lists and tuples itself. A list of floats goes to json's C encoder in
-    one call, splitting its one-line output at ", ", and only its distinct
-    values go: a market payoff list repeats a few values hundreds of times.
-    0.0 and -0.0 are one dict key, so a zero takes repr's text, which is
-    json's for a finite float. json still formats every other number and
-    every string."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        if all(type(item) is float for item in value):
-            distinct = list(dict.fromkeys(value))
-            texts = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
-            items = list(map(texts.__getitem__, value))
-            if 0.0 in texts:
-                items = [text if item else repr(item) for item, text in zip(value, items)]
-        else:
-            items = [_dumps(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    lists and tuples itself and writes the leaves by json's own rules: a
+    float as its repr when finite (json.dumps writes NaN and the
+    infinities), a str, key or value, through `encode_basestring_ascii`,
+    the function json.dumps calls for one, and an int, bool or None
+    through json.dumps. A list of floats formats only its distinct values:
+    a market payoff list repeats a few values hundreds of times. 0.0 and
+    -0.0 are one dict key, so a zero takes its own repr."""
+    if isinstance(value, float):
+        return float.__repr__(value) if abs(value) < INFINITY else json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("document keys must be str")
-        inner = indent + "  "
-        items = [f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return json.dumps(value)
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
+                 for key in sorted(value)]
+    elif set(map(type, value)) == {float}:
+        distinct = dict.fromkeys(value)
+        texts = dict(zip(distinct, map(_dumps, distinct)))
+        items = list(map(texts.__getitem__, value))
+        if 0.0 in texts:
+            items = [text if item else repr(item) for item, text in zip(value, items)]
+    else:
+        items = [_dumps(item, inner) for item in value]
+    ends = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
 _REQUIRED = object()

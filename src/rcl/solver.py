@@ -26,6 +26,7 @@ prefixes in blocks of at most _CHUNK cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -397,7 +398,9 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     only under the same BLAS thread setting: SLSQP's own BLAS calls go
     through scipy's bundled OpenBLAS (a library apart from numpy's), whose
     thread count can round its steps differently and so change its path;
-    pinning that pool alone to one thread reproduces a single-thread solve.
+    pinning that pool alone to one thread reproduces a single-thread solve
+    of the presets. At 64 types × 40 nodes numpy's pool moves the value too
+    (ROADMAP item 2), so there only pinning both pools does.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize
@@ -563,7 +566,9 @@ def enumerate_best_assignment(
             # that evaluates a row among others; a repeated row keeps a lone
             # survivor of a larger space on the latter
             idx = prefix[[0, 0]] if prefix.shape[0] == 1 and count > 1 else prefix
-            robust = (values[idx] @ priors.T + penalties).min(axis=1)
+            # the worst prior's total, one np.minimum per prior column: on this
+            # C-ordered (P, k) array .min(axis=1) would loop k entries per row
+            robust = reduce(np.minimum, (values[idx] @ priors.T + penalties).T)
             local = int(np.argmax(robust))
             if robust[local] > best_val:
                 best_val = float(robust[local])

@@ -132,10 +132,25 @@ REPEATING_DOCS = st.recursive(
 )
 
 
+class Label(str):
+    """A str subclass, as a document key or value."""
+
+
 class TestDumps:
     @settings(max_examples=100, deadline=None)
     @given(value=JSON_VALUES)
+    @example(value=math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=-0.0)
+    @example(value={"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0, "e": 0.0})
+    @example(value='"\\\n\u2028é')
+    @example(value={'q"uote': "back\\slash", "new\nline": "\u2028", "é": "日本",
+                    Label("key"): Label('v"al')})
+    @example(value=[Label("\u2028"), "ü", 1, True, None, 0.5])
     def test_bytes_of_json_dumps(self, value):
+        # keys, strings and float scalars skip json.dumps; NaN, +-inf, -0.0
+        # and every string json escapes keep its text
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
@@ -156,6 +171,22 @@ class TestDumps:
         # json would write the key as a string; no document rcl writes has one
         with pytest.raises(TypeError):
             _dumps({"a": [{key: 1.0}]})
+
+    def test_market_report_calls_json_dumps_for_no_str_or_float(self, monkeypatch):
+        # the leaves a report is made of are written directly; only ints,
+        # bools and None still go through json.dumps
+        report = rcl.market.market_report(rcl.build_preset_bundle("cara_hedging").market)
+        expected = json.dumps(report, indent=2, sort_keys=True)
+        dumps, leaves = json.dumps, []
+
+        def counted(value, *args, **kwargs):
+            leaves.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert _dumps(report) == expected
+        assert [v for v in leaves if isinstance(v, (str, float))] == []
+        assert {type(v) for v in leaves} <= {int, bool, type(None)}
 
 
 class TestStateSpace:

@@ -517,6 +517,44 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage: rcl" in capsys.readouterr().out
 
+    def test_one_parser_carries_nothing_between_parses(self):
+        # parse_args reuses one parser; each parse equals one by a new parser
+        from rcl.cli import _parser, parse_args
+
+        def fresh(argv):
+            return RunConfig(**vars(_parser.__wrapped__().parse_args(argv)))
+
+        first = ["market", "--preset", "cara_hedging", "--beta", "0.25,0.5",
+                 "--alpha", "2.0", "--out", "m"]
+        second = ["oracle", "--instance", "inst.json", "--levels", "3"]
+        third = ["solve", "--preset", "reinsurance_halfline", "--max-iters", "7",
+                 "--tol", "1e-6"]
+        for argv in (first, second, third, first):
+            assert parse_args(argv) == fresh(argv)
+        assert parse_args(second) == RunConfig(command="oracle", instance="inst.json", levels=3)
+        assert _parser() is _parser()
+
+    def test_bad_flag_after_a_good_parse_prints_usage(self, capsys):
+        from rcl.cli import parse_args
+
+        parse_args(["oracle", "--preset", "reinsurance_halfline", "--levels", "3"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["oracle", "--preset", "reinsurance_halfline", "--levels", "x"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: rcl [-h]")
+        assert "error: argument --levels: invalid int value: 'x'" in err
+
+    def test_help_text_is_that_of_a_new_parser(self, capsys, monkeypatch):
+        from rcl.cli import _parser, parse_args
+
+        monkeypatch.setenv("COLUMNS", "80")
+        parse_args(["market", "--preset", "cara_hedging", "--beta", "0.5"])
+        with pytest.raises(SystemExit):
+            parse_args(["--help"])
+        assert capsys.readouterr().out == _parser.__wrapped__().format_help()
+
 
 # a benchmark input (perfbench `certify`, seed 310, `inst_2x3`) whose two-level
 # grid optimum pools, so both priors' totals are equal in exact arithmetic
