@@ -46,6 +46,7 @@ from .transform import UtilityUnitsInstance
 HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
 NEWTON_ITERS = 60    # cap on the safeguarded Newton steps of the dual's inner maximum
+TABLE_KNOTS = 33     # knots per atom of the table that starts the inner maximum's Newton
 PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
 
 
@@ -120,7 +121,8 @@ def _evaluate(uu: UtilityUnitsInstance, c: np.ndarray) -> np.ndarray:
     a menu and its extracted mechanism agree exactly. c is clipped to the
     box, where the unchecked cores are safe."""
     inst = uu.base
-    principal_wealth = inst.e_p + inst.e_a - inst.u._inverse(np.clip(c, uu.c_lo, uu.c_hi))
+    clipped = np.minimum(np.maximum(c, uu.c_lo), uu.c_hi)    # np.clip's bits, in half its time
+    principal_wealth = inst.e_p + inst.e_a - inst.u._inverse(clipped)
     return _row_dots(inst.v._value(principal_wealth), inst.principal_weights())
 
 
@@ -143,18 +145,31 @@ def _marginal(u: UtilitySpec, v: UtilitySpec, wealth, c: np.ndarray) -> np.ndarr
         return np.where(np.isnan(slope), 0.0, slope)
 
 
-def _slope_from(weight, g, marginal) -> np.ndarray:
+def _slope_from(positive, weight, g, marginal) -> np.ndarray:
     """Slope in c of the dual's inner objective weight_ji phi_i(c) + g_ji c,
-    from phi' at the point (`_marginal`); a type of weight 0 has slope g
-    (its 0 * -inf is nan, discarded: the caller silences that warning)."""
-    return g + np.where(weight > 0.0, weight * marginal, 0.0)
+    from phi' at the point (`_marginal`) and the mask `positive` of weight
+    > 0; a type of weight 0 has slope g (its 0 * -inf is nan, discarded:
+    the caller silences that warning)."""
+    return g + np.where(positive, weight * marginal, 0.0)
 
 
 @dataclass(frozen=True)
 class _DualFaces:
     """What the dual's inner maximum reads of the instance, on the (n, m)
     grid of type by atom: the principal's weights w, the box faces, the
-    joint wealth e_p + e_a, and phi' at both faces (`_marginal`)."""
+    joint wealth e_p + e_a, and phi' at both faces (`_marginal`).
+
+    Also the table `_start` reads: h = log(-phi'), the part of the log
+    first-order condition psi = log(w/g) + h that does not depend on the
+    dual point, as `levels` at `knots`, both (m, TABLE_KNOTS), the knots
+    evenly spaced over each atom's box with the faces at the ends. Derived
+    from it: `keys`, arctan(h) + 4 * atom with each atom's end keys at -2
+    and 2, so each atom has a band of its own that holds every level a
+    search asks for, made nondecreasing (nan ignored) so that a search has
+    one answer whatever the levels; `segments`, one row per segment: its
+    two knots, its left level, the slope of its linear interpolant's
+    inverse and the atom's box midpoint; and `bands`, 4 * atom on the
+    flattened (n, m) grid."""
 
     u: UtilitySpec
     v: UtilitySpec
@@ -164,17 +179,65 @@ class _DualFaces:
     wealth: np.ndarray
     marginal_lo: np.ndarray
     marginal_hi: np.ndarray
+    knots: np.ndarray
+    levels: np.ndarray
+    keys: np.ndarray = field(init=False)
+    segments: np.ndarray = field(init=False)
+    bands: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n, m = self.lo.shape
+        bands = 4.0 * np.arange(m)
+        keys = np.arctan(self.levels)
+        keys[:, 0], keys[:, -1] = -2.0, 2.0
+        # the first key, -2, lies below every level searched for: left out,
+        # a search returns the index of the segment itself
+        keys = np.fmax.accumulate((keys + bands[:, None]).ravel())[1:]
+        knots, levels = self.knots.ravel(), self.levels.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (knots[1:] - knots[:-1]) / (levels[:-1] - levels[1:])
+        middle = np.repeat(0.5 * (self.knots[:, 0] + self.knots[:, -1]), self.knots.shape[1])
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "segments", np.stack(
+            [knots[:-1], knots[1:], levels[:-1], slope, middle[:-1]], axis=1))
+        object.__setattr__(self, "bands", np.tile(bands, n))
 
 
 def _dual_faces(uu: UtilityUnitsInstance) -> _DualFaces:
-    """The instance's `_DualFaces`, for every dual evaluation of one solve."""
+    """The instance's `_DualFaces`, for every dual evaluation of one solve,
+    from one `_marginal` call over the table's knots: phi' at the faces is
+    its end columns."""
     inst = uu.base
-    shape = (uu.n_types, uu.n_atoms)
-    lo, hi = np.broadcast_to(uu.c_lo, shape), np.broadcast_to(uu.c_hi, shape)
-    wealth = np.broadcast_to(inst.e_p + inst.e_a, shape)
-    return _DualFaces(inst.u, inst.v, inst.principal_weights(), lo, hi, wealth,
-                      _marginal(inst.u, inst.v, wealth, lo),
-                      _marginal(inst.u, inst.v, wealth, hi))
+    wealth = inst.e_p + inst.e_a
+    knots = np.linspace(uu.c_lo, uu.c_hi, TABLE_KNOTS, axis=1)
+    marginal = _marginal(inst.u, inst.v, wealth[:, None], knots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.log(-marginal)
+
+    def grid(row):
+        # a full (n, m) copy: numpy runs the inner maximum's elementwise
+        # steps on same-shape contiguous operands about twice as fast as on
+        # a broadcast row
+        return np.repeat(row[None, :], uu.n_types, axis=0)
+
+    return _DualFaces(inst.u, inst.v, inst.principal_weights(), grid(uu.c_lo), grid(uu.c_hi),
+                      grid(wealth), grid(marginal[:, 0]), grid(marginal[:, -1]), knots, levels)
+
+
+def _start(faces: _DualFaces, ratio, entries) -> np.ndarray:
+    """Newton's start for the interior entries at the flat indices
+    `entries`, whose w/g is `ratio`. psi = log(w/g) + h(c) is 0 where h is
+    log(g/w): one search of `faces.keys` finds, for every entry at once, the
+    segment of its atom whose levels bracket log(g/w), and the start is the
+    root of the linear interpolant of h there, or the box midpoint where
+    that root is not finite or not strictly inside the segment (an infinite
+    level at a face). A start reads only the entry's own ratio and its
+    atom's table, and lies strictly inside its box whatever the levels."""
+    log_ratio = np.log(ratio)
+    segment = faces.keys.searchsorted(faces.bands.take(entries) - np.arctan(log_ratio), "right")
+    before, after, below, slope, middle = faces.segments.take(segment, axis=0).T
+    start = before + (log_ratio + below) * slope
+    return np.where((before < start) & (start < after), start, middle)
 
 
 def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -190,40 +253,41 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     Its sign change is found by safeguarded Newton (Numerical Recipes'
     rtsafe) on the log first-order condition psi(c) = log(w v'(W - x) /
     (g u'(x))), x = u^-1(c), which rises in c with psi' = (A_v(W - x) +
-    A_u(x)) / u'(x), A = -U''/U' the absolute risk aversion. At a face psi
-    is log(-(w/g) phi'), from the phi' in `faces`. One pass runs over the
-    whole grid with every entry in place: entries on a face start out
-    finished, interior ones at the regula-falsi root of psi between the
-    faces (Numerical Recipes §9.2), or at the midpoint of their box where
-    that point is not finite and strictly inside it (a psi of -inf or +inf
-    at a face). psi is linear for a linear agent and a CARA principal, so
-    there the start is the root and one evaluation confirms it. A step
-    moves only the entries of the live mask, updating the bracket and c in
-    place. The sign of psi moves the bracket (nan counts as "move up", as a
-    nan marginal counts as 0 in `_marginal`); the next point is the Newton
-    point when it lies strictly inside the bracket, else its midpoint. An
-    entry has found its root at |psi| <= 1e-13. Where psi is too steep for
-    that within float resolution, the bracket collapses to adjacent floats
-    and the entry leaves the mask; such an entry, like one still live at
-    the NEWTON_ITERS cap, ends on the bracket end that leaves the smaller
-    `_gains`, and the bound adds that slack however the iteration ends. No
-    entry's arithmetic reads another's, so its c* does not depend on the
-    entries beside it.
+    A_u(x)) / u'(x), A = -U''/U' the absolute risk aversion. One pass runs
+    over the whole grid with every entry in place: entries on a face start
+    out finished, interior ones at `_start`, the root of the linear
+    interpolant of the table of psi - log(w/g), which depends on the atom
+    alone and is tabulated once per solve in `faces`. psi is linear for a
+    linear agent and a CARA principal, so there the start is the root and
+    one evaluation confirms it. A step moves only the entries of the live
+    mask, updating the bracket and c in place. The sign of psi moves the
+    bracket (nan counts as "move up", as a nan marginal counts as 0 in
+    `_marginal`); the next point is the Newton point when it lies strictly
+    inside the bracket, else its midpoint. An entry has found its root at
+    |psi| <= 1e-13. Where psi is too steep for that within float
+    resolution, the bracket collapses to adjacent floats and the entry
+    leaves the mask; such an entry, like one still live at the NEWTON_ITERS
+    cap, ends on the bracket end that leaves the smaller `_gains`, and the
+    bound adds that slack however the iteration ends. The start only saves
+    evaluations: from any point of the box the bracket keeps the sign
+    change, so no result rests on the table. No entry's arithmetic reads
+    another's, so its c* does not depend on the entries beside it.
     """
     u, v, wealth, lo, hi = faces.u, faces.v, faces.wealth, faces.lo, faces.hi
     weight = s[:, None] * faces.weights
+    positive = weight > 0.0
     left, right = np.array(lo), np.array(hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        at_lo = _slope_from(weight, g, faces.marginal_lo) <= 0.0
-        live = ~at_lo & (_slope_from(weight, g, faces.marginal_hi) < 0.0)
+        at_lo = _slope_from(positive, weight, g, faces.marginal_lo) <= 0.0
+        live = ~at_lo & (_slope_from(positive, weight, g, faces.marginal_hi) < 0.0)
         found = ~live
         ratio = weight / g
-        psi_lo, psi_hi = np.log(-ratio * faces.marginal_lo), np.log(-ratio * faces.marginal_hi)
-        start = lo - psi_lo * (hi - lo) / (psi_hi - psi_lo)
-        start = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
-        c = np.where(live, start, np.where(at_lo, lo, hi))
+        c = np.where(at_lo, lo, hi)
+        inside = np.flatnonzero(live)
+        if inside.size:
+            c.put(inside, _start(faces, ratio.take(inside), inside))
         for _ in range(NEWTON_ITERS):
-            if not live.any():
+            if not np.count_nonzero(live):
                 break
             x = u._inverse(c)
             du, aversion_u = u._deriv_and_aversion(x)
@@ -236,7 +300,7 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
             found |= live & (np.abs(psi) <= 1e-13)
             live &= ~found & (left < mid) & (mid < right)
             np.copyto(c, np.where((left < newton) & (newton < right), newton, mid), where=live)
-        if not found.all():
+        if np.count_nonzero(found) < found.size:
             gain_left, gain_right = (_gains(faces, weight, g, end) for end in (left, right))
             c = np.where(found, c, np.where(gain_left <= gain_right, left, right))
     return c
@@ -247,7 +311,7 @@ def _gains(faces: _DualFaces, weight, g, c):
     box over c, entry by entry: its tangent's rise at c toward the face its
     slope points to. An infinite slope at its own face gives nan, a gain of
     0; the caller silences the invalid-value warning."""
-    slope = _slope_from(weight, g, _marginal(faces.u, faces.v, faces.wealth, c))
+    slope = _slope_from(weight > 0.0, weight, g, _marginal(faces.u, faces.v, faces.wealth, c))
     return np.where(slope > 0.0, slope * (faces.hi - c), slope * (faces.lo - c))
 
 
@@ -443,7 +507,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         s, g = lam @ priors, (mu @ a_w).reshape(n, m)
         c = _inner_max(faces, s, g)
         values = _evaluate(uu, c)
-        bound = float(lam @ penalties - mu @ b_w + s @ values + np.sum(g * c))
+        bound = float(lam @ penalties - mu @ b_w + s @ values + (g * c).sum())
         last.update(bound=bound, s=s, g=g, c=c)
         return bound, np.concatenate([penalties + priors @ values, a_w @ c.ravel() - b_w])
 

@@ -366,25 +366,29 @@ def inner_max_case(seed, u_name, v_name, n, m, full_box, scale=1.0):
     return uu, s, g
 
 
-def per_call_inner_max(uu, s, g):
-    """The inner maximizer from a `_DualFaces` whose phi' at the faces is
-    taken through the checked utilities (`checked_marginal`) on every call:
-    what `_dual_faces` must reproduce bitwise."""
+def checked_faces(uu, shape):
+    """A `_DualFaces` whose phi' at the faces, and whose table of
+    log(-phi') at TABLE_KNOTS knots evenly spaced over each atom's box, are
+    taken through the checked utilities (`checked_marginal`): what
+    `_dual_faces` must reproduce bitwise."""
     inst = uu.base
-    lo = np.broadcast_to(uu.c_lo, g.shape)
-    hi = np.broadcast_to(uu.c_hi, g.shape)
-    faces = rcl.solver._DualFaces(
+    lo = np.broadcast_to(uu.c_lo, shape)
+    hi = np.broadcast_to(uu.c_hi, shape)
+    knots = np.linspace(uu.c_lo, uu.c_hi, rcl.solver.TABLE_KNOTS, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.log(-checked_marginal(uu, knots.T)).T
+    return rcl.solver._DualFaces(
         inst.u, inst.v, inst.principal_weights(), lo, hi,
-        np.broadcast_to(inst.e_p + inst.e_a, g.shape),
-        checked_marginal(uu, lo), checked_marginal(uu, hi))
-    return rcl.solver._inner_max(faces, s, g)
+        np.broadcast_to(inst.e_p + inst.e_a, shape),
+        checked_marginal(uu, lo), checked_marginal(uu, hi), knots, levels)
 
 
-def assert_matches_bisection(uu, s, g):
+def assert_matches_bisection(uu, s, g, faces=None):
     """Face entries bitwise those of bisection, interior entries within
     1e-10 of the box width of 60 halvings, and no more slack than 35
-    halvings leave (the bisection this iteration replaced)."""
-    faces = rcl.solver._dual_faces(uu)
+    halvings leave (the bisection this iteration replaced); `faces` are
+    the instance's own unless given."""
+    faces = faces or rcl.solver._dual_faces(uu)
     c = rcl.solver._inner_max(faces, s, g)
     fine, inside = reference_inner_max(uu, s, g, 60)
     np.testing.assert_array_equal(c[~inside], fine[~inside])
@@ -433,18 +437,47 @@ class TestInnerMax:
     )
     def test_prepared_faces_match_per_call_faces(self, seed, u_name, v_name, n, m,
                                                  full_box, scale, unpriced):
-        # faces prepared once per solve give every c* bitwise, weight-0
-        # types, -inf slopes and subnormal weights included; an unpriced
-        # type of weight 0 (as at the dual's start, mu = 0) has slope 0 on
-        # the lower face and sits there
+        # faces and the table prepared once per solve give every c* bitwise,
+        # weight-0 types, -inf slopes and subnormal weights included; an
+        # unpriced type of weight 0 (as at the dual's start, mu = 0) has
+        # slope 0 on the lower face and sits there
         uu, s, g = inner_max_case(seed, u_name, v_name, n, m, full_box, scale)
         if unpriced:
             g = np.where(s[:, None] > 0.0, g, 0.0)
-        faces = rcl.solver._dual_faces(uu)
-        for prepared, face in ((faces.marginal_lo, faces.lo), (faces.marginal_hi, faces.hi)):
-            np.testing.assert_array_equal(prepared, checked_marginal(uu, face))
+        faces, checked = rcl.solver._dual_faces(uu), checked_faces(uu, g.shape)
+        for name in ("marginal_lo", "marginal_hi", "knots", "levels"):
+            np.testing.assert_array_equal(getattr(faces, name), getattr(checked, name))
         np.testing.assert_array_equal(rcl.solver._inner_max(faces, s, g),
-                                      per_call_inner_max(uu, s, g))
+                                      rcl.solver._inner_max(checked, s, g))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u_name=st.sampled_from(sorted(UTILITIES)),
+        v_name=st.sampled_from(sorted(UTILITIES)),
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        full_box=st.booleans(),
+        garbage=st.sampled_from(["shuffled", "nan", "inf", "-inf", "mixed"]),
+    )
+    def test_the_table_only_starts_newton(self, seed, u_name, v_name, n, m, full_box,
+                                          garbage):
+        # the safeguard, not the table, owns correctness: with the table's
+        # levels shuffled, nan, infinite or a mix of these, Newton starts
+        # elsewhere in the box and still ends where bisection does
+        uu, s, g = inner_max_case(seed, u_name, v_name, n, m, full_box)
+        faces = rcl.solver._dual_faces(uu)
+        rng = np.random.default_rng(seed)
+        shuffled = rng.permutation(faces.levels.ravel()).reshape(faces.levels.shape)
+        levels = {
+            "shuffled": shuffled,
+            "nan": np.full_like(shuffled, np.nan),
+            "inf": np.full_like(shuffled, np.inf),
+            "-inf": np.full_like(shuffled, -np.inf),
+            "mixed": np.where(rng.random(shuffled.shape) < 0.5, shuffled,
+                              rng.choice([np.nan, np.inf, -np.inf], shuffled.shape)),
+        }[garbage]
+        assert_matches_bisection(uu, s, g, dataclasses.replace(faces, levels=levels))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -515,9 +548,9 @@ class TestInnerMax:
     )
     def test_linear_agent_cara_principal_in_one_evaluation(self, seed, v_name, n, m,
                                                             full_box, scale):
-        # psi is linear in c, so the regula-falsi root of psi between the
-        # faces is its root: one evaluation finds every interior entry, and
-        # no entry is left for `_gains` to place
+        # psi is linear in c, so the linear interpolant of the table is psi
+        # less log(w/g) and its root is psi's: one evaluation finds every
+        # interior entry, and no entry is left for `_gains` to place
         uu, s, g = inner_max_case(seed, "linear", v_name, n, m, full_box, scale)
         with pytest.MonkeyPatch.context() as patch:
             counts = psi_evaluations(patch)
@@ -527,14 +560,37 @@ class TestInnerMax:
         width = np.broadcast_to(uu.c_hi - uu.c_lo, g.shape)
         assert np.all(np.abs(c - fine)[inside] <= 1e-10 * width[inside])
 
-    @pytest.mark.parametrize("name, most", [("reinsurance_halfline", 7), ("cara_hedging", 1)])
-    def test_evaluations_per_call_of_a_solve(self, monkeypatch, name, most):
+    @pytest.mark.parametrize("name, params, most", [
+        ("reinsurance_halfline", None, 4),
+        ("reinsurance_halfline", {"n_atoms": 8, "n_types": 6, "n_priors": 4, "tilt": 0.4,
+                                  "penalty": 0.01}, 4),
+        ("cara_hedging", None, 1),
+    ], ids=["reinsurance_halfline-4", "halfline_8x6x4-4", "cara_hedging-1"])
+    def test_evaluations_per_call_of_a_solve(self, monkeypatch, name, params, most):
         # the log agent's box reaches down to log(1e-8): from its midpoint
-        # Newton took up to 10 evaluations, from the regula-falsi start at
-        # most 6; a linear agent and a CARA principal need one
+        # Newton took up to 10 evaluations, from the regula-falsi root of psi
+        # between the faces up to 6 (7 at 8 x 6 x 4), from the table's start
+        # at most 4; a linear agent and a CARA principal need one
         counts = psi_evaluations(monkeypatch)
-        res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name)))
+        res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name, params)))
         assert res.converged and counts and max(counts) <= most
+
+    @pytest.mark.parametrize("full_box", [False, True], ids=["shrunk_box", "full_box"])
+    def test_evaluations_per_call_over_the_families(self, full_box):
+        # every pair of families from the table's start: at most 5
+        # evaluations a call, `_gains` included (up to 8 from the
+        # regula-falsi start). A CRRA principal on the full box is left out:
+        # her root lies within about 1e-16 of a face where her slope is
+        # -inf, and Newton runs to its cap there
+        for u_name, v_name in itertools.product(sorted(UTILITIES), repeat=2):
+            if full_box and v_name == "crra":
+                continue
+            for seed in range(6):
+                uu, s, g = inner_max_case(seed, u_name, v_name, n=3, m=4, full_box=full_box)
+                with pytest.MonkeyPatch.context() as patch:
+                    counts = psi_evaluations(patch)
+                    rcl.solver._inner_max(rcl.solver._dual_faces(uu), s, g)
+                assert counts[0] <= 5, (u_name, v_name, seed)
 
 
 def linear_lp_optimum(uu):
