@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Audit the market closed forms against the Lagrange-multiplier oracle.
 
-For a family of random bounded drift tilts, prints the normalizer gap
-|Z - 1|, both relative entropies, the CARA and log optimal utilities, and
-the absolute gap between each closed form and the independent oracle.
+For a family of random bounded drift tilts, builds one market document
+(raw drift values, one endowment per node, horizon 1) and prints, from
+the report `rcl market` writes for it, the normalizer gap |Z - 1|, both
+relative entropies, the CARA and log optimal utilities, and the absolute
+gap between each closed form and the independent oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import argparse
 
 import numpy as np
 
-import rcl
-from rcl.market import ENTROPY_AGENT_GIVEN_REF, ENTROPY_REF_GIVEN_AGENT
+from rcl.market import market_report
 
 
 def main() -> int:
@@ -25,30 +26,21 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    nodes, weights = rcl.discretize_terminal(1.0, args.nodes)
-    drifts = [
-        rcl.DriftType(label=f"t{k}", values=rng.uniform(-1.5, 1.5, args.nodes))
-        for k in range(args.drifts)
-    ]
-    model = rcl.MarketModel(horizon=1.0, nodes=nodes, weights=weights,
-                            drift_types=drifts)
-    e_a = rng.uniform(0.5, 1.5, args.nodes)
+    drifts = [{"label": f"t{k}", "values": rng.uniform(-1.5, 1.5, args.nodes)}
+              for k in range(args.drifts)]
+    doc = {"horizon": 1.0, "n_nodes": args.nodes, "alpha": args.alpha,
+           "e_a": rng.uniform(0.5, 1.5, args.nodes), "drift_types": drifts}
+    report = market_report(doc)
 
     print(f"{'drift':>6} {'|Z-1|':>9} {'H(P|Q)':>9} {'H(Q|P)':>9} "
           f"{'cara util':>10} {'cara gap':>9} {'log util':>10} {'log gap':>9}")
-    densities = [rcl.tilted_density(model, k) for k in range(args.drifts)]
-    u_cara = np.array([rcl.cara_optimal(d, e_a, args.alpha)[1] for d in densities])
-    u_log = np.array([rcl.log_optimal(d, e_a)[1] for d in densities])
-    gaps_cara = np.abs(rcl.verify_budget_optimality(densities, e_a, rcl.cara(args.alpha))
-                       - u_cara)
-    gaps_log = np.abs(rcl.verify_budget_optimality(densities, e_a, rcl.log_utility()) - u_log)
-    worst = float(max(gaps_cara.max(initial=0.0), gaps_log.max(initial=0.0)))
-    for k, density in enumerate(densities):
-        h_pq = rcl.relative_entropy(density, ENTROPY_AGENT_GIVEN_REF)
-        h_qp = rcl.relative_entropy(density, ENTROPY_REF_GIVEN_AGENT)
-        print(f"{k:>6} {abs(density.normalizer - 1):>9.2e} {h_pq:>9.5f} "
-              f"{h_qp:>9.5f} {u_cara[k]:>10.6f} {gaps_cara[k]:>9.2e} "
-              f"{u_log[k]:>10.6f} {gaps_log[k]:>9.2e}")
+    for k, row in enumerate(report["types"]):
+        cara, log = row["cara"], row["log"]
+        print(f"{k:>6} {row['normalizer_gap']:>9.2e} {row['entropy_agent_ref']:>9.5f} "
+              f"{row['entropy_ref_agent']:>9.5f} {cara['utility']:>10.6f} "
+              f"{cara['oracle_gap']:>9.2e} {log['utility']:>10.6f} {log['oracle_gap']:>9.2e}")
+    gaps = [row[form]["oracle_gap"] for row in report["types"] for form in ("cara", "log")]
+    worst = float(np.max(gaps, initial=0.0))  # a nan gap fails the audit
     print(f"\nworst oracle gap: {worst:.2e}")
     return 0 if worst <= 1e-7 else 1
 

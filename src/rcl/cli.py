@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -38,7 +37,7 @@ from .constraints import FeasibilityReport, Mechanism, build_system, check_mecha
 from .errors import RclError
 from .market import market_report
 from .menu import _check_menu_cap, equivalence_check, extract_mechanism, solve_menu
-from .model import WEALTH_FLOOR, Instance, _dumps, load_instance
+from .model import WEALTH_FLOOR, Instance, _dumps, _load_json, load_instance
 from .presets import PRESET_NAMES, build_preset, build_preset_bundle
 from .solver import SolveOptions, grid_contracts, grid_oracle, solve_mechanism
 from .transform import ae_check, from_utility_units, to_utility_units
@@ -147,8 +146,7 @@ def _load(config: RunConfig) -> Instance | dict:
             return build_preset(config.preset)
         return load_instance(config.instance)
     if config.instance is not None:
-        with open(config.instance) as fh:
-            return json.load(fh)
+        return _load_json(config.instance)
     doc = build_preset_bundle(config.preset).market
     if doc is None:
         raise RclError(
@@ -258,9 +256,6 @@ def run(config: RunConfig) -> int:
         return code
     except RclError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {config.instance}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

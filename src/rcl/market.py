@@ -196,11 +196,11 @@ class TiltedDensity:
 
 
 def tilted_density(model: MarketModel, f_index: int) -> TiltedDensity:
-    """Density proportional to exp(f(W_T)), normalized against the quadrature."""
-    try:
-        f = model.drift_types[f_index].values
-    except IndexError:
-        raise DimensionError(f"no drift type with index {f_index}") from None
+    """Density proportional to exp(f(W_T)), normalized against the quadrature,
+    for drift type f_index in 0 .. len(model.drift_types) - 1."""
+    if not 0 <= f_index < len(model.drift_types):
+        raise DimensionError(f"no drift type with index {f_index}")
+    f = model.drift_types[f_index].values
     if np.max(np.abs(f)) > 700.0:
         raise RangeError("drift values beyond +-700 would overflow exp")
     ef = np.exp(f)

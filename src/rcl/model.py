@@ -7,11 +7,13 @@ sum_i q_i * d_i * x_i. An Instance bundles endowments, utility functions,
 the ambiguity set over types and the contract bounds that the transform,
 constraint, solver and menu modules consume.
 
-It owns five rules the other modules share: `_read_field` reads every
-field of the instance and market documents, `UtilitySpec.floored_value`
-applies the half-line wealth floor, `_utility_box` checks the utilities
-at the faces of the utility-unit box, `_row_dots` sums weighted rows, and
-`_dumps` encodes every JSON file the package writes.
+It owns the rules the other modules share: `_load_json` reads every JSON
+file the package reads and `_dumps` encodes every one it writes,
+`_read_field` reads every field of the instance and market documents,
+`UtilitySpec._deriv_and_aversion` is the one slope routine (u' and the
+risk aversion), `UtilitySpec.floored_value` applies the half-line wealth
+floor, `_utility_box` checks the utilities at the faces of the
+utility-unit box, and `_row_dots` sums weighted rows.
 """
 
 from __future__ import annotations
@@ -102,6 +104,16 @@ def _dumps(value, indent: str = "") -> str:
     if not items:
         return ends
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+
+
+def _load_json(path):
+    """The JSON document in the file at path; a malformed one raises
+    ValidationError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError([f"invalid JSON in {path}: {exc}"]) from exc
 
 
 _REQUIRED = object()
@@ -306,29 +318,16 @@ class UtilitySpec:
     def deriv(self, z):
         zz = np.asarray(z, dtype=float)
         self._check_domain(zz)
-        with np.errstate(divide="ignore"):
-            out = self._deriv(zz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._deriv_and_aversion(zz)[0]
         return float(out) if np.ndim(z) == 0 else out
 
-    def _deriv(self, z: np.ndarray) -> np.ndarray:
-        """`deriv` without the domain check, for wealth between two wealths
-        that passed it; CRRA's u'(0) = inf warns unless the caller silences it."""
-        zz = self._clip(z)
-        if self.family == CRRA:
-            return np.power(zz, self.gamma - 1.0)
-        if self.family == LOG:
-            return 1.0 / zz
-        if self.family == CARA:
-            return self.alpha * np.exp(-self.alpha * zz)
-        if self.family == LINEAR:
-            return np.ones_like(zz)
-        return self._fwd_deriv(np.clip(zz, self.grid[0], self.grid[-1]))
-
     def _deriv_and_aversion(self, z: np.ndarray):
-        """u'(z) as `_deriv` gives it and the absolute risk aversion -u''/u'
-        at z, from one `_clip`: CARA's and linear's aversion is a float,
-        log's is u''s array itself. CRRA and log give inf at wealth 0 unless
-        the caller silences the warning."""
+        """The one slope routine: u'(z) and the absolute risk aversion
+        -u''/u' at z, from one `_clip` and without the domain check, for
+        wealth between two wealths that passed it. CARA's and linear's
+        aversion is a float, log's is u''s array itself. CRRA and log give
+        inf at wealth 0 unless the caller silences the warning."""
         zz = self._clip(z)
         if self.family == CRRA:
             return np.power(zz, self.gamma - 1.0), (1.0 - self.gamma) / zz
@@ -661,7 +660,7 @@ def _utility_box(inst: Instance, faces=None) -> np.ndarray:
         if not np.all(np.isfinite(faces)):
             raise DomainError("not finite at the contract bounds")
         agent = inst.u.inverse(faces)
-        inst.u.deriv(agent)
+        inst.u._check_domain(agent)
     except DomainError as exc:
         raise DomainError(f"agent utility: {exc}") from None
     try:
@@ -805,12 +804,7 @@ def validate_instance(raw) -> Instance:
     if isinstance(raw, Instance):
         inst = raw
     elif isinstance(raw, (str, Path)):
-        with open(raw) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError([f"invalid JSON in {raw}: {exc}"]) from exc
-        inst = _instance_from_doc(doc)
+        inst = _instance_from_doc(_load_json(raw))
     elif isinstance(raw, dict):
         inst = _instance_from_doc(raw)
     else:

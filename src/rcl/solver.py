@@ -140,8 +140,8 @@ def _marginal(u: UtilitySpec, v: UtilitySpec, wealth, c: np.ndarray) -> np.ndarr
     agent utility at each atom. It falls in c and may be -inf where her
     wealth reaches a singular point; nan (0/0, inf/inf) counts as 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        agent_wealth = u._inverse(c)
-        slope = -v._deriv(wealth - agent_wealth) / u._deriv(agent_wealth)
+        agent = u._inverse(c)
+        slope = -v._deriv_and_aversion(wealth - agent)[0] / u._deriv_and_aversion(agent)[0]
         return np.where(np.isnan(slope), 0.0, slope)
 
 
@@ -463,8 +463,8 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     through scipy's bundled OpenBLAS (a library apart from numpy's), whose
     thread count can round its steps differently and so change its path;
     pinning that pool alone to one thread reproduces a single-thread solve
-    of the presets. At 64 types × 40 nodes numpy's pool moves the value too
-    (ROADMAP item 2), so there only pinning both pools does.
+    of the presets. At 64 types × 40 nodes numpy's pool moves the value too,
+    so there only pinning both pools does.
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize

@@ -42,7 +42,7 @@ class UtilityUnitsInstance:
     DomainError unless both utilities are defined on the whole box, by the
     face check `validate_instance` also runs (`model._utility_box`).
     Everything inside the box is then evaluated through the unchecked cores
-    (`UtilitySpec._inverse`, `_value`, `_deriv`).
+    (`UtilitySpec._inverse`, `_value`, `_deriv_and_aversion`).
     """
 
     base: Instance

@@ -107,6 +107,13 @@ class TestTiltedDensity:
         with pytest.raises(RangeError):
             rcl.tilted_density(model, 0)
 
+    # a negative index counted from the end once, so -1 gave the last type
+    @pytest.mark.parametrize("index", [1, -1, -2])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(DimensionError) as exc:
+            rcl.tilted_density(two_node_model(), index)
+        assert str(exc.value) == f"no drift type with index {index}"
+
     def test_clamped_linear_family(self):
         nodes, weights = rcl.discretize_terminal(1.0, 8)
         drift = rcl.clamped_linear_drift("s", nodes, slope=0.5, support=0.8)
@@ -266,6 +273,13 @@ class TestDelegation:
         with pytest.raises(RangeError):
             rcl.delegation_income(rcl.tilted_density(model, 0), np.zeros(2),
                                   beta=np.array([0.5, 1e-4]), e_a=np.ones(2))
+
+    def test_rejects_non_positive_mean_income(self):
+        # a transfer that takes the whole endowment leaves E_f[e_a + x] = 0
+        with pytest.raises(DomainError) as exc:
+            rcl.delegation_income(rcl.tilted_density(two_node_model(TILT_12_08), 0),
+                                  -np.ones(2), beta=0.5, e_a=np.ones(2))
+        assert str(exc.value) == "delegation needs E_f[e_a + x] > 0"
 
 
 def lone_and_stacked(density, stack, k, e_a, e_p, x, betas, alpha):
@@ -618,6 +632,17 @@ class TestModelJson:
         }
         model = rcl.market_model_from_json(doc)
         assert model.horizon == pytest.approx(1.0)
+
+    def test_node_and_weight_shapes_must_agree(self):
+        with pytest.raises(ValidationError) as exc:
+            rcl.MarketModel(horizon=1.0, nodes=np.array([-1.0, 0.0, 1.0]),
+                            weights=np.array([0.5, 0.5]))
+        assert str(exc.value) == "nodes and weights must be 1-d arrays of equal length"
+
+    def test_explicit_weights_must_sum_to_one(self):
+        with pytest.raises(ValidationError) as exc:
+            rcl.market_model_from_json({"nodes": [-1.0, 1.0], "weights": [0.5, 0.6]})
+        assert str(exc.value) == "weights must sum to 1"
 
     def test_asymmetric_nodes_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):

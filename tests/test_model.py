@@ -45,6 +45,11 @@ class TestExpectation:
         with pytest.raises(DimensionError):
             rcl.expectation(two_state(), rcl.AgentType(density=[1.0, 1.0]), [1.0, 2.0, 3.0])
 
+    def test_density_length_mismatch(self):
+        with pytest.raises(DimensionError) as exc:
+            rcl.expectation(two_state(), rcl.AgentType(density=[1.0, 1.0, 1.0]), [1.0, 2.0])
+        assert str(exc.value) == "type density length does not match the state space"
+
     @given(
         x=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
         y=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
@@ -206,6 +211,11 @@ class TestStateSpace:
         s = rcl.StateSpace(ref_prob=[0.25, 0.75])
         assert s.atoms == ["s0", "s1"]
 
+    def test_rejects_label_count(self):
+        with pytest.raises(ValidationError) as exc:
+            rcl.StateSpace(ref_prob=[0.5, 0.5], atoms=["only"])
+        assert str(exc.value) == "atom labels and ref_prob lengths differ"
+
     def test_messages_print_plain_floats(self):
         with pytest.raises(ValidationError) as exc:
             rcl.StateSpace(ref_prob=[0.6, 0.5])
@@ -216,6 +226,21 @@ class TestStateSpace:
         with pytest.raises(DomainError) as exc:
             rcl.crra(0.5).value(np.array([-0.5, 1.0]))
         assert str(exc.value) == "crra utility on the half line undefined at -0.5"
+
+
+class TestAgentType:
+    @pytest.mark.parametrize("density, label", [
+        ([-0.5, 2.5], "x"), ([np.nan, 1.0], ""), ([np.inf, 1.0], "x"),
+    ], ids=["negative", "nan", "inf"])
+    def test_rejects_negative_or_non_finite_density(self, density, label):
+        with pytest.raises(ValidationError) as exc:
+            rcl.AgentType(density=density, label=label)
+        assert str(exc.value) == f"type {label or '?'}: density must be finite and >= 0"
+
+    def test_normalization_rejects_a_density_of_the_wrong_length(self):
+        with pytest.raises(DimensionError) as exc:
+            rcl.AgentType(density=[1.0, 1.0, 1.0], label="x").check_normalized(two_state())
+        assert str(exc.value) == "type x: density length 3 != 2 atoms"
 
 
 class TestUtilitySpec:
@@ -250,6 +275,41 @@ class TestUtilitySpec:
             rcl.UtilitySpec("tabulated", grid=grid, values=grid**2)  # convex
         with pytest.raises(ValidationError):
             rcl.UtilitySpec("tabulated", grid=grid, values=-grid)  # decreasing
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"family": "quadratic"}, "unknown utility family 'quadratic'"),
+        ({"family": "cara", "alpha": 1.0, "domain": "plane"}, "unknown domain 'plane'"),
+        ({"family": "tabulated", "grid": TAB_GRID}, "tabulated utility needs grid and values"),
+        ({"family": "tabulated", "values": np.log(TAB_GRID)},
+         "tabulated utility needs grid and values"),
+        ({"family": "tabulated", "grid": TAB_GRID[:2], "values": np.log(TAB_GRID[:2])},
+         "tabulated grid/values must share a length >= 3"),
+        # the last knot steps back; the values stay increasing and concave
+        ({"family": "tabulated", "grid": np.array([1.0, 2.0, 3.0, 2.5]),
+          "values": np.log([1.0, 2.0, 3.0, 4.0])}, "tabulated grid must be strictly increasing"),
+        ({"family": "tabulated", "grid": TAB_GRID, "values": np.log(TAB_GRID),
+          "derivs": 1.0 / TAB_GRID[:-1]}, "tabulated derivs length must match grid"),
+        ({"family": "tabulated", "grid": TAB_GRID, "values": np.log(TAB_GRID),
+          "derivs": np.r_[1.0 / TAB_GRID[:-1], 0.0]},
+         "tabulated derivatives must be strictly positive"),
+    ], ids=["unknown_family", "unknown_domain", "no_values", "no_grid", "two_knots",
+            "grid_not_increasing", "derivs_length", "derivs_zero"])
+    def test_rejects_a_bad_spec(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            rcl.UtilitySpec(**kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("u, level, message", [
+        (rcl.cara(2.0), 1.0, "cara utility level must be < 1"),
+        (rcl.UtilitySpec("tabulated", grid=TAB_GRID, values=np.log(TAB_GRID)),
+         math.log(TAB_GRID[-1]) + 0.1, "tabulated utility level outside the tabulated range"),
+        (rcl.UtilitySpec("tabulated", grid=TAB_GRID, values=np.log(TAB_GRID)),
+         math.log(TAB_GRID[0]) - 0.1, "tabulated utility level outside the tabulated range"),
+    ], ids=["cara_at_one", "tabulated_above", "tabulated_below"])
+    def test_inverse_rejects_a_level_outside_the_range(self, u, level, message):
+        with pytest.raises(DomainError) as exc:
+            u.inverse(level)
+        assert str(exc.value) == message
 
     def test_tabulated_tracks_log(self):
         grid = np.geomspace(0.1, 10.0, 60)
@@ -328,7 +388,7 @@ class TestUtilitySpec:
         h = 1e-5 * np.maximum(np.abs(z), 0.1)
         numeric = -(u.deriv(z + h) - u.deriv(z - h)) / (2.0 * h * u.deriv(z))
         slope, aversion = u._deriv_and_aversion(z)
-        np.testing.assert_array_equal(slope, u._deriv(z))
+        np.testing.assert_array_equal(slope, u.deriv(z))
         np.testing.assert_allclose(aversion, numeric, rtol=1e-6, atol=1e-9)
 
 
@@ -357,6 +417,54 @@ class TestValidateInstance:
         doc["beliefs"] = {"priors": [[]], "penalties": [0.0]}
         with pytest.raises(ValidationError):
             rcl.validate_instance(doc)
+
+    def test_empty_type_set_reaches_the_instance_check(self, rng):
+        # one prior over one type passes the belief set's own checks
+        doc = make_instance(rng).to_json()
+        doc["types"] = []
+        doc["beliefs"] = {"priors": [[1.0]], "penalties": [0.0]}
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(doc)
+        assert exc.value.violations == ["type set is empty",
+                                        "prior length does not match the number of types"]
+
+    def test_rejects_a_density_of_the_wrong_length(self, rng):
+        doc = make_instance(rng).to_json()
+        doc["types"][1]["density"] = [1.0, 1.0, 1.0]
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(doc)
+        assert str(exc.value) == "type theta1: density length 3 != 2 atoms"
+
+    def test_default_reservation_outside_a_tabulated_grid(self, rng):
+        # the spot check samples only the grid; the endowment lies below it
+        doc = make_instance(rng).to_json()
+        doc.pop("reservation")
+        grid = np.linspace(2.0, 6.0, 9)
+        doc["u"] = {"family": "tabulated", "grid": grid.tolist(), "values": np.log(grid).tolist()}
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(doc)
+        assert str(exc.value) == ("cannot compute default reservation: "
+                                  "tabulated utility evaluated outside its grid")
+
+    def test_rejects_a_file_holding_a_list(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(path)
+        assert str(exc.value) == "an instance must be a JSON object, not list"
+
+    def test_rejects_a_malformed_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("not json {")
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(str(path))
+        assert str(exc.value) == (f"invalid JSON in {path}: "
+                                  "Expecting value: line 1 column 1 (char 0)")
+
+    def test_rejects_a_number(self):
+        with pytest.raises(ValidationError) as exc:
+            rcl.validate_instance(42)
+        assert str(exc.value) == "cannot interpret int as an instance"
 
     def test_rejects_crossed_bounds(self, rng):
         doc = make_instance(rng).to_json()

@@ -166,14 +166,31 @@ class TestCli:
     def test_malformed_instance_json_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
+        # one reader for both documents, so one message
+        message = f"error: invalid JSON in {bad}: Expecting value: line 1 column 1 (char 0)\n"
         assert run(RunConfig(command="solve", instance=str(bad),
                              out=str(tmp_path / "z"))) == 1
-        assert "invalid JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
         assert main(["market", "--instance", str(bad), "--out", str(tmp_path / "m")]) == 1
-        assert "error: invalid JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
         missing = tmp_path / "missing.json"
         assert run(RunConfig(command="solve", instance=str(missing),
                              out=str(tmp_path / "w"))) == 1
+
+    def test_market_on_a_preset_without_a_market_model(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert main(["market", "--preset", "reinsurance_halfline", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: preset 'reinsurance_halfline' carries no market model; "
+            "use cara_hedging or log_delegation\n")
+        assert not (out / "result.json").exists()
+
+    def test_unknown_command_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "u"
+        assert run(RunConfig(command="bogus", preset="reinsurance_halfline",
+                             out=str(out))) == 1
+        assert capsys.readouterr().err == "error: unknown command 'bogus'\n"
+        assert not (out / "result.json").exists()
 
     def test_oracle_cap_exit_and_message(self, tmp_path, capsys):
         code = run(RunConfig(command="oracle", preset="reinsurance_halfline",

@@ -713,6 +713,29 @@ class TestCertificate:
         assert rcl.grid_oracle(uu, 3).value <= res.bound + 1e-12
         assert res.value >= res.bound - opts.tol
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-8, 1e-5))
+    @example(seed=7, delta=1e-5)
+    @example(seed=7, delta=1e-6)
+    @example(seed=7, delta=1e-7)
+    @example(seed=7, delta=1e-8)
+    def test_near_duplicate_types_certify(self, seed, delta):
+        # type 2 becomes type 0 times (1 + delta N(0, 1)), renormalised: the
+        # IC pair between them nearly coincides, the hard case of the
+        # projection (whose residual is not pinned here)
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, m=3, n=3)
+        q, base = inst.states.ref_prob, inst.types[0].density
+        density = base * (1.0 + delta * rng.standard_normal(3))
+        types = [*inst.types[:2], rcl.AgentType(density=density / (q @ density), label="theta2")]
+        uu = rcl.to_utility_units(rcl.validate_instance(
+            dataclasses.replace(inst, types=types, reservation=None)))
+        opts = rcl.SolveOptions()
+        res = rcl.solve_mechanism(uu, opts)
+        assert res.converged
+        assert rcl.check_mechanism(rcl.build_system(uu), res.mechanism, tol=opts.tol).feasible
+        assert res.gap <= opts.tol
+
 
 def dual_parts(uu, lam, mu):
     """D(lam, mu) without the inner slack, summed from the solver's own

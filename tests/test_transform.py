@@ -214,6 +214,14 @@ class TestFromUtilityUnits:
         with pytest.raises(RangeError):
             rcl.from_utility_units(uu, np.array([np.nan, uu.c_hi[1]]))
 
+    def test_contract_of_the_wrong_length_raises(self):
+        inst = simple_instance(rcl.log_utility(), e_a=[1.0, 1.0], e_p=[3.0, 3.0],
+                               lo=[0.0, 0.0], hi=[2.0, 2.0])
+        uu = rcl.to_utility_units(inst)
+        with pytest.raises(RangeError) as exc:
+            rcl.from_utility_units(uu, np.zeros(3))
+        assert str(exc.value) == "contract length 3 does not match 2 atoms"
+
     def test_roundtrip_identity(self, rng):
         for _ in range(25):
             inst = make_instance(rng, m=3, n=2)
