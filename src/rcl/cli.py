@@ -77,7 +77,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def _write_summary(path: Path, uu, mech: Mechanism, feasibility: FeasibilityReport):
     """Per-type, per-atom table of the mechanism with its constraint slacks,
-    read off its feasibility report: the IC rows, then the IR rows."""
+    read off its feasibility report: the IC rows, then the IR rows. Float
+    cells go to csv as their repr, the text csv writes for a float."""
     n = uu.n_types
     slacks = np.array([row["slack"] for row in feasibility.row_slacks])
     ic, ir_slack = np.split(slacks, [n * (n - 1)])
@@ -86,15 +87,9 @@ def _write_summary(path: Path, uu, mech: Mechanism, feasibility: FeasibilityRepo
     rows = []
     for j, label in enumerate(uu.base.report_labels()):
         x = from_utility_units(uu, mech.assignment[j])
-        for i, atom in enumerate(uu.states.atoms):
-            rows.append([
-                label,
-                atom,
-                float(mech.assignment[j, i]),
-                float(x[i]),
-                float(ir_slack[j]),
-                float(min_ic[j]),
-            ])
+        slack_cells = [float.__repr__(ir_slack[j]), float.__repr__(min_ic[j])]
+        for atom, c, x_i in zip(uu.states.atoms, mech.assignment[j].tolist(), x.tolist()):
+            rows.append([label, atom, float.__repr__(c), float.__repr__(x_i), *slack_cells])
     _write_csv(
         path,
         ["type_label", "atom", "c_value", "x_value", "ir_slack", "min_ic_slack"],
@@ -232,7 +227,6 @@ def run(config: RunConfig) -> int:
     out = Path(config.out)
     try:
         _check_flags(config)
-        out.mkdir(parents=True, exist_ok=True)
         uu = mech = feasibility = trace = None
         code = EXIT_OK
         if config.command in _MECHANISM_COMMANDS:
@@ -248,6 +242,8 @@ def run(config: RunConfig) -> int:
         # encoded whole before the file is opened, and written in one call;
         # `_dumps` gives json.dumps(indent=2, sort_keys=True)'s bytes
         text = _dumps({"config": config.echo(), **doc})
+        # made only now, so an input error leaves no empty output directory
+        out.mkdir(parents=True, exist_ok=True)
         (out / "result.json").write_text(text + "\n")
         if trace is not None:
             _write_csv(out / "trace.csv", ["iter", "bound"], trace)

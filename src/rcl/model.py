@@ -79,9 +79,10 @@ def _dumps(value, indent: str = "") -> str:
     float as its repr when finite (json.dumps writes NaN and the
     infinities), a str, key or value, through `encode_basestring_ascii`,
     the function json.dumps calls for one, and an int, bool or None
-    through json.dumps. A list of floats formats only its distinct values:
-    a market payoff list repeats a few values hundreds of times. 0.0 and
-    -0.0 are one dict key, so a zero takes its own repr."""
+    through json.dumps. A list of floats formats only its distinct values,
+    all by `float.__repr__` when their sum is finite: a market payoff list
+    repeats a few values hundreds of times. 0.0 and -0.0 are one dict key,
+    so a zero takes its own repr."""
     if isinstance(value, float):
         return float.__repr__(value) if abs(value) < INFINITY else json.dumps(value)
     if isinstance(value, str):
@@ -94,7 +95,9 @@ def _dumps(value, indent: str = "") -> str:
                  for key in sorted(value)]
     elif set(map(type, value)) == {float}:
         distinct = dict.fromkeys(value)
-        texts = dict(zip(distinct, map(_dumps, distinct)))
+        # a nan or an infinity among them makes the sum non-finite
+        finite = abs(sum(distinct)) < INFINITY
+        texts = dict(zip(distinct, map(float.__repr__ if finite else _dumps, distinct)))
         items = list(map(texts.__getitem__, value))
         if 0.0 in texts:
             items = [text if item else repr(item) for item, text in zip(value, items)]

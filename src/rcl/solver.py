@@ -259,24 +259,27 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     interpolant of the table of psi - log(w/g), which depends on the atom
     alone and is tabulated once per solve in `faces`. psi is linear for a
     linear agent and a CARA principal, so there the start is the root and
-    one evaluation confirms it. A step moves only the entries of the live
-    mask, updating the bracket and c in place. The sign of psi moves the
-    bracket (nan counts as "move up", as a nan marginal counts as 0 in
-    `_marginal`); the next point is the Newton point when it lies strictly
-    inside the bracket, else its midpoint. An entry has found its root at
-    |psi| <= 1e-13. Where psi is too steep for that within float
-    resolution, the bracket collapses to adjacent floats and the entry
-    leaves the mask; such an entry, like one still live at the NEWTON_ITERS
-    cap, ends on the bracket end that leaves the smaller `_gains`, and the
-    bound adds that slack however the iteration ends. The start only saves
-    evaluations: from any point of the box the bracket keeps the sign
-    change, so no result rests on the table. No entry's arithmetic reads
-    another's, so its c* does not depend on the entries beside it.
+    one evaluation confirms it. An entry has found its root at |psi| <=
+    1e-13, tested right after psi is computed, and the loop ends as soon as
+    no entry is live, before it moves the bracket. A step moves only the
+    entries of the live mask, updating the bracket and c in place; the
+    bracket is copied from the faces at its first update. The sign of psi
+    moves the bracket (nan counts as "move up", as a nan marginal counts as
+    0 in `_marginal`); the next point is the Newton point when it lies
+    strictly inside the bracket, else its midpoint. Where psi is too steep
+    for the root test within float resolution, the bracket collapses to
+    adjacent floats and the entry leaves the mask; such an entry, like one
+    still live at the NEWTON_ITERS cap, ends on the bracket end that leaves
+    the smaller `_gains`, and the bound adds that slack however the
+    iteration ends. The start only saves evaluations: from any point of the
+    box the bracket keeps the sign change, so no result rests on the table.
+    No entry's arithmetic reads another's, so its c* does not depend on the
+    entries beside it.
     """
     u, v, wealth, lo, hi = faces.u, faces.v, faces.wealth, faces.lo, faces.hi
     weight = s[:, None] * faces.weights
     positive = weight > 0.0
-    left, right = np.array(lo), np.array(hi)
+    left = right = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         at_lo = _slope_from(positive, weight, g, faces.marginal_lo) <= 0.0
         live = ~at_lo & (_slope_from(positive, weight, g, faces.marginal_hi) < 0.0)
@@ -293,12 +296,17 @@ def _inner_max(faces: _DualFaces, s: np.ndarray, g: np.ndarray) -> np.ndarray:
             du, aversion_u = u._deriv_and_aversion(x)
             dv, aversion_v = v._deriv_and_aversion(wealth - x)
             psi = np.log(ratio * (dv / du))
+            found |= live & (np.abs(psi) <= 1e-13)
+            live &= ~found
+            if not np.count_nonzero(live):
+                break
+            if left is None:
+                left, right = np.array(lo), np.array(hi)
             np.copyto(left, c, where=live & ~(psi >= 0.0))
             np.copyto(right, c, where=live & (psi > 0.0))
             newton = c - psi * du / (aversion_v + aversion_u)
             mid = 0.5 * (left + right)
-            found |= live & (np.abs(psi) <= 1e-13)
-            live &= ~found & (left < mid) & (mid < right)
+            live &= (left < mid) & (mid < right)
             np.copyto(c, np.where((left < newton) & (newton < right), newton, mid), where=live)
         if np.count_nonzero(found) < found.size:
             gain_left, gain_right = (_gains(faces, weight, g, end) for end in (left, right))
@@ -484,16 +492,18 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         return SolveResult(mech, value, worst, len(trace), report, converged,
                            bound=bound, trace=trace)
 
-    if not check_mechanism(system, Mechanism(hi.reshape(n, m)), opts.tol).feasible:
+    pooling = system.residual(hi)
+    if not (pooling >= -opts.tol).all():
         # pooling at the top gives every type its best level and zero IC
-        # slack, so a participation row it misses no mechanism meets
+        # slack, so a participation row it misses by more than tol (or reads
+        # as nan), the test `check_mechanism` applies, no mechanism meets
         return result(hi, -float("inf"), [])
 
     faces = _dual_faces(uu)
     # rows are relaxed to the pooling point's sub-tolerance deficits, so the
     # polytope holds the pooling point, which also stands in, with its gap,
     # should nnls reach its iteration cap
-    floor = np.minimum(system.residual(hi), 0.0)
+    floor = np.minimum(pooling, 0.0)
 
     def project(y):
         try:

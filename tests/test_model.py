@@ -162,9 +162,12 @@ class TestDumps:
     @given(value=REPEATING_DOCS)
     @example(value={"payoff": [0.0, -0.0, 1.5, -0.0, 0.0, 1.5]})
     @example(value={"payoff": [math.nan, float("nan"), math.nan]})
+    @example(value={"payoff": [-0.0, 1.5, math.nan, math.inf, -math.inf, 0.1]})
+    @example(value={"payoff": [1e308, 1.5e308, -2.5]})
     def test_repeated_floats_are_written_as_json_dumps(self, value):
         # each distinct float is formatted once; 0.0 and -0.0, one dict key,
-        # keep their own texts, and NaN and +-inf json's
+        # keep their own texts, and NaN and +-inf json's, also among values
+        # all distinct, and finite values whose sum overflows stay reprs
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_empty_containers_and_a_float_list(self):

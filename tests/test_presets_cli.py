@@ -198,6 +198,26 @@ class TestCli:
         assert code == 1
         assert "12960000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--instance", "{missing}"],
+         "i/o error: [Errno 2] No such file or directory: '{missing}'"),
+        (["solve", "--instance", "{bad}"], "error: invalid JSON in {bad}: Expecting value"),
+        (["market", "--preset", "reinsurance_halfline"],
+         "error: preset 'reinsurance_halfline' carries no market model"),
+        (["oracle", "--preset", "reinsurance_halfline", "--levels", "60"],
+         "error: 12960000 grid assignments"),
+    ], ids=["missing_instance", "malformed_instance", "market_without_model", "oracle_cap"])
+    def test_input_error_leaves_no_output_directory(self, tmp_path, capsys, argv, message):
+        # the directory is made only when result.json is written
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json {")
+        paths = {"missing": tmp_path / "missing.json", "bad": bad}
+        out = tmp_path / "out"
+        assert main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == 1
+        # the halfline preset's wealth-floor warning may come first
+        assert capsys.readouterr().err.splitlines()[-1].startswith(message.format(**paths))
+        assert not out.exists()
+
     def test_oracle_and_menu_and_equivalence(self, tmp_path):
         for command in ("oracle", "menu", "equivalence"):
             out = tmp_path / command

@@ -631,6 +631,25 @@ class TestCertificate:
         if name == "cara_hedging" and params is None:
             assert res.value >= 0.8640006
 
+    @pytest.mark.parametrize("miss, dual_runs", [
+        (2 * DEFAULT_TOL, False), (DEFAULT_TOL / 2, True), (np.nan, False),
+    ], ids=["by_2_tol", "by_half_tol", "nan"])
+    def test_pooling_point_decides_infeasibility(self, rng, miss, dual_runs):
+        # type 0's reservation, injected after validation, sits `miss` above
+        # what pooling at the top gives it: beyond tol (or nan) the solve
+        # returns at once, within tol it goes on to the dual
+        uu = make_uu(rng, m=2, n=2)
+        reservation = np.array(uu.reservation, dtype=float)
+        reservation[0] = rcl.constraints.agent_levels(uu, uu.c_hi)[0, 0] + miss
+        uu.base.reservation = reservation
+        res = rcl.solve_mechanism(uu)
+        assert (res.iterations > 0) == dual_runs
+        if not dual_runs:
+            assert res.bound == -np.inf and not res.converged
+            assert not res.feasibility.feasible
+            np.testing.assert_array_equal(res.mechanism.assignment,
+                                          np.tile(uu.c_hi, (uu.n_types, 1)))
+
     def test_halfline_recovers_when_a_prior_weight_vanishes(self, monkeypatch):
         # at default settings the dual drives the uniform prior's weight to
         # about 5e-13, where type 1's c* is nearly bang-bang; the mechanism
