@@ -281,7 +281,7 @@ def _parser() -> _Parser:
     parser.add_argument("--preset", choices=PRESET_NAMES)
     parser.add_argument("--instance", help="path to an instance JSON document")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--max-iters", type=int, help="cap on the solver's dual iterations")
+    parser.add_argument("--max-iters", type=int, help="cap on dual iterations and pricings")
     parser.add_argument("--tol", type=float, help="feasibility and gap tolerance of solve")
     parser.add_argument("--levels", type=int, help="grid levels per atom")
     parser.add_argument("--beta", type=_numbers,

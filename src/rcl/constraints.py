@@ -78,16 +78,30 @@ class LinearConstraintSystem:
         pairs = np.indices((self.uu.n_types,) * 2)
         return np.concatenate([ic_rows(pairs), pairs.diagonal(axis1=1, axis2=2)], axis=1)
 
+    def entries(self, rows, types, levels) -> np.ndarray:
+        """Row r's coefficient on each contract of a list, one column per
+        contract: a contract of type types[t] with levels[:, t] (`agent_levels`)
+        enters row (own, other) at +levels[own, t] as own's and, in an IC
+        row, at -levels[own, t] as other's; elsewhere at 0. `rows` indexes
+        or masks the row order."""
+        own, other = self._row_types[:, rows]
+        own_levels = levels[own]
+        return np.where(types == own[:, None], own_levels,
+                        np.where((types == other[:, None]) & (own != other)[:, None],
+                                 -own_levels, 0.0))
+
+    def rhs(self, rows) -> np.ndarray:
+        """b of the rows `rows` indexes or masks: r_j for IR(j), 0 for an IC row."""
+        own, other = self._row_types[:, rows]
+        return np.where(own == other, self.uu.reservation[own], 0.0)
+
     def rows(self, mask) -> tuple[np.ndarray, np.ndarray]:
-        """The rows `mask` picks (a boolean mask over the row order), dense
-        and flattened over the (type, atom) grid: A c_flat >= b."""
-        weights = self.uu.base.type_weights()
-        own, other = self._row_types[:, mask]
-        a = np.zeros((own.size, *weights.shape))
-        a[np.arange(own.size), other] = -weights[own]
-        a[np.arange(own.size), own] = weights[own]  # over the -w_j of an IR row
-        b = np.where(own == other, self.uu.reservation[own], 0.0)
-        return a.reshape(own.size, weights.size), b
+        """The rows `mask` picks (a boolean mask over the row order, or row
+        indices), dense and flattened over the (type, atom) grid: A c_flat
+        >= b, the `entries` of the unit contracts of every type."""
+        n, m = self.uu.n_types, self.uu.n_atoms
+        units = np.tile(agent_levels(self.uu, np.eye(m)), n)
+        return self.entries(mask, np.repeat(np.arange(n), m), units), self.rhs(mask)
 
     def residual(self, c) -> np.ndarray:
         """A c - b over every row, in row order, from the level matrix L of

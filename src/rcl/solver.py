@@ -4,23 +4,22 @@ The principal's objective over mechanisms is concave (her utility is concave
 and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
 set is an exact minimum. The solver minimizes the Lagrangian dual, whose
-every value bounds the optimum from above, pricing only a working set of
-rows: the rows its maximizer violates join in rounds, and every row joins
-if the gap is still open when none does. A dual point with the other rows'
-prices at 0 is a point of the full dual, so its value is still a bound. The
-rows have one owner, `LinearConstraintSystem`: the solve reads the dense
-rows of W from it and checks the others by its `residual`, off the agent
+every value bounds the optimum from above, pricing only a working set W of
+rows: the rows its maximizer violates join in rounds. A dual point with the
+other rows' prices at 0 is a point of the full dual, so its value is still
+a bound. The mechanism comes from one master LP that mixes the dual's inner
+maximizers for each type (Dantzig & Wolfe): it holds W's rows, takes in
+any other row its mixture violates, and prices new maximizers at its own
+duals while the gap is open. The rows have one owner,
+`LinearConstraintSystem`: the solve reads W's dense rows and the master's
+entries from it and checks the others by its `residual`, off the agent
 level matrix, and never builds the dense matrix of all the rows unless W
-holds them all or the primal step runs. It turns the dual's inner maximizer
-into a mechanism by the exact nearest-point projection onto the box and the
-constraint rows (least distance by NNLS over only the rows and box faces
-taken so far: W's rows and the ones the point violates, in rounds), and
-reports the gap between the bound and that mechanism's value. The oracle
-enumerates grid-level assignments exhaustively and is kept
-free of any solver machinery so the two can check each other: it is plain
-enumeration under the same IR/IC rows, which it applies as soon as their
-types are assigned, extending only IR-feasible, pairwise-IC assignment
-prefixes in blocks of at most _CHUNK cells.
+holds them all. It reports the gap between the least bound and the
+mixture's value. The oracle enumerates grid-level assignments exhaustively
+and is kept free of any solver machinery so the two can check each other:
+it is plain enumeration under the same IR/IC rows, which it applies as
+soon as their types are assigned, extending only IR-feasible, pairwise-IC
+assignment prefixes in blocks of at most _CHUNK cells.
 """
 
 from __future__ import annotations
@@ -47,7 +46,10 @@ HARD_ASSIGNMENT_CAP = 10_000_000
 _CHUNK = 1 << 16
 NEWTON_ITERS = 60    # cap on the safeguarded Newton steps of the dual's inner maximum
 TABLE_KNOTS = 33     # knots per atom of the table that starts the inner maximum's Newton
-PRIMAL_ITERS = 200   # SLSQP iteration cap of the primal epigraph step
+# the master LP's HiGHS options: silent, no presolve (rows and columns join
+# a warm model), both feasibility tolerances at HiGHS's floor
+_MASTER_OPTIONS = {"output_flag": False, "presolve": "off",
+                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass
@@ -330,90 +332,13 @@ def _inner_slack(faces: _DualFaces, s, g, c) -> float:
         return float(np.nansum(_gains(faces, s[:, None] * faces.weights, g, c)))
 
 
-def _projection(y, lo, hi, system, floor, taken):
-    """Exact nearest point to y in {lo <= x <= hi} and the rows of `system`
-    relaxed by `floor`, residual(x) >= floor, a polytope that must hold a
-    point; nnls raises RuntimeError at its iteration cap.
-
-    The least-distance problem min |z| s.t. g z >= h, z = x - y, reduces to
-    nonnegative least squares (Lawson & Hanson, Solving Least Squares
-    Problems, ch. 23): the residual r = e u - f of the NNLS solution u gives
-    z = -r[:-1] / r[-1]. Its constraints are only the rows and box faces
-    taken so far, starting with the rows of the mask `taken`, the rows y
-    violates (by more than 1e-14 * max(1, |y|)) and the faces y crosses, and
-    a round whose point violates a further row or crosses a further face
-    takes them in and runs again. The nearest point over a subset of the
-    constraints that meets them all is the nearest point over all of them,
-    and every round adds a row or a face, so the rounds end. A least-norm
-    correction from the NNLS point makes the binding constraints (those
-    with u > 0) hold to round-off. `system` gives the dense rows a mask
-    picks (`rows`) and a x - b over every row (`residual`).
-    """
-    # scipy's lstsq: numpy's lstsq woke numpy's BLAS thread pool, whose
-    # spinning slowed the rest of a 40 x 8 market solve by 25-40% on a 2-core host
-    from scipy.linalg import lstsq
-    from scipy.optimize import nnls
-
-    below, above = y < lo, y > hi
-    cut = floor - 1e-14 * max(1.0, float(np.abs(y).max()))
-    violated = system.residual(y) < cut
-    if not (violated.any() or below.any() or above.any()):
-        return y
-    taken = taken | violated
-    while True:
-        a, b = system.rows(taken)
-        g = np.vstack([a, _unit_rows(below), -_unit_rows(above)])
-        h = np.concatenate([b + floor[taken], lo[below], -hi[above]]) - g @ y
-        e, f = np.vstack([g.T, h]), np.r_[np.zeros(y.size), 1.0]
-        u = nnls(e, f)[0]
-        r = e @ u - f
-        z = -r[:-1] / r[-1]
-        bind = u > 0.0
-        x = y + z + lstsq(g[bind], h[bind] - g[bind] @ z)[0]
-        grown = taken | (system.residual(x) < cut), below | (x < lo), above | (x > hi)
-        if all(map(np.array_equal, grown, (taken, below, above))):
-            return np.clip(x, lo, hi)
-        taken, below, above = grown
-
-
-def _unit_rows(mask):
-    """The rows of the identity that `mask` picks."""
-    return (np.flatnonzero(mask)[:, None] == np.arange(mask.size)).astype(float)
-
-
-def _primal_step(uu, x, value, a, b):
-    """The epigraph form max t s.t. t <= kappa_k V(c) + pen_k, a c >= b and
-    the box, by at most PRIMAL_ITERS SLSQP iterations from the feasible
-    point x of robust value `value`. It recovers the mechanism where c*
-    alone does not: on linear-linear instances, whose dual is piecewise
-    linear, and where a prior weight near zero makes a type's c* bang-bang."""
-    from scipy.optimize import minimize
-
-    n, m = uu.n_types, uu.n_atoms
-    priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
-    weights = uu.base.principal_weights()
-
-    def epigraph_jac(z):
-        c = np.clip(z[:-1].reshape(n, m), uu.c_lo, uu.c_hi)
-        marginal = _marginal(uu.base.u, uu.base.v, uu.base.e_p + uu.base.e_a, c)
-        grad = weights * np.where(np.isfinite(marginal), marginal, 0.0)
-        jac = (priors[:, :, None] * grad).reshape(len(priors), n * m)
-        return np.hstack([jac, -np.ones((len(priors), 1))])
-
-    rows = np.hstack([a, np.zeros((b.size, 1))])
-    descent = np.r_[np.zeros(x.size), -1.0]
-    res = minimize(
-        lambda z: -z[-1], np.append(x, value), jac=lambda z: descent,
-        method="SLSQP",
-        bounds=list(zip(np.tile(uu.c_lo, n), np.tile(uu.c_hi, n))) + [(None, None)],
-        constraints=[
-            {"type": "ineq", "jac": epigraph_jac,
-             "fun": lambda z: priors @ _evaluate(uu, z[:-1].reshape(n, m)) + penalties - z[-1]},
-            {"type": "ineq", "fun": lambda z: rows @ z - b, "jac": lambda z: rows},
-        ],
-        options={"maxiter": PRIMAL_ITERS, "ftol": 1e-15},
-    )
-    return res.x[:-1]
+def _sparse(block):
+    """The nonzeros of a dense block row by row, as HiGHS's `addRows` takes
+    them (and `addCols`, given the transpose): their count, each row's
+    start, and each nonzero's column and value."""
+    rows, cols = np.nonzero(block)
+    starts = np.searchsorted(rows, np.arange(block.shape[0]))
+    return rows.size, starts.astype(np.int32), cols.astype(np.int32), block[rows, cols]
 
 
 def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) -> SolveResult:
@@ -438,34 +363,46 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     types are listed in does not matter); with at most three types that is
     every row. SLSQP then runs in rounds over (lam, mu_W), each from the
     previous round's point (the first from uniform lam, mu = 0), a row that
-    joins W priced at 0:
-      - rows outside W that c* violates by more than 1e-9 join W, by
-        `system.residual`, read off the level matrix;
-      - when none does, c* is projected onto the box and the rows
-        (`_projection`, which starts from W's rows and takes in any other
-        row its point violates), or the pooling point at the upper contract
-        bound stands in should nnls reach its iteration cap. Only while the
-        bound exceeds its value by more than `opts.tol` does `_primal_step`
-        run, on every row, and its projected point replaces the projection
-        if it is worth more;
-      - if the gap still exceeds `opts.tol`, every row joins W. A round on
-        every row is the solve without a working set, so no instance loses
-        its certificate.
+    joins W priced at 0: rows outside W that c* violates by more than 1e-9
+    join W, by `system.residual`, read off the level matrix, until none
+    does.
     Delayed constraint generation (Bertsimas & Tsitsiklis, Introduction to
     Linear Optimization, ch. 6): at the local-IC optimum of a screening
     problem few rows bind, and SLSQP's dense subproblem grows with k + |W|,
-    not k + n^2. `iterations` and the `trace`, one (iteration, D) row per
-    dual iteration, count SLSQP's iterations summed over the rounds, and
-    `opts.max_iters` caps that sum; the cap ends the solve at the round it
-    stops.
+    not k + n^2.
+
+    The mechanism is the optimum of a restricted master LP (Dantzig &
+    Wolfe, Oper. Res. 8, 1960), solved by scipy's bundled HiGHS binding,
+    one warm model per solve: max t s.t. t <= kappa_k V(x) + pen_k for each
+    prior, x_j a mixture of type j's columns (weights summing to 1), and
+    the rows it holds, each relaxed by `floor`. Its columns start as the
+    upper and lower faces and the dual's last c* for each type, and its
+    rows as W's. Because phi is concave, the mixture is worth at least the
+    LP's t. While the bound exceeds the mixture's value by more than
+    `opts.tol`, or the mixture violates a row outside the master:
+      - the rows it violates join the master;
+      - `_inner_max` prices at the master's duals (lam on the prior rows,
+        mu on the rows it holds, pi on the mixing rows): D there plus
+        `_inner_slack` is a bound like any other, and the bound is the least
+        so far; type j's c* joins as a column where s_j V(c*) + g_j c* +
+        pi_j > 0.
+    The weights are the LP's own, its tolerance of 1e-10 included, so the
+    mixture meets the rows as the LP reads them. Should HiGHS not solve the
+    master to optimality, the solve ends at the pooling point at the upper
+    contract bound, uncertified unless that point closes the gap.
+    `iterations` and the `trace`, one (iteration, D) row per dual iteration
+    or pricing, count SLSQP's iterations summed over the rounds and then the
+    master's pricings, and `opts.max_iters` caps that sum: the cap ends the
+    SLSQP round it stops, and no pricing runs past it.
 
     The trace and the bound read the dual's last evaluation, with no memo:
     SLSQP evaluates each iterate before it calls back with it and returns
     the last point it evaluated, so each bound and its c* come from one
     evaluation. The bound is the last round's, with `_inner_slack` at that
     c*, so it holds whatever point was evaluated last and however the inner
-    iteration ended. `converged` means the mechanism is feasible within
-    `opts.tol` and `gap` = bound - value is at most `opts.tol`.
+    iteration ended; a pricing can only lower it. `converged` means the
+    mechanism is feasible within `opts.tol` and `gap` = bound - value is at
+    most `opts.tol`.
     Two solves of the same instance with the same options agree bitwise
     only under the same BLAS thread setting: SLSQP's own BLAS calls go
     through scipy's bundled OpenBLAS (a library apart from numpy's), whose
@@ -476,11 +413,12 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     """
     # imported here: scipy.optimize would triple the package's import time
     from scipy.optimize import minimize
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     opts = opts or SolveOptions()
     system = build_system(uu)
     n, m = uu.n_types, uu.n_atoms
-    lo, hi = np.tile(uu.c_lo, n), np.tile(uu.c_hi, n)
+    hi = np.tile(uu.c_hi, n)
     priors, penalties = uu.base.beliefs.priors, uu.base.beliefs.penalties
     k = priors.shape[0]
 
@@ -500,16 +438,9 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         return result(hi, -float("inf"), [])
 
     faces = _dual_faces(uu)
-    # rows are relaxed to the pooling point's sub-tolerance deficits, so the
-    # polytope holds the pooling point, which also stands in, with its gap,
-    # should nnls reach its iteration cap
+    # the master's rows are relaxed to the pooling point's sub-tolerance
+    # deficits, so pooling at the top is a point of the master
     floor = np.minimum(pooling, 0.0)
-
-    def project(y):
-        try:
-            return _projection(y, lo, hi, system, floor, working)
-        except RuntimeError:
-            return hi
 
     def dual(z, a_w, b_w):
         lam = np.maximum(z[:k], 0.0)
@@ -518,7 +449,7 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         c = _inner_max(faces, s, g)
         values = _evaluate(uu, c)
         bound = float(lam @ penalties - mu @ b_w + s @ values + (g * c).sum())
-        last.update(bound=bound, s=s, g=g, c=c)
+        last.update(bound=bound, s=s, g=g, c=c, values=values)
         return bound, np.concatenate([penalties + priors @ values, a_w @ c.ravel() - b_w])
 
     # the working set: every IR row, and both IC rows between each type and
@@ -549,23 +480,71 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
             options={"maxiter": opts.max_iters - len(trace), "ftol": 1e-15},
         ).x
         bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
-        spent = len(trace) >= opts.max_iters
         start[:k], start[k:][working] = point[:k], point[k:]
         violated = ~working & (system.residual(last["c"]) < -1e-9)
-        if violated.any() and not spent:
-            working |= violated
-            continue
-        x = project(last["c"].ravel())
-        value = principal_value(uu, Mechanism(x.reshape(n, m)))[0]
-        if bound - value > opts.tol:
-            polished = project(_primal_step(uu, x, value, *system.rows(np.ones(n * n, bool))))
-            polished_value = principal_value(uu, Mechanism(polished.reshape(n, m)))[0]
-            if polished_value > value:
-                x, value = polished, polished_value
-        if bound - value <= opts.tol or working.all() or spent:
+        if not violated.any() or len(trace) >= opts.max_iters:
             break
-        working[:] = True
-    return result(x, bound, trace)
+        working |= violated
+
+    # the master LP: column 0 is t, then one column per contract in
+    # `columns`, of type `types`; rows 0..k-1 are the priors' t <= kappa_k V
+    # + pen_k, row k + j mixes type j's columns, and the rows `taken` follow
+    # in the order they joined, relaxed by floor
+    master = _Highs()
+    for option, setting in _MASTER_OPTIONS.items():
+        master.setOptionValue(option, setting)
+    master.addRows(k + n, np.r_[-penalties, np.ones(n)], np.r_[np.full(k, np.inf), np.ones(n)],
+                   *_sparse(np.zeros((k + n, 0))))
+    master.addCols(1, [-1.0], [-np.inf], [np.inf], *_sparse(np.full((1, k), -1.0)))
+    types, columns, taken = np.zeros(0, dtype=int), np.zeros((0, m)), np.zeros(0, dtype=int)
+
+    def add_rows(rows):
+        nonlocal taken
+        entries = system.entries(rows, types, agent_levels(uu, columns))
+        master.addRows(rows.size, system.rhs(rows) + floor[rows], np.full(rows.size, np.inf),
+                       *_sparse(np.hstack([np.zeros((rows.size, 1)), entries])))
+        taken = np.r_[taken, rows]
+
+    def add_columns(new, owners):
+        nonlocal types, columns
+        block = np.vstack([priors[:, owners] * _evaluate(uu, new), owners == np.arange(n)[:, None],
+                           system.entries(taken, owners, agent_levels(uu, new))])
+        master.addCols(owners.size, np.zeros(owners.size), np.zeros(owners.size),
+                       np.full(owners.size, np.inf), *_sparse(block.T))
+        types, columns = np.r_[types, owners], np.vstack([columns, new])
+
+    add_columns(np.vstack([np.tile(uu.c_hi, (n, 1)), np.tile(uu.c_lo, (n, 1)), last["c"]]),
+                np.tile(np.arange(n), 3))
+    add_rows(np.flatnonzero(working))
+    while True:
+        master.run()
+        if master.getModelStatus() != HighsModelStatus.kOptimal:
+            return result(hi, bound, trace)
+        solution = master.getSolution()
+        # the LP's own weights, those negative within its tolerance included,
+        # so that x meets the rows as the LP reads them
+        x = np.zeros((n, m))
+        np.add.at(x, types, np.asarray(solution.col_value)[1:, None] * columns)
+        x = np.clip(x, uu.c_lo, uu.c_hi)
+        value = principal_value(uu, Mechanism(x))[0]
+        outside = system.residual(x) < floor
+        outside[taken] = False
+        violated = np.flatnonzero(outside)
+        joining = np.zeros(n, dtype=bool)
+        if bound - value > opts.tol and len(trace) < opts.max_iters:
+            # price at the master's duals: lam on the prior rows, mu on the
+            # taken rows, pi on the mixing rows
+            duals = np.asarray(solution.row_dual)
+            dual(np.r_[duals[:k], duals[k + n:]], *system.rows(taken))
+            s, g, c = last["s"], last["g"], last["c"]
+            trace.append((len(trace) + 1, last["bound"]))
+            bound = min(bound, last["bound"] + _inner_slack(faces, s, g, c))
+            gains = s * last["values"] + (g * c).sum(axis=1)
+            joining = (bound - value > opts.tol) & (gains + duals[k:k + n] > 0.0)
+        if not (violated.size or joining.any()):
+            return result(x, bound, trace)
+        add_rows(violated)
+        add_columns(last["c"][joining], np.flatnonzero(joining))
 
 
 def grid_contracts(uu: UtilityUnitsInstance, levels_per_atom: int) -> np.ndarray:

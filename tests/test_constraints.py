@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rcl
-from rcl.constraints import ic_rows
+from rcl.constraints import agent_levels, ic_rows
 from rcl.errors import DimensionError, RangeError
 
 from conftest import make_instance, make_uu, random_contracts, random_mechanisms
@@ -175,6 +175,36 @@ class TestRowExport:
                                        atol=1e-15 * scale)
             pooled = np.tile(c[0], (n, 1))
             assert (system.residual(pooled)[:n * (n - 1)] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_entries_sum_to_the_rows(self, rng, n):
+        # a mechanism's own contracts, one per type, enter each row so that
+        # their entries less the rhs are the residual bit for bit; a list of
+        # contracts of any types mixed by weights that sum to 1 per type
+        # meets the dense rows at the mixture
+        uu = make_uu(rng, n=n, m=3)
+        system = rcl.build_system(uu)
+        every = np.arange(n * n)
+        a, b = system.rows(every)
+        for mech in random_mechanisms(rng, uu, 4):
+            c = mech.assignment
+            own = system.entries(every, np.arange(n), agent_levels(uu, c))
+            np.testing.assert_array_equal(own.sum(axis=1) - system.rhs(every),
+                                          system.residual(c))
+            types = rng.integers(0, n, 3 * n)
+            types[:n] = np.arange(n)
+            contracts = np.vstack([c, random_contracts(rng, uu, 2 * n)])
+            levels = agent_levels(uu, contracts)
+            mixing = rng.random(types.size)
+            mixing /= np.bincount(types, mixing)[types]
+            x = np.zeros_like(c)
+            np.add.at(x, types, mixing[:, None] * contracts)
+            np.testing.assert_allclose(system.entries(every, types, levels) @ mixing,
+                                       a @ x.ravel(), rtol=0, atol=1e-13)
+            mask = rng.random(n * n) < 0.5
+            np.testing.assert_array_equal(system.entries(mask, types, levels),
+                                          system.entries(every[mask], types, levels))
+            np.testing.assert_array_equal(system.rhs(mask), b[mask])
 
 
 class TestCheckMechanism:

@@ -683,8 +683,8 @@ def test_equivalence_gap_is_exactly_zero(tmp_path, seed):
 
 def test_cli_import_loads_no_scipy_and_no_logging():
     # every `rcl` command, and every benchmark set-up, pays for importing
-    # rcl.cli; scipy is imported only where a solve, a projection or a
-    # tabulated utility runs, and logging not at all
+    # rcl.cli; scipy is imported only where a solve (its master LP's HiGHS
+    # binding included) or a tabulated utility runs, and logging not at all
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rcl.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])])

@@ -1,4 +1,4 @@
-"""Certified dual solver, its exact projection, and the exhaustive grid oracle."""
+"""Certified dual solver, its master LP, and the exhaustive grid oracle."""
 
 import dataclasses
 import itertools
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import linprog, minimize
 
 import rcl
 import rcl.cli
@@ -18,14 +18,8 @@ from rcl.constraints import DEFAULT_TOL
 from rcl.errors import RangeError, SizeCapError, ValidationError
 from rcl.menu import DEFAULT_TIE_TOL
 from rcl.presets import PRESET_NAMES
-from rcl.solver import _projection
 
 from conftest import make_instance, make_uu
-
-
-def _residual(x, lo, hi, a, b):
-    return max(0.0, float((b - a @ x).max()), float((lo - x).max()),
-               float((x - hi).max()))
 
 
 def single_type_instance(u, v, e_a, e_p, lo, hi, reservation=None, q=None, d=None):
@@ -55,6 +49,35 @@ def self_selected(rng, uu, count):
         picks = np.argmax(weights @ pool.T, axis=1)
         out.append(rcl.Mechanism(pool[picks]))
     return out
+
+
+def test_highs_binding_serves_the_master():
+    # the master LP runs on scipy's private HiGHS binding, which no scipy
+    # release promises to keep: a scipy without it, or without a method the
+    # master calls, fails here and not in a user's solve. One column of each
+    # kind, t and two contracts of one type worth 2 and 3 to the one prior:
+    # max t s.t. t <= 2 a1 + 3 a2, a1 + a2 = 1. The master reads the prior
+    # row's dual as lam and the mixing row's as pi, with a column's reduced
+    # cost -(lam V + pi), 0 on the basic a2 and 1 on a1
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+
+    master = _Highs()
+    for option, setting in rcl.solver._MASTER_OPTIONS.items():
+        assert master.setOptionValue(option, setting) == HighsStatus.kOk
+    sparse = rcl.solver._sparse
+    statuses = [
+        master.addRows(2, [0.0, 1.0], [np.inf, 1.0], *sparse(np.zeros((2, 0)))),
+        master.addCols(1, [-1.0], [-np.inf], [np.inf], *sparse(np.array([[-1.0]]))),
+        master.addCols(2, np.zeros(2), np.zeros(2), np.full(2, np.inf),
+                       *sparse(np.array([[2.0, 1.0], [3.0, 1.0]]))),
+        master.run(),
+    ]
+    assert statuses == [HighsStatus.kOk] * 4
+    assert master.getModelStatus() == HighsModelStatus.kOptimal
+    solution = master.getSolution()
+    np.testing.assert_allclose(solution.col_value, [3.0, 0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(solution.row_dual, [1.0, -3.0], atol=1e-12)
+    np.testing.assert_allclose(solution.col_dual, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestPrincipalValue:
@@ -181,25 +204,29 @@ class TestSolveMechanism:
         assert not res.converged
         assert not res.feasibility.feasible
 
-    def test_nnls_iteration_cap_exits_unconverged(self, tmp_path, monkeypatch):
-        # nnls raises RuntimeError at its iteration cap; the projection then
-        # falls back to the pooling point, so the solve ends feasible and
-        # unconverged and `rcl solve` exits 2 rather than with a traceback.
-        # The market preset's c* is infeasible, so its projection calls nnls
-        calls = []
+    def test_non_optimal_master_exits_unconverged(self, tmp_path, monkeypatch, capsys):
+        # should HiGHS not solve the master LP to optimality, the solve ends
+        # at the pooling point at the upper contract bound, feasible with its
+        # gap, and `rcl solve` exits 2 rather than with a traceback
+        from scipy.optimize._highspy import _core
 
-        def capped(*args, **kwargs):
-            calls.append(args)
-            raise RuntimeError("Maximum number of iterations reached.")
+        statuses = []
 
-        monkeypatch.setattr("scipy.optimize.nnls", capped)
+        class Stalled(_core._Highs):
+            def getModelStatus(self):
+                statuses.append(super().getModelStatus())
+                return _core.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(_core, "_Highs", Stalled)
         uu = rcl.to_utility_units(rcl.build_preset("cara_hedging"))
         res = rcl.solve_mechanism(uu)
-        assert calls
-        assert not res.converged
-        assert res.feasibility.feasible
+        assert statuses == [_core.HighsModelStatus.kOptimal]
+        assert res.feasibility.feasible and not res.converged
+        np.testing.assert_array_equal(res.mechanism.assignment,
+                                      np.tile(uu.c_hi, (uu.n_types, 1)))
         assert rcl.cli.main(["solve", "--preset", "cara_hedging",
-                             "--out", str(tmp_path / "capped")]) == 2
+                             "--out", str(tmp_path / "stalled")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bound_holds_at_one_newton_step(self, monkeypatch):
         # one step leaves c* far from the dual's inner maximizer, so the dual
@@ -240,7 +267,7 @@ class TestSolveMechanism:
     @pytest.mark.parametrize("case", ["halfline", "cara_hedging", "linear_linear", "tabulated"])
     def test_solve_makes_no_checked_utility_call(self, monkeypatch, case):
         # the box is checked when the utility-units instance is built; a
-        # solve, its primal step included (linear-linear), evaluates inside
+        # solve, its master included (linear-linear), evaluates inside
         # the box through the unchecked cores alone
         calls = []
         for name in ("value", "inverse", "deriv"):
@@ -314,8 +341,14 @@ def checked_slope(uu, weight, g, c):
 def reference_inner_max(uu, s, g, halvings):
     """The inner maximizer by the plain rule: `halvings` rounds of bisecting
     `checked_slope` over every entry, faces included; also the mask of the
-    entries strictly inside."""
+    entries strictly inside. Each entry's weight and g are first scaled by
+    one power of two, exactly, to a largest magnitude in [0.5, 1): the
+    slope's sign is unchanged, but at a subnormal weight and g the slope
+    would round to a multiple of the least subnormal, and be 0 over a span
+    of c far wider than the tolerance the bisection is held to."""
     weight = s[:, None] * uu.base.principal_weights()
+    exponent = -np.frexp(np.maximum(np.abs(weight), np.abs(g)))[1]
+    weight, g = np.ldexp(weight, exponent), np.ldexp(g, exponent)
     lo = np.broadcast_to(uu.c_lo, g.shape)
     hi = np.broadcast_to(uu.c_hi, g.shape)
     at_lo = checked_slope(uu, weight, g, lo) <= 0.0
@@ -653,7 +686,7 @@ class TestCertificate:
     def test_halfline_recovers_when_a_prior_weight_vanishes(self, monkeypatch):
         # at default settings the dual drives the uniform prior's weight to
         # about 5e-13, where type 1's c* is nearly bang-bang; the mechanism
-        # must still certify, by the projection of c* or the primal step
+        # must still certify, by the master's mixture of the columns
         mixtures = []
         inner_max = rcl.solver._inner_max
 
@@ -686,7 +719,8 @@ class TestCertificate:
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
     def test_linear_linear_matches_linprog(self, n, m):
         # the dual is piecewise linear and its c* sits on box corners, so
-        # the projection of c* alone falls short of the LP optimum
+        # the master's first LP falls short of the LP optimum and pricing
+        # at its duals closes the gap
         rng = np.random.default_rng(7)
         for _ in range(4):
             uu = make_uu(rng, n=n, m=m, family="linear", v_family="linear")
@@ -694,25 +728,18 @@ class TestCertificate:
             assert res.converged
             assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
 
-    def test_primal_step_runs_only_where_it_is_needed(self, monkeypatch):
-        # the projection of c* certifies every preset alone; the linear-linear
-        # cases above certify only through the primal step
-        starts = []
-
-        def idle(uu, x, value, a, b):
-            starts.append(x)
-            return x
-
-        monkeypatch.setattr(rcl.solver, "_primal_step", idle)
+    def test_presets_certify_in_the_first_master_lp(self, monkeypatch):
+        # the master over hi, lo and the dual's last c* for each type, on W's
+        # rows, certifies every preset in its first LP: one run, and no
+        # pricing row in the trace past SLSQP's iterations
+        runs = count_master_calls(monkeypatch)
+        rounds = record_rounds(monkeypatch)
         for name in PRESET_NAMES:
-            assert rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name))).converged
-        assert starts == []
-        for n, m in [(2, 2), (3, 3)]:
-            rng = np.random.default_rng(7)
-            for _ in range(4):
-                uu = make_uu(rng, n=n, m=m, family="linear", v_family="linear")
-                assert not rcl.solve_mechanism(uu).converged
-        assert len(starts) == 8
+            del runs[:], rounds[:]
+            res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name)))
+            assert res.converged
+            assert [call for call, _ in runs].count("run") == 1
+            assert res.iterations == sum(result.nit for _, result in rounds)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -740,8 +767,9 @@ class TestCertificate:
     @example(seed=7, delta=1e-8)
     def test_near_duplicate_types_certify(self, seed, delta):
         # type 2 becomes type 0 times (1 + delta N(0, 1)), renormalised: the
-        # IC pair between them nearly coincides, the hard case of the
-        # projection (whose residual is not pinned here)
+        # IC pair between them nearly coincides, the binding rows' condition
+        # number is about 1 / delta, and the master's mixture must still meet
+        # every row to the LP's feasibility tolerance
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, m=3, n=3)
         q, base = inst.states.ref_prob, inst.types[0].density
@@ -754,6 +782,7 @@ class TestCertificate:
         assert res.converged
         assert rcl.check_mechanism(rcl.build_system(uu), res.mechanism, tol=opts.tol).feasible
         assert res.gap <= opts.tol
+        assert rcl.build_system(uu).residual(res.mechanism.assignment).min() >= -1e-9
 
 
 def dual_parts(uu, lam, mu):
@@ -778,9 +807,6 @@ class TestDualReadsItsLastEvaluation:
         iterates, results = [], []
 
         def recorded(fun, x0, callback=None, **kwargs):
-            if callback is None:  # the primal step
-                return minimize(fun, x0, **kwargs)
-
             def record(z):
                 iterates.append(z.copy())
                 callback(z)
@@ -820,14 +846,37 @@ def record_rounds(monkeypatch):
     """(x0, result) of every dual SLSQP round of the solves that follow."""
     rounds = []
 
-    def recorded(fun, x0, callback=None, **kwargs):
-        res = minimize(fun, x0, callback=callback, **kwargs)
-        if callback is not None:  # not the primal step
-            rounds.append((np.array(x0), res))
+    def recorded(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        rounds.append((np.array(x0), res))
         return res
 
     monkeypatch.setattr("scipy.optimize.minimize", recorded)
     return rounds
+
+
+def count_master_calls(monkeypatch):
+    """(call, count) of every `run`, `addRows` and `addCols` of the master
+    LPs that follow, a count being the rows or columns the call adds."""
+    from scipy.optimize._highspy import _core
+
+    calls = []
+
+    class Counted(_core._Highs):
+        def run(self):
+            calls.append(("run", 0))
+            return super().run()
+
+        def addRows(self, count, *args):
+            calls.append(("rows", count))
+            return super().addRows(count, *args)
+
+        def addCols(self, count, *args):
+            calls.append(("cols", count))
+            return super().addCols(count, *args)
+
+    monkeypatch.setattr(_core, "_Highs", Counted)
+    return calls
 
 
 def shuffled(inst, order):
@@ -840,8 +889,8 @@ def shuffled(inst, order):
 
 class TestWorkingSet:
     # the dual prices a working set of rows: the IR rows and the IC rows
-    # between near types, then the rows its maximizer violates, and every
-    # row if the gap is still open when none is violated
+    # between near types, then the rows its maximizer violates; the master
+    # starts from W's rows and takes in any other row its mixture violates
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_few_types_price_every_row(self, monkeypatch, n):
@@ -875,15 +924,15 @@ class TestWorkingSet:
         assert res.bound == pytest.approx(dual + slack, rel=0.0, abs=1e-12)
 
     def test_no_call_builds_every_row(self, monkeypatch):
-        # 16 types: W and the rows the projection takes in are a fraction of
-        # the 256 rows, and neither the all-rows round nor the primal step
-        # runs, so no dense all-rows A is built
+        # 16 types: W and the rows the master takes in are a fraction of the
+        # 256 rows, so no dense all-rows A is built
         asked = []
         rows = rcl.LinearConstraintSystem.rows
 
         def spy(system, mask):
-            asked.append(int(np.count_nonzero(mask)))
-            return rows(system, mask)
+            dense = rows(system, mask)
+            asked.append(dense[1].size)
+            return dense
 
         monkeypatch.setattr(rcl.LinearConstraintSystem, "rows", spy)
         uu = rcl.to_utility_units(rcl.build_preset(
@@ -916,22 +965,41 @@ class TestWorkingSet:
         assert rounds[-1][1].status == 9  # SLSQP's iteration limit
         assert len(trace) == result["iterations"] == sum(res.nit for _, res in rounds) <= cap
 
-    def test_linear_linear_certifies_through_every_row(self, monkeypatch):
-        # a bang-bang c* violates few outside rows, and here they do not close
-        # the gap: the last round prices every row, starting from the previous
-        # round's point with the rows that join at 0
+    def test_linear_linear_certifies_through_master_rows_and_columns(self, monkeypatch):
+        # a bang-bang c* violates few outside rows, and the dual's rounds end
+        # with the gap open: the master starts on W's rows, takes in any
+        # other row its mixture violates (how many W holds by then follows
+        # SLSQP's path, and so the BLAS threads), and prices columns at its
+        # duals, each pricing a trace row past SLSQP's iterations; its
+        # mixture meets all 64 rows and closes the gap at the LP optimum
+        calls = count_master_calls(monkeypatch)
         rounds = record_rounds(monkeypatch)
         uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
         res = rcl.solve_mechanism(uu)
         k = uu.base.beliefs.priors.shape[0]
-        x0, previous = rounds[-1][0], rounds[-2][1].x
-        assert len(rounds) > 2 and x0.size == k + 64 > previous.size
-        assert (x0[:k] == previous[:k]).all()
-        prices, padded = previous[k:], x0[k:]
-        assert (padded == 0.0).sum() == (prices == 0.0).sum() + x0.size - previous.size
-        assert (padded[padded != 0.0] == prices[prices != 0.0]).all()
+        working = rounds[-1][0].size - k
+        # set-up: the prior and mixing rows, t, hi, lo and c* for each type,
+        # then W's rows
+        assert calls[:4] == [("rows", k + 8), ("cols", 1), ("cols", 24), ("rows", working)]
+        assert sum(count for call, count in calls[4:] if call == "cols") > 0
         assert res.converged
+        assert res.iterations > sum(result.nit for _, result in rounds)
+        assert rcl.build_system(uu).residual(res.mechanism.assignment).min() >= -1e-9
         assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
+
+    def test_capped_dual_leaves_the_rows_to_the_master(self, monkeypatch):
+        # one SLSQP iteration leaves W at its seed and the gap open, and no
+        # pricing runs past the cap: the master takes in the rows its
+        # mixture of hi, lo and c* violates, so the mechanism meets all 64
+        # rows, uncertified
+        calls = count_master_calls(monkeypatch)
+        uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
+        res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=1))
+        assert calls[3] == ("rows", seeded_rows(uu).sum()) and seeded_rows(uu).sum() < 64
+        assert sum(count for call, count in calls[4:] if call == "rows") > 0
+        assert sum(count for call, count in calls[4:] if call == "cols") == 0
+        assert res.iterations == 1 and not res.converged
+        assert rcl.build_system(uu).residual(res.mechanism.assignment).min() >= -1e-9
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -979,133 +1047,6 @@ class TestWeakDuality:
         dual, slack = dual_parts(uu, lam / lam.sum(), mu)
         bound = dual + slack
         assert bound >= rcl.grid_oracle(uu, 4).value - 1e-12
-
-
-def projection_problem(seed, family, n, m):
-    """Box and IC/IR rows of a random instance; hi is the pooling anchor."""
-    uu = make_uu(np.random.default_rng(seed), m=m, n=n, family=family)
-    a, b = rcl.build_system(uu).rows(np.ones(n * n, dtype=bool))
-    return np.tile(uu.c_lo, n), np.tile(uu.c_hi, n), a, b
-
-
-class DenseRows:
-    """A test double for what `_projection` reads of a constraint system:
-    the dense rows a x >= b that a mask picks, and a x - b over every row."""
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def rows(self, mask):
-        return self.a[mask], self.b[mask]
-
-    def residual(self, x):
-        return self.a @ x - self.b
-
-
-def project(y, lo, hi, a, b, taken=None):
-    """`_projection` onto the box and the unrelaxed rows a x >= b, taking
-    every row from the start unless the mask `taken` says otherwise."""
-    taken = np.ones(b.size, dtype=bool) if taken is None else taken
-    return _projection(y, lo, hi, DenseRows(a, b), np.zeros(b.size), taken)
-
-
-def outside_point(rng, lo, hi):
-    return lo + (hi - lo) * rng.uniform(-0.5, 1.5, lo.size)
-
-
-def nnls_projection(y, lo, hi, a, b):
-    """Nearest point to y in {a x >= b, lo <= x <= hi}, exactly, through the
-    least-distance problem min |z| s.t. g z >= h, z = x - y, and its
-    reduction to nonnegative least squares (Lawson & Hanson, Solving Least
-    Squares Problems, ch. 23): the residual r = e u - f of the NNLS solution
-    u gives z = -r[:-1] / r[-1]."""
-    eye = np.eye(y.size)
-    g = np.vstack([a, eye, -eye])
-    h = np.concatenate([b - a @ y, lo - y, y - hi])
-    e, f = np.vstack([g.T, h]), np.r_[np.zeros(y.size), 1.0]
-    r = e @ nnls(e, f)[0] - f
-    return y - r[:-1] / r[-1]
-
-
-projection_cases = given(
-    seed=st.integers(0, 2**32 - 1),
-    family=st.sampled_from(["log", "crra", "cara", "linear"]),
-    n=st.integers(1, 4),
-    m=st.integers(1, 4),
-)
-
-
-class TestProjection:
-    @settings(max_examples=40, deadline=None)
-    @projection_cases
-    # nearly parallel working rows: the equality projection missed a working
-    # row by 2.6e-12 before it was refined
-    @example(seed=228118, family="log", n=3, m=2)
-    # two types 3e-6 apart: a row this near the working rows' span was
-    # skipped as dependent, and the output violated it by 5.5e-6
-    @example(seed=491401753, family="log", n=4, m=2)
-    def test_output_feasible_and_optimal(self, seed, family, n, m):
-        lo, hi, a, b = projection_problem(seed, family, n, m)
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(8):
-            y = outside_point(rng, lo, hi)
-            x = project(y, lo, hi, a, b)
-            assert _residual(x, lo, hi, a, b) <= 1e-12
-            np.testing.assert_allclose(x, nnls_projection(y, lo, hi, a, b), rtol=0,
-                                       atol=1e-10 * max(1.0, float(np.abs(y).max())))
-            pairs.append((y, x))
-        # variational inequality against feasible points: the anchor and
-        # the other projections
-        feasible = [hi] + [x for _, x in pairs]
-        for y, x in pairs:
-            for z in feasible:
-                assert (y - x) @ (z - x) <= 1e-9
-        if lo.size <= 6:
-            y, x = pairs[0]
-            ref = minimize(
-                lambda z: 0.5 * (z - y) @ (z - y), hi, jac=lambda z: z - y,
-                bounds=list(zip(lo, hi)), method="SLSQP",
-                constraints=[{"type": "ineq", "fun": lambda z: a @ z - b,
-                              "jac": lambda z: a}],
-                options={"ftol": 1e-14, "maxiter": 500},
-            )
-            assert np.linalg.norm(x - y) <= np.linalg.norm(ref.x - y) + 1e-9
-            np.testing.assert_allclose(x, ref.x, atol=1e-5)
-
-    @settings(max_examples=40, deadline=None)
-    @projection_cases
-    def test_rows_join_like_faces(self, seed, family, n, m):
-        # rows the start leaves out join when the point violates them: from
-        # a random subset of the rows that leaves out every row binding at
-        # the projection, on the IC/IR rows alone or with redundant rows
-        # (positive multiples, loosened copies and sums of two rows), the
-        # point is the all-rows NNLS projection
-        lo, hi, a, b = projection_problem(seed, family, n, m)
-        rng = np.random.default_rng(seed)
-        if seed % 2:
-            i, j = rng.integers(0, b.size, (2, 2 * b.size))
-            scale = rng.uniform(0.5, 2.0, i.size)
-            a = np.vstack([a, scale[:, None] * a[i], a[i], a[i] + a[j]])
-            b = np.r_[b, scale * b[i], b[i] - rng.uniform(0.01, 1.0, i.size), b[i] + b[j]]
-        for _ in range(8):
-            y = outside_point(rng, lo, hi)
-            ref = nnls_projection(y, lo, hi, a, b)
-            tol = 1e-10 * max(1.0, float(np.abs(y).max()))
-            binding = a @ ref - b <= tol
-            x = project(y, lo, hi, a, b, taken=~binding & (rng.random(b.size) < 0.5))
-            assert _residual(x, lo, hi, a, b) <= 1e-12
-            np.testing.assert_allclose(x, ref, rtol=0, atol=tol)
-
-    @settings(max_examples=40, deadline=None)
-    @projection_cases
-    def test_feasible_point_is_fixed(self, seed, family, n, m):
-        lo, hi, a, b = projection_problem(seed, family, n, m)
-        rng = np.random.default_rng(seed)
-        z = project(outside_point(rng, lo, hi), lo, hi, a, b)
-        np.testing.assert_allclose(project(z, lo, hi, a, b), z,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(project(hi, lo, hi, a, b), hi)
 
 
 class TestTabulatedAgent:
