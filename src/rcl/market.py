@@ -37,7 +37,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .model import CARA, LOG, UtilitySpec, _read_field, _row_dots, cara, log_utility
+from .model import CARA, LOG, UtilitySpec, _label, _read_field, _row_dots, cara, log_utility
 
 MAX_NODES = 200
 BETA_MIN = 1e-3
@@ -104,7 +104,7 @@ class MarketModel:
         for d in self.drift_types:
             if d.values.shape != self.nodes.shape:
                 violations.append(
-                    f"drift type {d.label}: {d.values.size} values for "
+                    f"drift type {d.label}: values of shape {d.values.shape} for "
                     f"{self.nodes.size} nodes"
                 )
         if violations:
@@ -346,8 +346,8 @@ def market_model_from_json(doc) -> MarketModel:
         raise ValidationError(["drift_types must be a list of objects"])
     drifts = []
     for i, entry in enumerate(entries):
-        label = _read_field(entry, "label", default=f"f{i}")
         where = f"drift_types[{i}]"
+        label = _read_field(entry, "label", _label, f"f{i}", where)
         if "values" in entry:
             drifts.append(DriftType(label, _read_field(entry, "values", _array, where=where)))
         else:

@@ -143,6 +143,13 @@ def _read_field(doc, key, convert=lambda value: value, default=_REQUIRED, where=
         raise ValidationError([f"{name}: {exc}"]) from None
 
 
+def _label(value) -> str:
+    """A label read from a document: a JSON string, which reports key on."""
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, not {value!r}")
+    return value
+
+
 @dataclass
 class StateSpace:
     """Finite state space with strictly positive reference probabilities."""
@@ -760,7 +767,7 @@ def _instance_from_doc(doc) -> Instance:
 
     def agent_type(entry, where, label):
         return AgentType(density=_read_field(entry, "density", where=where),
-                         label=_read_field(entry, "label", default=label, where=where))
+                         label=_read_field(entry, "label", _label, label, where))
 
     def agent_types(node):  # an object here would be walked by its keys
         if not isinstance(node, list) or not all(isinstance(t, dict) for t in node):

@@ -4,22 +4,23 @@ The principal's objective over mechanisms is concave (her utility is concave
 and the inverse agent utility is convex), the constraint set is a box
 intersected with half-spaces, and the inner infimum over the finite belief
 set is an exact minimum. The solver minimizes the Lagrangian dual, whose
-every value bounds the optimum from above, pricing only a working set W of
-rows: the rows its maximizer violates join in rounds. A dual point with the
-other rows' prices at 0 is a point of the full dual, so its value is still
-a bound. The mechanism comes from one master LP that mixes the dual's inner
-maximizers for each type (Dantzig & Wolfe): it holds W's rows, takes in
-any other row its mixture violates, and prices new maximizers at its own
-duals while the gap is open. The rows have one owner,
-`LinearConstraintSystem`: the solve reads W's dense rows and the master's
-entries from it and checks the others by its `residual`, off the agent
-level matrix, and never builds the dense matrix of all the rows unless W
-holds them all. It reports the gap between the least bound and the
-mixture's value. The oracle enumerates grid-level assignments exhaustively
-and is kept free of any solver machinery so the two can check each other:
-it is plain enumeration under the same IR/IC rows, which it applies as
-soon as their types are assigned, extending only IR-feasible, pairwise-IC
-assignment prefixes in blocks of at most _CHUNK cells.
+every value bounds the optimum from above, in one run that prices only a
+seeded working set W of rows. A dual point with the other rows' prices at
+0 is a point of the full dual, so its value is still a bound. The
+mechanism comes from one master LP that mixes the dual's inner maximizers
+for each type (Dantzig & Wolfe), the one place a row joins: it starts on
+W's rows, takes in any other row its mixture violates, and prices new
+maximizers at its own duals while the gap is open. The rows have one
+owner, `LinearConstraintSystem`: the solve reads the dense rows it prices
+and the master's entries from it and checks the others by its `residual`,
+off the agent level matrix, and never builds the dense matrix of all the
+rows unless the master holds them all. It reports the gap between the
+least bound and the mixture's value. The oracle enumerates grid-level
+assignments exhaustively and is kept free of any solver machinery so the
+two can check each other: it is plain enumeration under the same IR/IC
+rows, which it applies as soon as their types are assigned, extending
+only IR-feasible, pairwise-IC assignment prefixes in blocks of at most
+_CHUNK cells.
 """
 
 from __future__ import annotations
@@ -354,22 +355,19 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     instance from `_dual_faces`, prepared once per solve after the pooling
     check.
 
-    Only the rows of a working set W carry a price; mu is 0 on the rest,
-    and each round reads W's dense rows from `system.rows`.
-    Such a mu is a point of the full dual, so D there plus `_inner_slack`
-    bounds the full problem however small W is. W starts with every IR row
-    and the IC rows both ways between each type and its two nearest types
-    (Euclidean distance between rows of `type_weights()`, so the order the
-    types are listed in does not matter); with at most three types that is
-    every row. SLSQP then runs in rounds over (lam, mu_W), each from the
-    previous round's point (the first from uniform lam, mu = 0), a row that
-    joins W priced at 0: rows outside W that c* violates by more than 1e-9
-    join W, by `system.residual`, read off the level matrix, until none
-    does.
-    Delayed constraint generation (Bertsimas & Tsitsiklis, Introduction to
-    Linear Optimization, ch. 6): at the local-IC optimum of a screening
-    problem few rows bind, and SLSQP's dense subproblem grows with k + |W|,
-    not k + n^2.
+    Only the rows of a working set W carry a price, read as dense rows from
+    `system.rows`; mu is 0 on the rest. Such a mu is a point of the full
+    dual, so D there plus `_inner_slack` bounds the full problem however
+    small W is. W holds every IR row and the IC rows both ways between each
+    type and its two nearest types (Euclidean distance between rows of
+    `type_weights()`, so the order the types are listed in does not
+    matter); with at most three types that is every row. SLSQP runs once
+    over (lam, mu_W), from uniform lam and mu = 0, and no row joins W:
+    the master below is the one row generator. Delayed constraint
+    generation (Bertsimas & Tsitsiklis, Introduction to Linear
+    Optimization, ch. 6): at the local-IC optimum of a screening problem
+    few rows bind, and SLSQP's dense subproblem grows with k + |W|, not
+    k + n^2.
 
     The mechanism is the optimum of a restricted master LP (Dantzig &
     Wolfe, Oper. Res. 8, 1960), solved by scipy's bundled HiGHS binding,
@@ -387,19 +385,22 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
         so far; type j's c* joins as a column where s_j V(c*) + g_j c* +
         pi_j > 0.
     The weights are the LP's own, its tolerance of 1e-10 included, so the
-    mixture meets the rows as the LP reads them. Should HiGHS not solve the
-    master to optimality, the solve ends at the pooling point at the upper
-    contract bound, uncertified unless that point closes the gap.
+    mixture meets the rows as the LP reads them. A warm re-solve can stall
+    short of optimality (at kUnknown: primal feasible, its dual
+    infeasibility just above HiGHS's 1e-10), so a run that ends anywhere
+    but optimal is solved once more from cold. Should that fail too, the
+    solve ends at the pooling point at the upper contract bound,
+    uncertified unless that point closes the gap.
     `iterations` and the `trace`, one (iteration, D) row per dual iteration
-    or pricing, count SLSQP's iterations summed over the rounds and then the
-    master's pricings, and `opts.max_iters` caps that sum: the cap ends the
-    SLSQP round it stops, and no pricing runs past it.
+    or pricing, count SLSQP's iterations and then the master's pricings,
+    and `opts.max_iters` caps that sum: SLSQP runs at most the cap, and no
+    pricing runs past it.
 
     The trace and the bound read the dual's last evaluation, with no memo:
     SLSQP evaluates each iterate before it calls back with it and returns
     the last point it evaluated, so each bound and its c* come from one
-    evaluation. The bound is the last round's, with `_inner_slack` at that
-    c*, so it holds whatever point was evaluated last and however the inner
+    evaluation. The bound is SLSQP's last, with `_inner_slack` at that c*,
+    so it holds whatever point was evaluated last and however the inner
     iteration ended; a pricing can only lower it. `converged` means the
     mechanism is feasible within `opts.tol` and `gap` = bound - value is at
     most `opts.tol`.
@@ -460,31 +461,22 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     near = np.zeros((n, n), dtype=bool)
     near[np.arange(n)[:, None], np.argsort(distance, axis=1, kind="stable")[:, :2]] = True
     working = np.r_[ic_rows(near | near.T), np.ones(n, dtype=bool)]
-    # the dual point over every row, 0 outside W: each round starts from it
-    start = np.r_[np.full(k, 1.0 / k), np.zeros(n * n)]
+    a_w, b_w = system.rows(working)
+    simplex = np.r_[np.ones(k), np.zeros(b_w.size)]
 
     # the dual's last evaluation: SLSQP evaluates each iterate before it
     # calls back with it, and the point it returns is the last it evaluated,
     # so the trace and the final bound read D where it was evaluated
     last: dict = {}
     trace: list[tuple[int, float]] = []
-    while True:
-        a_w, b_w = system.rows(working)
-        simplex = np.r_[np.ones(k), np.zeros(b_w.size)]
-        point = minimize(
-            dual, np.r_[start[:k], start[k:][working]], args=(a_w, b_w), jac=True,
-            method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b_w.size,
-            constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
-                          "jac": lambda z: simplex}],
-            callback=lambda z: trace.append((len(trace) + 1, last["bound"])),
-            options={"maxiter": opts.max_iters - len(trace), "ftol": 1e-15},
-        ).x
-        bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
-        start[:k], start[k:][working] = point[:k], point[k:]
-        violated = ~working & (system.residual(last["c"]) < -1e-9)
-        if not violated.any() or len(trace) >= opts.max_iters:
-            break
-        working |= violated
+    minimize(
+        dual, np.r_[np.full(k, 1.0 / k), np.zeros(b_w.size)], args=(a_w, b_w), jac=True,
+        method="SLSQP", bounds=[(0.0, 1.0)] * k + [(0.0, None)] * b_w.size,
+        constraints=[{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0, "jac": lambda z: simplex}],
+        callback=lambda z: trace.append((len(trace) + 1, last["bound"])),
+        options={"maxiter": opts.max_iters, "ftol": 1e-15},
+    )
+    bound = last["bound"] + _inner_slack(faces, last["s"], last["g"], last["c"])
 
     # the master LP: column 0 is t, then one column per contract in
     # `columns`, of type `types`; rows 0..k-1 are the priors' t <= kappa_k V
@@ -519,7 +511,12 @@ def solve_mechanism(uu: UtilityUnitsInstance, opts: SolveOptions | None = None) 
     while True:
         master.run()
         if master.getModelStatus() != HighsModelStatus.kOptimal:
-            return result(hi, bound, trace)
+            # a warm re-solve can stall short of HiGHS's dual tolerance, at
+            # kUnknown: once more from cold before the pooling point
+            master.clearSolver()
+            master.run()
+            if master.getModelStatus() != HighsModelStatus.kOptimal:
+                return result(hi, bound, trace)
         solution = master.getSolution()
         # the LP's own weights, those negative within its tolerance included,
         # so that x meets the rows as the LP reads them

@@ -403,8 +403,19 @@ class TestCli:
          "types must be a list of objects"),
         ("solve", edited_instance(lambda d: d.update(types=["theta0"])),
          "types must be a list of objects"),
+        # an unhashable label crashed every command, and an int one `equivalence`
+        ("solve", edited_instance(lambda d: d["types"][0].update(label=[1])),
+         "types[0].label: must be a string, not [1]"),
+        ("menu", edited_instance(lambda d: d["principal_belief"].update(label={"a": 1})),
+         "principal_belief.label: must be a string, not {'a': 1}"),
+        ("equivalence", edited_instance(lambda d: d["types"][1].update(label=3)),
+         "types[1].label: must be a string, not 3"),
+        ("market", {"n_nodes": 2, "drift_types": [{"label": [1], "slope": 0.1}]},
+         "drift_types[0].label: must be a string, not [1]"),
         ("market", {"n_nodes": 2, "drift_types": [{"label": "r", "values": [0.1, NAN]}]},
          "drift type r: values must be finite"),
+        ("market", {"n_nodes": 4, "drift_types": [{"label": "r", "values": [[0.1, 0.2]] * 2}]},
+         "drift type r: values of shape (2, 2) for 4 nodes"),
         ("market", {"n_nodes": 2, "drift_types": [{"slope": 0.1, "support": 0.0}]},
          "support must be positive"),
         ("market", {"nodes": [-1.0, 0.0, 1.0], "weights": [0.5, 0.5]},
@@ -420,7 +431,8 @@ class TestCli:
         ("market", {"n_nodes": True}, "n_nodes: must be a whole number, not True"),
     ], ids=["ref_prob", "type_density", "priors", "principal_density", "u_family",
             "bounds_lo", "bad_e_a", "states_list", "types_object", "types_strings",
-            "drift_values", "support",
+            "list_label", "object_label", "int_label", "drift_label",
+            "drift_values", "drift_shape", "support",
             "nodes_weights", "e_a_length", "negative_weights", "zero_weight", "fractional_n_nodes",
             "string_n_nodes", "bool_n_nodes"])
     def test_bad_document_names_the_field(self, tmp_path, capsys, command, doc, message):

@@ -73,11 +73,15 @@ def test_highs_binding_serves_the_master():
         master.run(),
     ]
     assert statuses == [HighsStatus.kOk] * 4
-    assert master.getModelStatus() == HighsModelStatus.kOptimal
-    solution = master.getSolution()
-    np.testing.assert_allclose(solution.col_value, [3.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(solution.row_dual, [1.0, -3.0], atol=1e-12)
-    np.testing.assert_allclose(solution.col_dual, [0.0, 1.0, 0.0], atol=1e-12)
+    # the master's cold re-solve: the model stays, its basis goes
+    for cold in (False, True):
+        if cold:
+            assert [master.clearSolver(), master.run()] == [HighsStatus.kOk] * 2
+        assert master.getModelStatus() == HighsModelStatus.kOptimal
+        solution = master.getSolution()
+        np.testing.assert_allclose(solution.col_value, [3.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(solution.row_dual, [1.0, -3.0], atol=1e-12)
+        np.testing.assert_allclose(solution.col_dual, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestPrincipalValue:
@@ -205,9 +209,10 @@ class TestSolveMechanism:
         assert not res.feasibility.feasible
 
     def test_non_optimal_master_exits_unconverged(self, tmp_path, monkeypatch, capsys):
-        # should HiGHS not solve the master LP to optimality, the solve ends
-        # at the pooling point at the upper contract bound, feasible with its
-        # gap, and `rcl solve` exits 2 rather than with a traceback
+        # should HiGHS not solve the master LP to optimality, warm and then
+        # once more from cold, the solve ends at the pooling point at the
+        # upper contract bound, feasible with its gap, and `rcl solve` exits
+        # 2 rather than with a traceback
         from scipy.optimize._highspy import _core
 
         statuses = []
@@ -220,13 +225,36 @@ class TestSolveMechanism:
         monkeypatch.setattr(_core, "_Highs", Stalled)
         uu = rcl.to_utility_units(rcl.build_preset("cara_hedging"))
         res = rcl.solve_mechanism(uu)
-        assert statuses == [_core.HighsModelStatus.kOptimal]
+        assert statuses == [_core.HighsModelStatus.kOptimal] * 2
         assert res.feasibility.feasible and not res.converged
         np.testing.assert_array_equal(res.mechanism.assignment,
                                       np.tile(uu.c_hi, (uu.n_types, 1)))
         assert rcl.cli.main(["solve", "--preset", "cara_hedging",
                              "--out", str(tmp_path / "stalled")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_stalled_warm_master_recovers_from_cold(self, monkeypatch):
+        # a warm re-solve can stall at kUnknown, primal feasible with its dual
+        # infeasibility just above HiGHS's tolerance; the master is then
+        # solved once more from cold, and a first LP answered kUnknown once
+        # gives the solve it gives unstalled, bitwise
+        from scipy.optimize._highspy import _core
+
+        uu = rcl.to_utility_units(rcl.build_preset("cara_hedging"))
+        unstalled = rcl.solve_mechanism(uu)
+        statuses = []
+
+        class StalledOnce(_core._Highs):
+            def getModelStatus(self):
+                statuses.append(super().getModelStatus())
+                return _core.HighsModelStatus.kUnknown if len(statuses) == 1 else statuses[-1]
+
+        monkeypatch.setattr(_core, "_Highs", StalledOnce)
+        res = rcl.solve_mechanism(uu)
+        assert statuses == [_core.HighsModelStatus.kOptimal] * 2
+        assert res.converged
+        assert json.dumps(res.to_json()) == json.dumps(unstalled.to_json())
+        assert res.trace == unstalled.trace
 
     def test_bound_holds_at_one_newton_step(self, monkeypatch):
         # one step leaves c* far from the dual's inner maximizer, so the dual
@@ -733,13 +761,13 @@ class TestCertificate:
         # rows, certifies every preset in its first LP: one run, and no
         # pricing row in the trace past SLSQP's iterations
         runs = count_master_calls(monkeypatch)
-        rounds = record_rounds(monkeypatch)
+        slsqp = record_slsqp(monkeypatch)
         for name in PRESET_NAMES:
-            del runs[:], rounds[:]
+            del runs[:], slsqp[:]
             res = rcl.solve_mechanism(rcl.to_utility_units(rcl.build_preset(name)))
             assert res.converged
             assert [call for call, _ in runs].count("run") == 1
-            assert res.iterations == sum(result.nit for _, result in rounds)
+            assert res.iterations == sum(result.nit for _, result in slsqp)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -830,9 +858,9 @@ class TestDualReadsItsLastEvaluation:
 
 
 def seeded_rows(uu):
-    """The rows the first dual round prices, by the rule itself: every IR
-    row, and both IC rows between each type and each of its two nearest
-    types by Euclidean distance between rows of `type_weights()`."""
+    """The rows the dual prices, by the rule itself: every IR row, and both
+    IC rows between each type and each of its two nearest types by
+    Euclidean distance between rows of `type_weights()`."""
     weights, n = uu.base.type_weights(), uu.n_types
     near = set()
     for j in range(n):
@@ -842,17 +870,17 @@ def seeded_rows(uu):
     return np.array([pair in near for pair in rcl.build_system(uu).ic_pairs()] + [True] * n)
 
 
-def record_rounds(monkeypatch):
-    """(x0, result) of every dual SLSQP round of the solves that follow."""
-    rounds = []
+def record_slsqp(monkeypatch):
+    """(x0, result) of every SLSQP run of the solves that follow."""
+    slsqp = []
 
     def recorded(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
-        rounds.append((np.array(x0), res))
+        slsqp.append((np.array(x0), res))
         return res
 
     monkeypatch.setattr("scipy.optimize.minimize", recorded)
-    return rounds
+    return slsqp
 
 
 def count_master_calls(monkeypatch):
@@ -888,35 +916,36 @@ def shuffled(inst, order):
 
 
 class TestWorkingSet:
-    # the dual prices a working set of rows: the IR rows and the IC rows
-    # between near types, then the rows its maximizer violates; the master
-    # starts from W's rows and takes in any other row its mixture violates
+    # the dual prices a seeded working set W of rows, the IR rows and the IC
+    # rows between near types, in one SLSQP run; the master starts from W's
+    # rows and is the one place a row joins: it takes in any other row its
+    # mixture violates
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_few_types_price_every_row(self, monkeypatch, n):
-        # each type's two nearest types are all the others: one round, on
-        # every row
-        rounds = record_rounds(monkeypatch)
+        # each type's two nearest types are all the others: one SLSQP run,
+        # on every row
+        slsqp = record_slsqp(monkeypatch)
         uu = make_uu(np.random.default_rng(n), n=n, m=3)
         res = rcl.solve_mechanism(uu)
         k = uu.base.beliefs.priors.shape[0]
         assert seeded_rows(uu).all()
-        assert [x0.size for x0, _ in rounds] == [k + n * n]
-        assert res.converged and res.iterations == rounds[0][1].nit
+        assert [x0.size for x0, _ in slsqp] == [k + n * n]
+        assert res.converged and res.iterations == slsqp[0][1].nit
 
     def test_bound_is_the_full_dual_at_the_padded_prices(self, monkeypatch):
         # 8 evenly spaced slopes listed out of order: the nearest types are
         # the neighbouring slopes, not the neighbouring indices
         slopes = np.linspace(-0.45, 0.45, 8)[[3, 0, 6, 1, 7, 4, 2, 5]]
-        rounds = record_rounds(monkeypatch)
+        slsqp = record_slsqp(monkeypatch)
         uu = rcl.to_utility_units(rcl.build_preset(
             "cara_hedging", {"n_nodes": 40, "slopes": tuple(slopes)}))
         res = rcl.solve_mechanism(uu)
         k, n = uu.base.beliefs.priors.shape[0], uu.n_types
         working = seeded_rows(uu)
         assert working.sum() == 26
-        assert [x0.size for x0, _ in rounds] == [k + 26]
-        z = rounds[0][1].x
+        assert [x0.size for x0, _ in slsqp] == [k + 26]
+        z = slsqp[0][1].x
         lam, mu = np.maximum(z[:k], 0.0), np.zeros(n * n)
         mu[working] = np.maximum(z[k:], 0.0)
         dual, slack = dual_parts(uu, lam / lam.sum(), mu)
@@ -943,55 +972,71 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("cap, stopped", [(40, 0), (150, 1)])
     def test_cap_bounds_the_summed_rounds(self, tmp_path, monkeypatch, cap, stopped):
-        # a linear-linear 8-type draw certifies in several rounds of about
-        # 100 iterations each; the cap counts them all and stops the round
-        # that reaches it
-        rounds = record_rounds(monkeypatch)
+        # a 15 x 4 cara-linear draw certifies in one SLSQP run of about 100
+        # iterations and then about 70 pricings; the cap counts both and
+        # stops the one that reaches it: at 40 SLSQP ends at its iteration
+        # limit (status 9) and no pricing runs, at 150 SLSQP ends on its own
+        # and the cap stops the pricings
+        slsqp = record_slsqp(monkeypatch)
         path = tmp_path / "inst.json"
-        rcl.save_instance(make_instance(np.random.default_rng(5), n=8, m=1, family="linear",
+        rcl.save_instance(make_instance(np.random.default_rng(2), n=15, m=4, family="cara",
                                         v_family="linear"), path)
         assert rcl.cli.main(["solve", "--instance", str(path), "--out",
                              str(tmp_path / "full")]) == 0
-        spent = np.cumsum([res.nit for _, res in rounds])
-        assert len(rounds) > 2 and np.searchsorted(spent, cap) == stopped
-        del rounds[:]
+        (spent,) = [res.nit for _, res in slsqp]
+        full = json.loads((tmp_path / "full" / "result.json").read_text())["result"]
+        assert np.searchsorted([spent, full["iterations"]], cap) == stopped
+        del slsqp[:]
         out = tmp_path / "capped"
         code = rcl.cli.main(["solve", "--instance", str(path), "--max-iters", str(cap),
                              "--out", str(out)])
         trace = (out / "trace.csv").read_text().splitlines()[1:]
         result = json.loads((out / "result.json").read_text())["result"]
         assert code == 2
-        assert len(rounds) == stopped + 1
-        assert rounds[-1][1].status == 9  # SLSQP's iteration limit
-        assert len(trace) == result["iterations"] == sum(res.nit for _, res in rounds) <= cap
+        assert [(res.status, res.nit) for _, res in slsqp] == [(0 if stopped else 9,
+                                                                min(cap, spent))]
+        assert len(trace) == result["iterations"] == cap
+
+    def test_linear_linear_draws_certify_in_one_dual_run(self, monkeypatch):
+        # 16 draws of 9-12 types whose c* is bang-bang: SLSQP runs once, on
+        # the seeded rows, and the master takes in every row its mixture
+        # violates and closes the gap at the LP optimum
+        slsqp = record_slsqp(monkeypatch)
+        rng = np.random.default_rng(5)
+        for draw in range(16):
+            n, m = rng.integers(9, 13), rng.integers(2, 4)
+            uu = make_uu(rng, m=m, n=n, family="linear", v_family="linear")
+            del slsqp[:]
+            res = rcl.solve_mechanism(uu)
+            assert res.converged and len(slsqp) == 1 and res.iterations <= 1000, draw
+            assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9), draw
 
     def test_linear_linear_certifies_through_master_rows_and_columns(self, monkeypatch):
-        # a bang-bang c* violates few outside rows, and the dual's rounds end
-        # with the gap open: the master starts on W's rows, takes in any
-        # other row its mixture violates (how many W holds by then follows
-        # SLSQP's path, and so the BLAS threads), and prices columns at its
-        # duals, each pricing a trace row past SLSQP's iterations; its
-        # mixture meets all 64 rows and closes the gap at the LP optimum
+        # c* is bang-bang, and SLSQP's one run over the seeded W ends with
+        # the gap open: the master starts on W's rows, takes in any other row
+        # its mixture violates, and prices columns at its duals, each pricing
+        # a trace row past SLSQP's iterations; its mixture meets all 64 rows
+        # and closes the gap at the LP optimum
         calls = count_master_calls(monkeypatch)
-        rounds = record_rounds(monkeypatch)
+        slsqp = record_slsqp(monkeypatch)
         uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
         res = rcl.solve_mechanism(uu)
         k = uu.base.beliefs.priors.shape[0]
-        working = rounds[-1][0].size - k
         # set-up: the prior and mixing rows, t, hi, lo and c* for each type,
         # then W's rows
-        assert calls[:4] == [("rows", k + 8), ("cols", 1), ("cols", 24), ("rows", working)]
+        assert calls[:4] == [("rows", k + 8), ("cols", 1), ("cols", 24),
+                             ("rows", seeded_rows(uu).sum())]
+        assert [x0.size for x0, _ in slsqp] == [k + seeded_rows(uu).sum()]
         assert sum(count for call, count in calls[4:] if call == "cols") > 0
         assert res.converged
-        assert res.iterations > sum(result.nit for _, result in rounds)
+        assert res.iterations > sum(result.nit for _, result in slsqp)
         assert rcl.build_system(uu).residual(res.mechanism.assignment).min() >= -1e-9
         assert res.value == pytest.approx(linear_lp_optimum(uu), abs=1e-9)
 
     def test_capped_dual_leaves_the_rows_to_the_master(self, monkeypatch):
-        # one SLSQP iteration leaves W at its seed and the gap open, and no
-        # pricing runs past the cap: the master takes in the rows its
-        # mixture of hi, lo and c* violates, so the mechanism meets all 64
-        # rows, uncertified
+        # one SLSQP iteration leaves the gap open, and no pricing runs past
+        # the cap: the master takes in the rows its mixture of hi, lo and c*
+        # violates, so the mechanism meets all 64 rows, uncertified
         calls = count_master_calls(monkeypatch)
         uu = make_uu(np.random.default_rng(37), n=8, m=4, family="linear", v_family="linear")
         res = rcl.solve_mechanism(uu, rcl.SolveOptions(max_iters=1))
